@@ -151,12 +151,31 @@ class SystemModel:
         return self._f_fn(*scalars)
 
     def f_many(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        """Vectorized map over rows of ``xs`` (m, n) and ``ws`` (m, noise_dim)."""
-        m = xs.shape[0]
-        cols = self._f_fn(*(xs[:, i] for i in range(self.n)), *(ws[:, j] for j in range(self.noise_dim)))
-        out = np.empty((m, self.n))
-        for i, col in enumerate(cols):
-            out[:, i] = col
+        """Vectorized map over rows of ``xs`` (m, n) and ``ws`` (m, noise_dim).
+
+        DSL models evaluate column arrays in one call; opaque models are
+        evaluated row by row. A row whose evaluation raises
+        ``ZeroDivisionError`` or ``OverflowError`` comes back as inf, as numpy
+        arithmetic leaves a DSL row that divides by zero or overflows.
+        """
+        if self.exprs is not None:
+            try:
+                cols = self._f_fn(
+                    *(xs[:, i] for i in range(self.n)), *(ws[:, j] for j in range(self.noise_dim))
+                )
+            except (ZeroDivisionError, OverflowError):
+                pass  # a constant subexpression failed; it fails in every row
+            else:
+                out = np.empty((xs.shape[0], self.n))
+                for i, col in enumerate(cols):
+                    out[:, i] = col  # constant coordinates broadcast
+                return out
+        out = np.empty((xs.shape[0], self.n))
+        for k in range(xs.shape[0]):
+            try:
+                out[k] = self._f_fn(*xs[k].tolist(), *ws[k].tolist())
+            except (ZeroDivisionError, OverflowError):
+                out[k] = np.inf
         return out
 
     def jacobian(self, x: Sequence[float], w: Sequence[float] = ()) -> np.ndarray:

@@ -227,7 +227,7 @@ def run_closed_loop(
         u = controller.control(t, q)
         try:
             nxt = np.asarray(model.f_raw(*x.tolist(), *w_path[t].tolist()), dtype=float)
-        except ZeroDivisionError:
+        except (ZeroDivisionError, OverflowError):
             status, diverged_at, steps = "diverged", t, t
             break
         nxt = nxt + bmat @ u

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 EXACT_MODE_LIMIT = 20
+PAIR_BLOCK = 512  # (candidate, scenario) pairs stepped together; bounds memory
 
 
 class ThresholdConstraintError(ValueError):
@@ -79,10 +80,11 @@ class CellFamily:
         else:
             if np.any(his <= los):
                 raise ValueError("every cell needs positive extent on every axis")
-            for i in range(count):
-                for j in range(i + 1, count):
-                    if np.all((los[i] < his[j]) & (los[j] < his[i])):
-                        raise ValueError(f"cells {i} and {j} overlap; family must be disjoint")
+            for i in range(count - 1):
+                hit = np.all((los[i] < his[i + 1:]) & (los[i + 1:] < his[i]), axis=1)
+                if hit.any():
+                    j = i + 1 + int(np.argmax(hit))
+                    raise ValueError(f"cells {i} and {j} overlap; family must be disjoint")
         object.__setattr__(self, "los", los)
         object.__setattr__(self, "his", his)
 
@@ -301,6 +303,57 @@ def build_R_epsilon(
 # --------------------------------------------------------------------------
 # Open-loop occupancy
 
+def _lockstep_states(
+    model: SystemModel,
+    x0s: np.ndarray,
+    w_paths: np.ndarray,
+    u_seqs: np.ndarray,
+    horizon: int,
+) -> np.ndarray:
+    """States x_0 .. x_{T-1} of P (start, noise, control) triples stepped together.
+
+    Inputs are ``x0s`` (P, N), ``w_paths`` (P, >= T-1, K) and ``u_seqs``
+    (P, >= T-1, N'); the result has shape (P, T, N). A row whose state turns
+    non-finite is inf from that step on, so it lies outside every cell, and it
+    is not evaluated again.
+    """
+    states = np.full((len(x0s), horizon, model.n), np.inf)
+    states[:, 0] = x0s
+    live = np.arange(len(x0s))
+    with np.errstate(all="ignore"):
+        # stacked B @ u matrix-vector products round as the scalar loop's do; u @ B.T may not
+        bu = (model.b @ u_seqs[:, : horizon - 1, :, None])[..., 0]
+        for t in range(horizon - 1):
+            nxt = model.f_many(states[live, t], w_paths[live, t]) + bu[live, t]
+            ok = np.all(np.isfinite(nxt), axis=1)
+            live = live[ok]
+            states[live, t + 1] = nxt[ok]
+    return states
+
+
+def _satisfied(
+    states: np.ndarray, f_idx: np.ndarray, instance: SpanningInstance
+) -> np.ndarray:
+    """Per-row frequency satisfaction for states (P, T, N) and noise cells (P, T).
+
+    Every row's joint (d, e, f) occupancy comes from one ``bincount`` over
+    ``row * n_cells + cell``.
+    """
+    pairs, horizon, n = states.shape
+    m = instance.m_split
+    rows = pairs * horizon  # explicit: a zero-width split cannot infer -1
+    d_idx = instance.d_family.locate(states[:, :, :m].reshape(rows, m))
+    e_idx = instance.e_family.locate(states[:, :, m:].reshape(rows, n - m))
+    f_idx = f_idx.reshape(-1)
+    n_e, n_f = instance.e_family.count, instance.f_family.count
+    n_cells = instance.d_family.count * n_e * n_f
+    valid = (d_idx >= 0) & (e_idx >= 0) & (f_idx >= 0)
+    key = np.repeat(np.arange(pairs) * n_cells, horizon) + (d_idx * n_e + e_idx) * n_f + f_idx
+    counts = np.bincount(key[valid], minlength=pairs * n_cells).reshape(pairs, n_cells)
+    limit = (1.0 - instance.thresholds - 1e-12).reshape(-1)
+    return np.all(counts / horizon >= limit, axis=1)
+
+
 def open_loop_states(
     model: SystemModel, x0: np.ndarray, w_path: np.ndarray, u_seq: np.ndarray, horizon: int
 ) -> np.ndarray:
@@ -308,44 +361,13 @@ def open_loop_states(
 
     Numeric blow-ups are mapped to inf states, which lie outside every cell.
     """
-    states = np.empty((horizon, model.n))
-    states[0] = x0
-    bmat = model.b
-    x = np.asarray(x0, float)
-    for t in range(horizon - 1):
-        try:
-            nxt = np.asarray(model.f_raw(*x.tolist(), *w_path[t].tolist()), dtype=float)
-        except (ZeroDivisionError, OverflowError):
-            states[t + 1:] = np.inf
-            return states
-        nxt = nxt + bmat @ u_seq[t]
-        if not np.all(np.isfinite(nxt)):
-            states[t + 1:] = np.inf
-            return states
-        states[t + 1] = nxt
-        x = nxt
-    return states
-
-
-def _occupancy_frequencies(
-    model: SystemModel,
-    u_seq: np.ndarray,
-    x0: np.ndarray,
-    w_path: np.ndarray,
-    instance: SpanningInstance,
-) -> np.ndarray:
-    T = instance.horizon
-    m = instance.m_split
-    states = open_loop_states(model, x0, w_path, u_seq, T)
-    d_idx = instance.d_family.locate(states[:, :m])
-    e_idx = instance.e_family.locate(states[:, m:])
-    f_idx = instance.f_family.locate(w_path[:T])
-    valid = (d_idx >= 0) & (e_idx >= 0) & (f_idx >= 0)
-    counts = np.zeros(
-        (instance.d_family.count, instance.e_family.count, instance.f_family.count)
-    )
-    np.add.at(counts, (d_idx[valid], e_idx[valid], f_idx[valid]), 1.0)
-    return counts / T
+    return _lockstep_states(
+        model,
+        np.asarray(x0, float)[None],
+        np.asarray(w_path, float)[None],
+        np.asarray(u_seq, float)[None],
+        horizon,
+    )[0]
 
 
 def satisfies_frequencies(
@@ -357,8 +379,10 @@ def satisfies_frequencies(
     """Does this control sequence keep every joint occupancy frequency above
     1 - r for the given scenario?"""
     x0, w_path = scenario
-    freqs = _occupancy_frequencies(model, np.asarray(u_seq, float), x0, w_path, instance)
-    return bool(np.all(freqs >= 1.0 - instance.thresholds - 1e-12))
+    T = instance.horizon
+    states = open_loop_states(model, x0, w_path, np.asarray(u_seq, float), T)
+    f_idx = instance.f_family.locate(w_path[:T])
+    return bool(_satisfied(states[None], f_idx[None], instance)[0])
 
 
 def satisfaction_matrix(
@@ -367,11 +391,30 @@ def satisfaction_matrix(
     instance: SpanningInstance,
     scenarios: ScenarioSet,
 ) -> np.ndarray:
-    """Boolean (candidate, scenario) matrix of frequency satisfaction."""
-    out = np.zeros((candidates.count, scenarios.count), dtype=bool)
-    for i in range(candidates.count):
-        for j in range(scenarios.count):
-            out[i, j] = satisfies_frequencies(model, candidates.sequences[i], scenarios[j], instance)
+    """Boolean (candidate, scenario) matrix of frequency satisfaction.
+
+    Blocks of candidates are paired with every scenario and stepped in
+    lockstep, candidate-major: at most ``PAIR_BLOCK`` pairs at a time, or one
+    candidate's pairs when there are more scenarios than that.
+    """
+    n_cand, n_scen = candidates.count, scenarios.count
+    out = np.zeros((n_cand, n_scen), dtype=bool)
+    T = instance.horizon
+    f_idx = instance.f_family.locate(
+        scenarios.ws[:, :T].reshape(n_scen * T, scenarios.ws.shape[2])
+    ).reshape(n_scen, T)
+    block = max(1, PAIR_BLOCK // max(1, n_scen))
+    for lo in range(0, n_cand, block):
+        seqs = candidates.sequences[lo: lo + block]
+        k = len(seqs)
+        states = _lockstep_states(
+            model,
+            np.tile(scenarios.x0s, (k, 1)),
+            np.tile(scenarios.ws, (k, 1, 1)),
+            np.repeat(seqs, n_scen, axis=0),
+            T,
+        )
+        out[lo: lo + k] = _satisfied(states, np.tile(f_idx, (k, 1)), instance).reshape(k, n_scen)
     return out
 
 
@@ -478,21 +521,18 @@ class EntropyPoint:
 def _joint_state_weights(
     trajs: Sequence[Trajectory], template: SpanningTemplate, burn_in: int
 ) -> np.ndarray:
-    counts = np.zeros((template.d_family.count, template.e_family.count))
-    total = 0
-    m = template.m_split
-    for traj in trajs:
-        states = traj.x[burn_in: traj.steps]
-        if len(states) == 0:
-            continue
-        total += len(states)
-        d_idx = template.d_family.locate(states[:, :m])
-        e_idx = template.e_family.locate(states[:, m:])
-        valid = (d_idx >= 0) & (e_idx >= 0)
-        np.add.at(counts, (d_idx[valid], e_idx[valid]), 1.0)
+    states = [traj.x[burn_in: traj.steps] for traj in trajs]
+    total = sum(len(s) for s in states)
     if total == 0:
         raise ValueError("no post-burn-in states to estimate cell masses from")
-    return counts / total
+    states = np.concatenate(states)
+    m = template.m_split
+    d_idx = template.d_family.locate(states[:, :m])
+    e_idx = template.e_family.locate(states[:, m:])
+    valid = (d_idx >= 0) & (e_idx >= 0)
+    n_d, n_e = template.d_family.count, template.e_family.count
+    counts = np.bincount(d_idx[valid] * n_e + e_idx[valid], minlength=n_d * n_e)
+    return counts.reshape(n_d, n_e) / total
 
 
 def _noise_weights(scenarios: ScenarioSet, template: SpanningTemplate) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +84,26 @@ def test_dsl_model_config(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
     assert (out / "simulate_summary.json").exists()
+
+
+def test_simulate_overflowing_dsl_model_reports_divergence(tmp_path):
+    cfg = _ar1_config(horizon=20, paths=2)
+    cfg["model"] = {"dsl": "states 1\nnoise 1\nx1' = x1^40 + w1"}
+    cfg["init"] = {"kind": "fixed", "values": [1e10]}
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "quantstab.cli", "simulate", "--config", _write(tmp_path, cfg), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == EXIT_OK
+    assert "Traceback" not in result.stderr
+    summary = json.loads((out / "simulate_summary.json").read_text())
+    assert summary["diverged"] == 2
+    assert summary["divergence_rate"] == 1.0
+    assert summary["first_divergence_steps"] == [0, 0]
 
 
 def test_bad_dsl_model_is_config_error(tmp_path, capsys):

@@ -175,6 +175,32 @@ def test_symbolic_vs_finite_difference_jacobians():
             assert np.allclose(sym, fd, rtol=1e-5, atol=1e-5)
 
 
+def test_f_many_matches_rowwise_f():
+    mat = np.array([[0.5, 0.1], [-0.2, 0.9]])
+    opaque = SystemModel.from_callable(
+        lambda x, w: x @ mat + w[0], n=2, control_dim=2, noise_dim=1, b=np.eye(2)
+    )
+    dsl = SystemModel.from_text("states 2\nnoise 1\nx1' = x1 / (2 + x2) + w1\nx2' = 0.5")
+    rng = np.random.default_rng(3)
+    xs = rng.normal(size=(7, 2))
+    ws = rng.normal(size=(7, 1))
+    for model in (opaque, dsl):
+        rowwise = np.array([model.f(x, w) for x, w in zip(xs, ws)])
+        assert np.array_equal(model.f_many(xs, ws), rowwise)
+
+
+def test_f_many_opaque_rows_that_raise_come_back_inf():
+    def fn(x, w):
+        return np.array([float(x[0]) / float(x[1]), float(x[1]) ** 40 + w[0]])
+
+    model = SystemModel.from_callable(fn, n=2, control_dim=2, noise_dim=1, b=np.eye(2))
+    xs = np.array([[1.0, 2.0], [1.0, 0.0], [1.0, 1e10]])
+    ws = np.zeros((3, 1))
+    out = model.f_many(xs, ws)
+    assert np.array_equal(out[0], model.f(xs[0], ws[0]))
+    assert np.all(np.isinf(out[1:]))
+
+
 def test_opaque_model_uses_finite_difference_provider(example2):
     wrapped = SystemModel.from_callable(
         lambda x, w: np.array([(x[0] ** 3 + x[0]) * (1 + x[1] ** 2), 0.5 * x[1] + w[0]]),

@@ -4,6 +4,7 @@ import pytest
 from quantstab import (
     InitSpec,
     NoiseSpec,
+    SystemModel,
     audit_causality,
     batch_rollout,
     null_policy,
@@ -191,6 +192,16 @@ def test_pooled_variance_matches_stationary_law(ar1):
     trajs = batch_rollout(ar1, null_policy(2), noise, init, 10_000, 64, base_seed=123)
     pooled = np.concatenate([t.x[:, 0] for t in trajs])
     assert pooled.var() == pytest.approx(4.0 / 3.0, rel=0.05)
+
+
+def test_overflow_in_model_ends_diverged():
+    # Python float ** raises OverflowError at 1e10 ** 40; the path must end
+    # diverged at that step instead of letting the exception escape
+    model = SystemModel.from_text("states 1\nnoise 1\nx1' = x1^40 + w1")
+    traj = rollout(model, null_policy(2), NoiseSpec.zero(1), InitSpec.fixed([1e10]), 5, seed=0)
+    assert traj.diverged
+    assert traj.diverged_at == 0 and traj.steps == 0
+    assert traj.x.tolist() == [[1e10]]
 
 
 def test_divergence_summary(doubling, ar1):

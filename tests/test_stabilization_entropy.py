@@ -1,8 +1,12 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quantstab import (
     CandidateControls,
@@ -16,6 +20,7 @@ from quantstab import (
     SystemModel,
     ThresholdConstraintError,
     build_R_epsilon,
+    catalog_model,
     entropy_rate,
     is_spanning,
     min_cover_cardinality,
@@ -24,6 +29,7 @@ from quantstab import (
     satisfies_frequencies,
     zoom_policy,
 )
+from quantstab import stabilization_entropy
 from quantstab.stabilization_entropy import (
     closed_loop_candidates,
     open_loop_states,
@@ -55,6 +61,12 @@ def test_zero_dimensional_family():
 def test_overlapping_family_rejected():
     with pytest.raises(ValueError, match="overlap"):
         CellFamily(los=np.array([[0.0], [0.5]]), his=np.array([[1.0], [1.5]]))
+
+
+def test_overlap_error_names_the_first_overlapping_pair():
+    los = np.array([[0.0, 0.0], [2.0, 0.0], [0.5, 0.5], [2.5, 0.0]])
+    with pytest.raises(ValueError, match=r"cells 0 and 2 overlap"):
+        CellFamily(los=los, his=los + 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -343,3 +355,149 @@ def test_satisfaction_matrix_shape(ar1):
     matrix = satisfaction_matrix(ar1, candidates, inst, scen)
     assert matrix.shape == (1, 5)
     assert matrix.all()
+
+
+# --------------------------------------------------------------------------
+# Lockstep satisfaction matrix against the scalar per-pair algorithm
+
+def _oracle_states(model, x0, w_path, u_seq, horizon):
+    states = np.full((horizon, model.n), np.inf)
+    states[0] = x0
+    x = np.asarray(x0, float)
+    for t in range(horizon - 1):
+        try:
+            nxt = np.asarray(model.f_raw(*x.tolist(), *w_path[t].tolist()), dtype=float)
+        except (ZeroDivisionError, OverflowError):
+            break
+        with np.errstate(over="ignore"):
+            nxt = nxt + model.b @ u_seq[t]
+        if not np.all(np.isfinite(nxt)):
+            break
+        states[t + 1] = x = nxt
+    return states
+
+
+def _oracle_cell(family, point):
+    for i in range(family.count):
+        if np.all(point >= family.los[i]) and np.all(point < family.his[i]):
+            return i
+    return -1
+
+
+def _oracle_matrix(model, candidates, inst, scen):
+    T, m = inst.horizon, inst.m_split
+    out = np.zeros((candidates.count, scen.count), dtype=bool)
+    for i in range(candidates.count):
+        for j in range(scen.count):
+            x0, w_path = scen[j]
+            states = _oracle_states(model, x0, w_path, candidates.sequences[i], T)
+            counts = np.zeros(inst.thresholds.shape)
+            for t in range(T):
+                cell = (
+                    _oracle_cell(inst.d_family, states[t, :m]),
+                    _oracle_cell(inst.e_family, states[t, m:]),
+                    _oracle_cell(inst.f_family, w_path[t]),
+                )
+                if min(cell) >= 0:
+                    counts[cell] += 1
+            out[i, j] = np.all(counts / T >= 1.0 - inst.thresholds - 1e-12)
+    return out
+
+
+# x2 is a constant coordinate; x1 divides by it, so a zero start blows up;
+# B u sums two rounded products, as in the scalar loop
+_CONST_DSL = "states 2\nnoise 1\ncontrols 2\nB = [0.3 -1.7; 0 0]\nx1' = x1 / x2 + w1\nx2' = 0.5"
+
+
+def _lockstep_model(name):
+    return SystemModel.from_text(_CONST_DSL) if name == "dsl" else catalog_model(name)
+
+
+def _grid(dim, cells):
+    return CellFamily.from_partition(Partition(low=[-2.0] * dim, high=[2.0] * dim, cells_per_axis=cells))
+
+
+def _lockstep_instance(model, horizon, targets):
+    """Split 1; a grid e-family when there is a second coordinate; a noise grid.
+
+    ``targets`` maps flat (d, e, f) cells to thresholds; every other cell is vacuous.
+    """
+    d = _grid(1, (2,))
+    e = _grid(1, (2,)) if model.n == 2 else CellFamily.whole_space(0)
+    f = _grid(model.noise_dim, (2,) + (1,) * (model.noise_dim - 1))
+    r = np.ones(d.count * e.count * f.count)
+    for cell, level in targets:
+        r[cell % len(r)] = level
+    return SpanningInstance(horizon, 1, d, e, f, 0.5, r.reshape(d.count, e.count, f.count))
+
+
+def _full_arrays(shape, elements):
+    return arrays(float, shape, elements=elements, fill=st.nothing())  # every entry drawn
+
+
+@st.composite
+def _lockstep_cases(draw):
+    model = _lockstep_model(draw(st.sampled_from(["stable_ar1", "scalar_doubling", "example1", "dsl"])))
+    horizon = draw(st.sampled_from([5, 3, 1, 6, 2]))
+    n_scen = draw(st.sampled_from([3, 1, 4, 2]))
+    n_cand = draw(st.sampled_from([5, 3, 6, 1, 2, 0]))
+    x0s = draw(_full_arrays((n_scen, model.n), st.sampled_from([0.4, -0.3, 1.9, -1.5, 0.0])))
+    noise = st.sampled_from([-0.6, 0.3, -1.7, 1.1, 2.4, -2.3]) | st.floats(-2.5, 2.5)
+    ws = draw(_full_arrays((n_scen, horizon, model.noise_dim), noise))
+    # +-1e308 controls overflow to +-inf within a few steps on every model
+    levels = st.sampled_from([0.3, -1.1, -0.7, 0.0, 0.45, 1.3, 1e308, -1e308])
+    seqs = draw(_full_arrays((n_cand, horizon, model.control_dim), levels))
+    # one binding cell at a time (each cell in turn), then two together;
+    # each needs frequency 0.1 .. 0.4, so sum(1 - r) <= 1 holds
+    level = st.sampled_from([0.8, 0.9, 0.6])
+    pair = draw(st.lists(st.tuples(st.integers(0, 7), level), min_size=2, max_size=2))
+    targets = [[(cell, draw(level))] for cell in range(8)] + [pair]
+    block = draw(st.integers(1, 13))
+    return model, CandidateControls(seqs, "grid"), targets, ScenarioSet(x0s, ws), block
+
+
+def _pinned_case(name, horizon, n_cand, block):
+    model = _lockstep_model(name)
+    rng = np.random.default_rng(horizon * 10 + n_cand)
+    x0s = rng.choice([-1.0, 0.0, 0.5, 1.2], size=(2, model.n))
+    scen = ScenarioSet(x0s, rng.uniform(-2.5, 2.5, (2, horizon, model.noise_dim)))
+    seqs = rng.choice([-1e308, -0.7, 0.0, 0.3, 1e308], size=(n_cand, horizon, model.control_dim))
+    targets = [[(cell, 0.8)] for cell in range(8)] + [[(2, 0.7), (5, 0.9)]]
+    return model, CandidateControls(seqs, "grid"), targets, scen, block
+
+
+@settings(max_examples=50, deadline=None)
+@given(_lockstep_cases())
+@example(_pinned_case("scalar_doubling", 1, 4, 512))  # T = 1: only x_0 and w_0 count
+@example(_pinned_case("example1", 5, 0, 512))  # no candidates
+@example(_pinned_case("example1", 5, 7, 6))  # 3 candidates per block; 7 is no multiple
+@example(_pinned_case("dsl", 4, 5, 4))  # zero x2 starts and +-1e308 controls blow up
+def test_lockstep_matrix_matches_scalar_oracle(case):
+    model, candidates, targets, scen, block = case
+    horizon = scen.horizon
+    for cells in targets:
+        inst = _lockstep_instance(model, horizon, cells)
+        with mock.patch.object(stabilization_entropy, "PAIR_BLOCK", block):
+            matrix = satisfaction_matrix(model, candidates, inst, scen)
+        assert matrix.shape == (candidates.count, scen.count)
+        assert np.array_equal(matrix, _oracle_matrix(model, candidates, inst, scen))
+    for i, j in itertools.product(range(candidates.count), range(scen.count)):
+        x0, w_path = scen[j]
+        u = candidates.sequences[i]
+        states = open_loop_states(model, x0, w_path, u, horizon)
+        assert np.array_equal(states, _oracle_states(model, x0, w_path, u, horizon))
+        assert satisfies_frequencies(model, u, scen[j], inst) == matrix[i, j]
+
+
+@pytest.mark.parametrize("name", ["example1", "dsl"])
+def test_lockstep_states_bitwise_at_full_block(name):
+    # BLAS picks kernels by shape, so parity is checked at the production block size
+    model = _lockstep_model(name)
+    rng = np.random.default_rng(11)
+    pairs, horizon = stabilization_entropy.PAIR_BLOCK, 11
+    x0s = rng.choice([-1.5, -0.3, 0.4, 1.9], size=(pairs, model.n))
+    ws = rng.uniform(-0.5, 0.5, (pairs, horizon, model.noise_dim))
+    us = rng.uniform(-1.0, 1.0, (pairs, horizon, model.control_dim))
+    states = stabilization_entropy._lockstep_states(model, x0s, ws, us, horizon)
+    for p in range(pairs):
+        assert np.array_equal(states[p], _oracle_states(model, x0s[p], ws[p], us[p], horizon))
