@@ -151,18 +151,18 @@ class SystemModel:
         return self._f_fn(*scalars)
 
     def f_many(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        """Vectorized map over rows of ``xs`` (m, n) and ``ws`` (m, noise_dim).
+        """Vectorized map over rows of ``xs`` (m, n) and ``ws`` (m, noise_dim);
+        ``ws`` may also be one row (1, noise_dim) shared by every state row.
 
-        DSL models evaluate column arrays in one call; opaque models are
-        evaluated row by row. A row whose evaluation raises
-        ``ZeroDivisionError`` or ``OverflowError`` comes back as inf, as numpy
-        arithmetic leaves a DSL row that divides by zero or overflows.
+        DSL models evaluate column arrays in one call, to the same bits as the
+        scalar evaluation; opaque models are evaluated row by row. A row whose
+        evaluation raises ``ZeroDivisionError`` or ``OverflowError`` comes back
+        as inf; a DSL row that divides by zero or overflows comes back
+        non-finite as well.
         """
         if self.exprs is not None:
             try:
-                cols = self._f_fn(
-                    *(xs[:, i] for i in range(self.n)), *(ws[:, j] for j in range(self.noise_dim))
-                )
+                cols = self._f_fn(*xs.T, *ws.T)
             except (ZeroDivisionError, OverflowError):
                 pass  # a constant subexpression failed; it fails in every row
             else:
@@ -171,12 +171,23 @@ class SystemModel:
                     out[:, i] = col  # constant coordinates broadcast
                 return out
         out = np.empty((xs.shape[0], self.n))
+        ws = np.broadcast_to(ws, (xs.shape[0], self.noise_dim))
         for k in range(xs.shape[0]):
             try:
                 out[k] = self._f_fn(*xs[k].tolist(), *ws[k].tolist())
             except (ZeroDivisionError, OverflowError):
                 out[k] = np.inf
         return out
+
+    def control_effect(self, us: np.ndarray) -> np.ndarray:
+        """``B u`` for each row of ``us`` (m, control_dim), as stacked
+        matrix-vector products: these round as ``B @ u`` on one row does,
+        ``us @ B.T`` need not."""
+        return (self.b @ us[:, :, None])[:, :, 0]
+
+    def step_many(self, xs: np.ndarray, ws: np.ndarray, us: np.ndarray) -> np.ndarray:
+        """The transition ``f(x, w) + B u`` for each row."""
+        return self.f_many(xs, ws) + self.control_effect(us)
 
     def jacobian(self, x: Sequence[float], w: Sequence[float] = ()) -> np.ndarray:
         """Full Jacobian of ``x -> f(x, w)`` at the point, shape (n, n)."""

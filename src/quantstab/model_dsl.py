@@ -386,6 +386,24 @@ def parse_model(text: str) -> ModelSource:
 # --------------------------------------------------------------------------
 # Evaluation
 
+def _power_chain(base, exponent: int):
+    """``base ^ |exponent|`` by square-and-multiply, for a nonzero exponent.
+
+    The tree walk and the compiled code both take integer powers through this
+    one chain of products, so scalar floats and numpy arrays round alike;
+    ``**`` does not (numpy and Python float powers differ in the last bit).
+    """
+    e = abs(exponent)
+    power = None
+    while True:
+        if e & 1:
+            power = base if power is None else power * base
+        e >>= 1
+        if not e:
+            return power
+        base = base * base
+
+
 def eval_expr(ast: ExprAst, x: Sequence[float], w: Sequence[float] = ()) -> float:
     """Evaluate at a state/noise point. Raises EvalDomainError on division by zero."""
     if isinstance(ast, Const):
@@ -410,10 +428,14 @@ def eval_expr(ast: ExprAst, x: Sequence[float], w: Sequence[float] = ()) -> floa
             raise EvalDomainError("division by zero", ast.pos)
         return eval_expr(ast.a, x, w) / den
     if isinstance(ast, Pow):
-        base = eval_expr(ast.base, x, w)
-        if base == 0.0 and ast.exponent < 0:
+        if ast.exponent == 0:
+            return 1.0
+        power = _power_chain(eval_expr(ast.base, x, w), ast.exponent)
+        if ast.exponent > 0:
+            return power
+        if power == 0.0:
             raise EvalDomainError("zero raised to a negative power", ast.pos)
-        return base ** ast.exponent
+        return 1.0 / power
     if isinstance(ast, Neg):
         return -eval_expr(ast.a, x, w)
     raise TypeError(f"not an expression node: {ast!r}")
@@ -563,6 +585,18 @@ def print_expr(ast: ExprAst) -> str:
 # --------------------------------------------------------------------------
 # Compilation to fast callables (scalar floats or numpy column arrays)
 
+def _quotient(a, b):
+    """``a / b`` in compiled code. Floats raise ZeroDivisionError on a zero
+    denominator; for arrays that entry becomes nan, which no later step of
+    the expression can turn finite again (``1 / inf`` would)."""
+    q = a / b
+    if isinstance(q, np.ndarray):
+        zero = b == 0.0
+        if np.any(zero):
+            q = np.where(zero, np.nan, q)
+    return q
+
+
 def _to_python(node: ExprAst) -> str:
     if isinstance(node, Const):
         return repr(node.value)
@@ -577,9 +611,12 @@ def _to_python(node: ExprAst) -> str:
     if isinstance(node, Mul):
         return f"({_to_python(node.a)} * {_to_python(node.b)})"
     if isinstance(node, Div):
-        return f"({_to_python(node.a)} / {_to_python(node.b)})"
+        return f"_quotient({_to_python(node.a)}, {_to_python(node.b)})"
     if isinstance(node, Pow):
-        return f"({_to_python(node.base)} ** {node.exponent})"
+        if node.exponent == 0:
+            return "1.0"
+        power = f"_power_chain({_to_python(node.base)}, {node.exponent})"
+        return power if node.exponent > 0 else f"_quotient(1.0, {power})"
     if isinstance(node, Neg):
         return f"(-{_to_python(node.a)})"
     raise TypeError(f"not an expression node: {node!r}")
@@ -590,15 +627,18 @@ def compile_exprs(
 ) -> Callable:
     """Compile expressions into one positional function ``f(x0.., w0..) -> tuple``.
 
-    The generated arithmetic works on plain floats (hot simulation loop) and
-    on numpy arrays passed column-wise (vectorized Monte Carlo).
+    The generated arithmetic works on plain floats (replay, audits) and on
+    numpy arrays passed column-wise (lockstep simulation, vectorized Monte
+    Carlo), and both give the same bits: integer powers are one fixed chain
+    of products, and a zero denominator that raises ZeroDivisionError for
+    floats leaves nan in that array entry.
     """
     args = [f"x{i}" for i in range(n_states)] + [f"w{j}" for j in range(n_noise)]
     body = ", ".join(_to_python(e) for e in exprs)
     if len(exprs) == 1:
         body += ","
     src = f"def {name}({', '.join(args)}):\n    return ({body})\n"
-    namespace: dict = {}
+    namespace: dict = {"_power_chain": _power_chain, "_quotient": _quotient}
     exec(compile(src, f"<{name}>", "exec"), namespace)
     fn = namespace[name]
     fn.__source__ = src

@@ -1,10 +1,12 @@
 """Causal coding/control policies over a finite channel alphabet.
 
-A policy is a factory: ``encoder()`` and ``controller()`` return fresh
-single-trajectory state machines. The encoder sees states x_0..x_t (one call
-per step, in order); the controller sees only the symbols q_0..q_t. One
-symbol of the alphabet is always reserved for quantizer overflow, so a policy
-with ``c`` cells needs alphabet size at least ``c + 1``.
+A policy writes its symbol rule and its state update once, over rows of
+loops stepped together; ``encoder()`` and ``controller()`` return fresh
+single-trajectory state machines that are the one-row case. The encoder sees
+states x_0..x_t (one call per step, in order); the controller sees only the
+symbols q_0..q_t. One symbol of the alphabet is always reserved for
+quantizer overflow, so a policy with ``c`` cells needs alphabet size at least
+``c + 1``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,17 @@ __all__ = [
 
 
 class CodingPolicy:
-    """Base: channel alphabet {1..m} and fresh encoder/controller sessions."""
+    """Base: channel alphabet {1..m} and the coding rule over rows of loops.
+
+    ``initial_state(count)`` is the quantizer state of ``count`` independent
+    loops (None for a memoryless policy). ``symbols(state, xs)`` is the
+    encoder's symbol for each state row, and ``advance(state, qs)`` moves
+    every row's state on by its symbol and returns the controls, shape
+    (rows, control_dim). Encoder and controller evolve replicas of the same
+    state driven purely by the symbol stream, so a simulation stepping many
+    loops together keeps one copy per row; the ``encoder()`` and
+    ``controller()`` sessions are the one-row case.
+    """
 
     m: int
 
@@ -36,11 +48,81 @@ class CodingPolicy:
         """Channel capacity in bits, log2 of the alphabet size."""
         return math.log2(self.m)
 
-    def encoder(self):
+    def initial_state(self, count: int):
+        return None
+
+    def keep_rows(self, state, keep: np.ndarray):
+        """The state of the rows where ``keep`` is True."""
+        return state
+
+    def symbols(self, state, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def controller(self):
+    def advance(self, state, qs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def step(self, state, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Symbols and controls of every row for one time step."""
+        qs = self.symbols(state, xs)
+        return qs, self.advance(state, qs)
+
+    def encoder(self) -> "_Encoder":
+        return _Encoder(self)
+
+    def controller(self) -> "_Controller":
+        return _Controller(self)
+
+
+class _Encoder:
+    """One loop's encoder: sees x_0..x_t, one call per step, in order."""
+
+    def __init__(self, policy: CodingPolicy):
+        self._policy = policy
+        self.state = policy.initial_state(1)
+
+    def encode(self, t: int, x) -> int:
+        with np.errstate(all="ignore"):  # a blow-up shows in the states, not as a warning
+            qs, _ = self._policy.step(self.state, np.asarray(x, float).reshape(1, -1))
+        return int(qs[0])
+
+
+class _Controller:
+    """One loop's controller: sees only the symbols q_0..q_t."""
+
+    def __init__(self, policy: CodingPolicy):
+        self._policy = policy
+        self.state = policy.initial_state(1)
+
+    def control(self, t: int, q: int) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return self._policy.advance(self.state, np.array([q]))[0]
+
+
+class _Grid:
+    """Row-major numbering of the cells of a uniform grid; symbol = 1 + number."""
+
+    def __init__(self, cells_per_axis):
+        self.cells = np.asarray(cells_per_axis, dtype=np.int64)
+        self.top = (self.cells - 1).astype(float)
+        self.strides = np.cumprod(np.r_[1, self.cells[:0:-1]])[::-1]
+
+    def symbols(self, scaled: np.ndarray, inside: np.ndarray, overflow: int) -> np.ndarray:
+        """Symbol per row of ``scaled`` (coordinates in cell widths from the
+        low corner), or ``overflow`` where ``inside`` is False."""
+        idx = np.where(inside[:, None], np.minimum(scaled, self.top), 0.0).astype(np.int64)
+        return np.where(inside, 1 + idx @ self.strides, overflow)
+
+    def points(self, symbols: np.ndarray) -> np.ndarray:
+        """Per-axis cell indices (rows, N) of in-range symbols."""
+        return (symbols[:, None] - 1) // self.strides % self.cells
+
+
+def _cancelling(policy, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the nominal image ``f(point, noise_mean)`` and the control
+    ``u = B^+ (target - image)`` that cancels it. The products are stacked
+    matrix-vector ones, which round as ``B^+ @ v`` on one row does."""
+    images = policy.model.f_many(points, policy.noise_mean[None])
+    return images, (policy.model.b_pinv @ (policy.target - images)[:, :, None])[:, :, 0]
 
 
 # --------------------------------------------------------------------------
@@ -55,24 +137,11 @@ class NullPolicy(CodingPolicy):
         self.m = m
         self.control_dim = control_dim
 
-    def encoder(self):
-        return _NullEncoder()
+    def symbols(self, state, xs):
+        return np.ones(len(xs), dtype=np.int64)
 
-    def controller(self):
-        return _NullController(self.control_dim)
-
-
-class _NullEncoder:
-    def encode(self, t: int, x) -> int:
-        return 1
-
-
-class _NullController:
-    def __init__(self, control_dim: int):
-        self._zero = np.zeros(control_dim)
-
-    def control(self, t: int, q: int) -> np.ndarray:
-        return self._zero.copy()
+    def advance(self, state, qs):
+        return np.zeros((len(qs), self.control_dim))
 
 
 def null_policy(m: int, control_dim: int = 1) -> NullPolicy:
@@ -88,7 +157,8 @@ class UniformQuantizerPolicy(CodingPolicy):
 
     Control rule for an in-box symbol: ``u = B^+ (target - f(centroid, w_mean))``
     with the Moore-Penrose pseudo-inverse of B. Overflow transmits the reserved
-    symbol and applies zero control.
+    symbol and applies zero control. Controls are kept in a table with one row
+    per cell plus a zero overflow row, filled on first use of each symbol.
     """
 
     def __init__(
@@ -119,6 +189,7 @@ class UniformQuantizerPolicy(CodingPolicy):
             )
         self.m = int(m)
         self.width = (self.high - self.low) / np.asarray(self.cells_per_axis, float)
+        self._grid = _Grid(self.cells_per_axis)
         self.target = (
             np.zeros(model.n) if target is None else np.broadcast_to(np.asarray(target, float), (model.n,)).copy()
         )
@@ -127,54 +198,37 @@ class UniformQuantizerPolicy(CodingPolicy):
             if noise_mean is None
             else np.broadcast_to(np.asarray(noise_mean, float), (model.noise_dim,)).copy()
         )
+        # controls per symbol, the last row for overflow; cell rows are
+        # computed when their symbol first occurs
+        self._controls = np.zeros((self.n_cells + 1, model.control_dim))
+        self._filled = np.zeros(self.n_cells + 1, dtype=bool)
+        self._filled[self.n_cells] = True
 
     @property
     def overflow_symbol(self) -> int:
         return self.m
 
+    def symbols(self, state, xs):
+        inside = ((xs >= self.low) & (xs < self.high)).all(axis=1)
+        return self._grid.symbols((xs - self.low) / self.width, inside, self.overflow_symbol)
+
     def symbol_of(self, x) -> int:
-        x = np.asarray(x, float)
-        if np.all(x >= self.low) and np.all(x < self.high) and np.all(np.isfinite(x)):
-            idx = ((x - self.low) / self.width).astype(int)
-            idx = np.minimum(idx, np.asarray(self.cells_per_axis) - 1)
-            return 1 + int(np.ravel_multi_index(tuple(idx), self.cells_per_axis))
-        return self.overflow_symbol
+        return int(self.symbols(None, np.asarray(x, float).reshape(1, -1))[0])
 
     def cell_center(self, symbol: int) -> np.ndarray:
-        idx = np.array(np.unravel_index(symbol - 1, self.cells_per_axis))
-        return self.low + (idx + 0.5) * self.width
+        return self._centers(np.array([symbol]))[0]
 
-    def encoder(self):
-        return _UniformEncoder(self)
+    def _centers(self, symbols: np.ndarray) -> np.ndarray:
+        return self.low + (self._grid.points(symbols) + 0.5) * self.width
 
-    def controller(self):
-        return _UniformController(self)
-
-
-class _UniformEncoder:
-    def __init__(self, policy: UniformQuantizerPolicy):
-        self._policy = policy
-
-    def encode(self, t: int, x) -> int:
-        return self._policy.symbol_of(x)
-
-
-class _UniformController:
-    def __init__(self, policy: UniformQuantizerPolicy):
-        self._policy = policy
-        self._zero = np.zeros(policy.model.control_dim)
-        self._cache: dict[int, np.ndarray] = {}
-
-    def control(self, t: int, q: int) -> np.ndarray:
-        policy = self._policy
-        if q > policy.n_cells:
-            return self._zero.copy()
-        u = self._cache.get(q)
-        if u is None:
-            center = policy.cell_center(q)
-            u = policy.model.b_pinv @ (policy.target - policy.model.f(center, policy.noise_mean))
-            self._cache[q] = u
-        return u.copy()
+    def advance(self, state, qs):
+        rows = np.minimum(qs, self.n_cells + 1) - 1
+        missing = rows[~self._filled[rows]]
+        if missing.size:
+            missing = np.unique(missing)
+            self._controls[missing] = _cancelling(self, self._centers(missing + 1))[1]
+            self._filled[missing] = True
+        return self._controls[rows]
 
 
 def uniform_quantizer_policy(
@@ -253,89 +307,59 @@ class ZoomPolicy(CodingPolicy):
             if noise_mean is None
             else np.broadcast_to(np.asarray(noise_mean, float), (model.noise_dim,)).copy()
         )
-        self._cells_arr = np.asarray(self.cells_per_axis, float)
+        self._grid = _Grid(self.cells_per_axis)
 
     @property
     def overflow_symbol(self) -> int:
         return self.m
 
-    def _fresh_state(self) -> "ZoomState":
-        return ZoomState(center=self.center0.copy(), halfwidth=self.initial_halfwidth)
+    def initial_state(self, count: int) -> "ZoomState":
+        return ZoomState(np.tile(self.center0, (count, 1)), np.full(count, self.initial_halfwidth))
 
-    def _symbol_of(self, state: "ZoomState", x) -> int:
-        x = np.asarray(x, float)
-        low = state.center - state.halfwidth
-        span = 2.0 * state.halfwidth
-        offset = x - low
-        if np.all(offset >= 0.0) and np.all(offset < span) and np.all(np.isfinite(offset)):
-            idx = (offset / span * self._cells_arr).astype(int)
-            idx = np.minimum(idx, np.asarray(self.cells_per_axis) - 1)
-            return 1 + int(np.ravel_multi_index(tuple(idx), self.cells_per_axis))
-        return self.overflow_symbol
+    def keep_rows(self, state: "ZoomState", keep: np.ndarray) -> "ZoomState":
+        return ZoomState(state.center[keep], state.halfwidth[keep])
 
-    def _centroid(self, state: "ZoomState", symbol: int) -> np.ndarray:
-        idx = np.array(np.unravel_index(symbol - 1, self.cells_per_axis))
-        low = state.center - state.halfwidth
-        width = 2.0 * state.halfwidth / self._cells_arr
-        return low + (idx + 0.5) * width
+    def symbols(self, state: "ZoomState", xs):
+        span = 2.0 * state.halfwidth[:, None]
+        offset = xs - (state.center - state.halfwidth[:, None])
+        inside = ((offset >= 0.0) & (offset < span)).all(axis=1)
+        return self._grid.symbols(offset / span * self._grid.cells, inside, self.overflow_symbol)
 
-    def _advance(self, state: "ZoomState", symbol: int) -> np.ndarray:
-        """Shared state update: returns the control for this symbol."""
-        if symbol > self.n_cells:
-            state.halfwidth *= self.beta
-            return np.zeros(self.model.control_dim)
-        xhat = self._centroid(state, symbol)
-        image = self.model.f(xhat, self.noise_mean)
-        u = self.model.b_pinv @ (self.target - image)
-        state.center = image + self.model.b @ u
-        state.halfwidth *= self.alpha
-        return u
-
-    def encoder(self):
-        return _ZoomEncoder(self)
-
-    def controller(self):
-        return _ZoomController(self)
+    def advance(self, state: "ZoomState", qs):
+        """Shared state update of every row; returns the controls."""
+        us = np.zeros((len(qs), self.model.control_dim))
+        hit = qs <= self.n_cells
+        rows = slice(None) if hit.all() else hit
+        halfwidth = state.halfwidth[rows]
+        state.halfwidth = state.halfwidth * np.where(hit, self.alpha, self.beta)
+        if halfwidth.size:
+            low = state.center[rows] - halfwidth[:, None]
+            width = 2.0 * halfwidth[:, None] / self._grid.cells
+            image, u = _cancelling(self, low + (self._grid.points(qs[rows]) + 0.5) * width)
+            state.center[rows] = image + self.model.control_effect(u)
+            us[rows] = u
+        return us
 
 
 class ZoomState:
-    """Mutable quantizer range; replicated on both sides of the channel."""
+    """Mutable quantizer ranges of a set of loops: ``center`` (rows, N) and
+    ``halfwidth`` (rows,); replicated on both sides of the channel."""
 
     __slots__ = ("center", "halfwidth")
 
-    def __init__(self, center: np.ndarray, halfwidth: float):
+    def __init__(self, center: np.ndarray, halfwidth: np.ndarray):
         self.center = center
         self.halfwidth = halfwidth
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ZoomState)
-            and self.halfwidth == other.halfwidth
+            and np.array_equal(self.halfwidth, other.halfwidth)
             and np.array_equal(self.center, other.center)
         )
 
     def __repr__(self) -> str:
         return f"ZoomState(center={self.center!r}, halfwidth={self.halfwidth!r})"
-
-
-class _ZoomEncoder:
-    def __init__(self, policy: ZoomPolicy):
-        self._policy = policy
-        self.state = policy._fresh_state()
-
-    def encode(self, t: int, x) -> int:
-        symbol = self._policy._symbol_of(self.state, x)
-        self._policy._advance(self.state, symbol)
-        return symbol
-
-
-class _ZoomController:
-    def __init__(self, policy: ZoomPolicy):
-        self._policy = policy
-        self.state = policy._fresh_state()
-
-    def control(self, t: int, q: int) -> np.ndarray:
-        return self._policy._advance(self.state, q)
 
 
 def zoom_policy(

@@ -28,6 +28,7 @@ __all__ = [
     "rollout",
     "batch_rollout",
     "run_closed_loop",
+    "run_closed_loops",
     "path_seed",
     "replay_consistent",
     "audit_causality",
@@ -200,6 +201,68 @@ def path_seed(base_seed: int, path: int) -> tuple[int, int]:
     return (int(base_seed), int(path))
 
 
+def run_closed_loops(
+    model: SystemModel,
+    policy: CodingPolicy,
+    x0s: np.ndarray,
+    w_paths: np.ndarray,
+    seeds: Sequence[Seed],
+) -> list[Trajectory]:
+    """Drive P loops along pre-drawn noise, all stepped together.
+
+    ``x0s`` is (P, N) and ``w_paths`` (P, T, K). Each step takes one policy
+    call for the symbols and controls of every live path and one vectorized
+    transition. A path whose next state is non-finite (a division by zero or
+    an overflow in the model included) ends diverged at that step; one that
+    leaves ``|x| <= 1e12`` ends diverged at the next, keeping that state.
+    Either way it is not evaluated again. The trajectories' arrays are views
+    of per-batch arrays (``w`` of ``w_paths`` itself).
+    """
+    w_paths = np.asarray(w_paths, dtype=float)
+    count, horizon = w_paths.shape[:2]
+    xs = np.empty((count, horizon + 1, model.n))
+    xs[:, 0] = x0s
+    qs = np.empty((count, horizon), dtype=np.int64)
+    us = np.empty((count, horizon, model.control_dim))
+    diverged_at = np.full(count, -1)
+    live = np.arange(count)
+    rows = slice(None)  # index of the live paths; a slice until one diverges
+    x = xs[:, 0]
+    state = policy.initial_state(count)
+    with np.errstate(all="ignore"):
+        for t in range(horizon):
+            q, u = policy.step(state, x)
+            x = model.step_many(x, w_paths[rows, t], u)
+            qs[rows, t] = q
+            us[rows, t] = u
+            xs[rows, t + 1] = x
+            keep = np.abs(x).max(axis=1) <= DIVERGENCE_THRESHOLD
+            if not keep.all():
+                finite = np.isfinite(x[~keep]).all(axis=1)
+                diverged_at[live[~keep]] = np.where(finite, t + 1, t)
+                live = rows = live[keep]
+                if not live.size:
+                    break
+                x = x[keep]
+                state = policy.keep_rows(state, keep)
+    trajs = []
+    for k in range(count):
+        steps = horizon if diverged_at[k] < 0 else int(diverged_at[k])
+        trajs.append(
+            Trajectory(
+                x=xs[k, : steps + 1],
+                w=w_paths[k, :steps],
+                q=qs[k, :steps],
+                u=us[k, :steps],
+                seed=seeds[k],
+                horizon=horizon,
+                status="ok" if diverged_at[k] < 0 else "diverged",
+                diverged_at=None if diverged_at[k] < 0 else steps,
+            )
+        )
+    return trajs
+
+
 def run_closed_loop(
     model: SystemModel,
     policy: CodingPolicy,
@@ -207,51 +270,33 @@ def run_closed_loop(
     w_path: np.ndarray,
     seed: Seed = 0,
 ) -> Trajectory:
-    """Drive the loop along pre-drawn noise; core of rollout and scenario replay."""
-    horizon = w_path.shape[0]
-    n = model.n
-    bmat = model.b
-    xs = np.empty((horizon + 1, n))
-    xs[0] = x0
-    qs = np.empty(horizon, dtype=np.int64)
-    us = np.empty((horizon, model.control_dim))
-    encoder = policy.encoder()
-    controller = policy.controller()
+    """Drive one loop along pre-drawn noise; the one-path case of run_closed_loops."""
+    return run_closed_loops(
+        model, policy, np.asarray(x0, float)[None], np.asarray(w_path, float)[None], [seed]
+    )[0]
 
-    status = "ok"
-    diverged_at: Optional[int] = None
-    steps = horizon
-    x = xs[0]
-    for t in range(horizon):
-        q = encoder.encode(t, x)
-        u = controller.control(t, q)
-        try:
-            nxt = np.asarray(model.f_raw(*x.tolist(), *w_path[t].tolist()), dtype=float)
-        except (ZeroDivisionError, OverflowError):
-            status, diverged_at, steps = "diverged", t, t
-            break
-        nxt = nxt + bmat @ u
-        if not np.all(np.isfinite(nxt)):
-            status, diverged_at, steps = "diverged", t, t
-            break
-        qs[t] = q
-        us[t] = u
-        xs[t + 1] = nxt
-        x = xs[t + 1]
-        if np.max(np.abs(nxt)) > DIVERGENCE_THRESHOLD:
-            status, diverged_at, steps = "diverged", t + 1, t + 1
-            break
 
-    return Trajectory(
-        x=xs[: steps + 1].copy(),
-        w=w_path[:steps].copy(),
-        q=qs[:steps].copy(),
-        u=us[:steps].copy(),
-        seed=seed,
-        horizon=horizon,
-        status=status,
-        diverged_at=diverged_at,
-    )
+def _rollouts(
+    model: SystemModel,
+    policy: CodingPolicy,
+    noise: NoiseSpec,
+    init: InitSpec,
+    horizon: int,
+    seeds: Sequence[Seed],
+) -> list[Trajectory]:
+    """Paths fully determined by (config, seed): each seed draws its initial
+    state and then its noise path from its own stream."""
+    if noise.dim != model.noise_dim:
+        raise ValueError(f"noise dim {noise.dim} does not match model noise dim {model.noise_dim}")
+    if init.dim != model.n:
+        raise ValueError(f"init dim {init.dim} does not match state dim {model.n}")
+    x0s = np.empty((len(seeds), model.n))
+    w_paths = np.empty((len(seeds), horizon, noise.dim))
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        x0s[k] = init.sample(rng, 1)[0]
+        w_paths[k] = noise.sample(rng, horizon)
+    return run_closed_loops(model, policy, x0s, w_paths, seeds)
 
 
 def rollout(
@@ -263,14 +308,7 @@ def rollout(
     seed: Seed,
 ) -> Trajectory:
     """Simulate one closed-loop path; fully determined by (config, seed)."""
-    if noise.dim != model.noise_dim:
-        raise ValueError(f"noise dim {noise.dim} does not match model noise dim {model.noise_dim}")
-    if init.dim != model.n:
-        raise ValueError(f"init dim {init.dim} does not match state dim {model.n}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    x0 = init.sample(rng, 1)[0]
-    w_path = noise.sample(rng, horizon)
-    return run_closed_loop(model, policy, x0, w_path, seed=seed)
+    return _rollouts(model, policy, noise, init, horizon, [seed])[0]
 
 
 def batch_rollout(
@@ -282,13 +320,12 @@ def batch_rollout(
     n_paths: int,
     base_seed: int,
 ) -> list[Trajectory]:
-    """Independent paths; path k uses the derived seed (base_seed, k)."""
+    """Independent paths stepped together; path k uses the derived seed (base_seed, k)."""
     if n_paths < 1:
         raise ValueError("need at least one path")
-    return [
-        rollout(model, policy, noise, init, horizon, seed=path_seed(base_seed, k))
-        for k in range(n_paths)
-    ]
+    return _rollouts(
+        model, policy, noise, init, horizon, [path_seed(base_seed, k) for k in range(n_paths)]
+    )
 
 
 # --------------------------------------------------------------------------

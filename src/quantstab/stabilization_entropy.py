@@ -26,7 +26,15 @@ import numpy as np
 from .dynamics import SystemModel
 from .ergodics import Partition
 from .policies import CodingPolicy
-from .simulation import InitSpec, NoiseSpec, Seed, Trajectory, run_closed_loop
+# run_closed_loop stays importable from this module: perfbench/tracing.py wraps it here
+from .simulation import (  # noqa: F401
+    InitSpec,
+    NoiseSpec,
+    Seed,
+    Trajectory,
+    run_closed_loop,
+    run_closed_loops,
+)
 
 __all__ = [
     "ThresholdConstraintError",
@@ -237,25 +245,25 @@ class CandidateControls:
 def closed_loop_candidates(
     model: SystemModel, policy: CodingPolicy, scenarios: ScenarioSet
 ) -> tuple[CandidateControls, list[Trajectory]]:
-    """Run the policy on each scenario; deduplicated control sequences.
+    """Run the policy on every scenario, all stepped together; deduplicated
+    control sequences.
 
     A causal policy is a deterministic function of the symbol stream, so the
     deduplicated count can never exceed M^T.
     """
     horizon = scenarios.horizon
-    trajs = [
-        run_closed_loop(model, policy, scenarios.x0s[i], scenarios.ws[i], seed=i)
-        for i in range(scenarios.count)
-    ]
-    seen: dict[bytes, int] = {}
+    trajs = run_closed_loops(
+        model, policy, scenarios.x0s, scenarios.ws, seeds=range(scenarios.count)
+    )
+    seen: set[bytes] = set()
     kept = []
     for traj in trajs:
         if traj.steps < horizon:
             continue  # diverged before the horizon; no full-length sequence to offer
         key = traj.u.tobytes()
         if key not in seen:
-            seen[key] = len(kept)
-            kept.append(traj.u.copy())
+            seen.add(key)
+            kept.append(traj.u)
     if not kept:
         raise ValueError("every closed-loop run diverged; no candidate sequences")
     candidates = CandidateControls(sequences=np.array(kept), provenance="policy")
@@ -321,10 +329,8 @@ def _lockstep_states(
     states[:, 0] = x0s
     live = np.arange(len(x0s))
     with np.errstate(all="ignore"):
-        # stacked B @ u matrix-vector products round as the scalar loop's do; u @ B.T may not
-        bu = (model.b @ u_seqs[:, : horizon - 1, :, None])[..., 0]
         for t in range(horizon - 1):
-            nxt = model.f_many(states[live, t], w_paths[live, t]) + bu[live, t]
+            nxt = model.step_many(states[live, t], w_paths[live, t], u_seqs[live, t])
             ok = np.all(np.isfinite(nxt), axis=1)
             live = live[ok]
             states[live, t + 1] = nxt[ok]

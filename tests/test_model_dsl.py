@@ -1,15 +1,24 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quantstab.model_dsl import (
     Add,
     Const,
+    Div,
     DslSyntaxError,
     EvalDomainError,
     Mul,
+    Neg,
     NoiseVar,
     Pow,
     StateVar,
+    Sub,
     UnknownVariableError,
     compile_exprs,
     differentiate,
@@ -96,8 +105,6 @@ def test_differentiate_unrelated_variable_is_zero():
 
 
 def _random_polynomial(rng, n_states, n_noise, depth):
-    from quantstab.model_dsl import Neg, Sub
-
     if depth == 0:
         kind = rng.integers(0, 3)
         if kind == 0:
@@ -241,3 +248,81 @@ def test_compiled_matches_tree_walk():
         fast = fn(*x.tolist(), *w.tolist())
         slow = [eval_expr(e, x, w) for e in src.exprs]
         assert fast[0] == slow[0] and fast[1] == slow[1]
+
+
+# --------------------------------------------------------------------------
+# Scalar, column-array and tree-walk evaluation agree bit for bit
+
+_LEAVES = st.one_of(
+    st.sampled_from([0.0, 1.0, -2.5, 0.5, 3.0]).map(Const),
+    st.integers(1, 2).map(StateVar),
+    st.just(NoiseVar(1)),
+)
+
+
+def _extend(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda ab: Add(*ab)),
+        pairs.map(lambda ab: Sub(*ab)),
+        pairs.map(lambda ab: Mul(*ab)),
+        pairs.map(lambda ab: Div(*ab)),
+        st.tuples(children, st.integers(-3, 40)).map(lambda be: Pow(*be)),
+        children.map(Neg),
+    )
+
+
+_TREES = st.recursive(_LEAVES, _extend, max_leaves=8)
+# zeros divide by zero, 1e10 overflows x^40, 1e-200 underflows a negative power
+_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-200, 1e10, -3.7]) | st.floats(-10, 10)
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("d", a) == struct.pack("d", b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    exprs=st.lists(_TREES, min_size=1, max_size=3),
+    points=arrays(float, (6, 3), elements=_VALUES, fill=st.nothing()),
+)
+@example(
+    exprs=[
+        Pow(StateVar(1), 3),  # numpy ** and Python ** round 0.9027556576068978^3 apart
+        Div(Const(1.0), Div(Const(1.0), StateVar(1))),  # 1 / inf would hide x1 = 0
+        Pow(Add(StateVar(1), NoiseVar(1)), -2),  # zero and underflowing bases
+        Pow(StateVar(2), 40),  # 1e10^40 is inf, where Python ** raised OverflowError
+    ],
+    points=np.array(
+        [
+            [0.9027556576068978, 1.0, 0.5],
+            [0.0, 0.0, 0.0],
+            [1e10, 1e-200, -1.0],
+            [1e-200, 2.0, 0.0],
+            [-0.0, 1e10, 1.0],
+            [-1.0, -3.7, 1.0],
+        ]
+    ),
+)
+def test_scalar_array_and_tree_walk_agree_bitwise(exprs, points):
+    fn = compile_exprs(exprs, 2, 1)
+    try:
+        with np.errstate(all="ignore"):
+            cols = [np.broadcast_to(c, (len(points),)) for c in fn(*points.T)]
+    except ZeroDivisionError:
+        cols = None  # a constant subexpression divides by zero in every row
+    for k, row in enumerate(points.tolist()):
+        walked = []
+        for i, expr in enumerate(exprs):
+            try:
+                walked.append(eval_expr(expr, row[:2], row[2:]))
+            except EvalDomainError:
+                walked.append(None)
+                assert cols is None or not np.isfinite(cols[i][k])
+            else:
+                assert cols is not None and _same_bits(float(cols[i][k]), walked[-1])
+        if None in walked:
+            with pytest.raises(ZeroDivisionError):
+                fn(*row)
+        else:
+            assert all(_same_bits(a, b) for a, b in zip(fn(*row), walked))

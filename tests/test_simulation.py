@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quantstab import (
     InitSpec,
@@ -7,6 +10,7 @@ from quantstab import (
     SystemModel,
     audit_causality,
     batch_rollout,
+    catalog_model,
     null_policy,
     replay_consistent,
     rollout,
@@ -14,7 +18,12 @@ from quantstab import (
     uniform_quantizer_policy,
     zoom_policy,
 )
-from quantstab.simulation import path_seed, summarize_divergence, trajectory_to_csv
+from quantstab.simulation import (
+    path_seed,
+    run_closed_loops,
+    summarize_divergence,
+    trajectory_to_csv,
+)
 
 
 # --------------------------------------------------------------------------
@@ -195,8 +204,8 @@ def test_pooled_variance_matches_stationary_law(ar1):
 
 
 def test_overflow_in_model_ends_diverged():
-    # Python float ** raises OverflowError at 1e10 ** 40; the path must end
-    # diverged at that step instead of letting the exception escape
+    # x1^40 is a chain of float products, so at 1e10 it overflows to inf
+    # rather than raising OverflowError; the path must end diverged at that step
     model = SystemModel.from_text("states 1\nnoise 1\nx1' = x1^40 + w1")
     traj = rollout(model, null_policy(2), NoiseSpec.zero(1), InitSpec.fixed([1e10]), 5, seed=0)
     assert traj.diverged
@@ -233,3 +242,143 @@ def test_trajectory_csv_schema(tmp_path, example2):
     assert np.array_equal(
         np.array([float(v) for v in first[1:3]]), traj.x[0]
     )
+
+
+# --------------------------------------------------------------------------
+# Lockstep kernel against the per-step scalar loop
+
+def _oracle_closed_loop(model, policy, x0, w_path):
+    """One path stepped alone, as the closed loop ran before paths were
+    stepped together: (x, q, u, status, diverged_at)."""
+    horizon = w_path.shape[0]
+    xs = np.empty((horizon + 1, model.n))
+    xs[0] = x0
+    qs = np.empty(horizon, dtype=np.int64)
+    us = np.empty((horizon, model.control_dim))
+    encoder = policy.encoder()
+    controller = policy.controller()
+    status, diverged_at, steps = "ok", None, horizon
+    x = xs[0]
+    for t in range(horizon):
+        q = encoder.encode(t, x)
+        u = controller.control(t, q)
+        try:
+            nxt = np.asarray(model.f_raw(*x.tolist(), *w_path[t].tolist()), dtype=float)
+        except (ZeroDivisionError, OverflowError):
+            status, diverged_at, steps = "diverged", t, t
+            break
+        with np.errstate(all="ignore"):
+            nxt = nxt + model.b @ u
+        if not np.all(np.isfinite(nxt)):
+            status, diverged_at, steps = "diverged", t, t
+            break
+        qs[t] = q
+        us[t] = u
+        xs[t + 1] = x = nxt
+        if np.max(np.abs(nxt)) > 1e12:
+            status, diverged_at, steps = "diverged", t + 1, t + 1
+            break
+    return xs[: steps + 1], qs[:steps], us[:steps], status, diverged_at
+
+
+def _opaque_model():
+    def fn(x, w):
+        return np.array([1.5 * x[0] - 0.25 * x[1] * x[1] + w[0], 0.5 * x[0] * x[1] - w[0]])
+
+    return SystemModel.from_callable(fn, n=2, control_dim=2, noise_dim=1, b=np.eye(2))
+
+
+_KERNEL_MODELS = {
+    "stable_ar1": lambda: catalog_model("stable_ar1"),
+    "scalar_doubling": lambda: catalog_model("scalar_doubling"),
+    "example1": lambda: catalog_model("example1"),
+    "example2": lambda: catalog_model("example2"),
+    # x1 = 1 then w1 = -1 lands on 0, and the next step divides by zero
+    "reciprocal": lambda: SystemModel.from_text("states 1\nnoise 1\nx1' = 1/x1 + w1"),
+    # overflows to inf from |x1| > 1e8; passes 1e12 finite from 2
+    "power40": lambda: SystemModel.from_text("states 1\nnoise 1\nx1' = x1^40 + w1"),
+    # B u sums two rounded products per coordinate
+    "skew": lambda: SystemModel.from_text(
+        "states 2\nnoise 1\nB = [0.3 -1.7; 1.1 0.6]\n"
+        "x1' = 1.5*x1 - 0.2*x2^2 + w1\nx2' = 0.4*x1*x2 - w1"
+    ),
+    "opaque": _opaque_model,
+}
+
+
+def _kernel_policy(model, kind, m):
+    if kind == "null":
+        return null_policy(2, model.control_dim)
+    if kind == "uniform":
+        return uniform_quantizer_policy(model, -4.0, 4.0, m % 3 + 1)
+    cells = m if model.n == 1 else m * m
+    return zoom_policy(model, cells + 1, 0.6, 3.0, 2.0)
+
+
+@st.composite
+def _kernel_cases(draw):
+    name = draw(st.sampled_from(sorted(_KERNEL_MODELS)))
+    model = _KERNEL_MODELS[name]()
+    policy = _kernel_policy(model, draw(st.sampled_from(["zoom", "uniform", "null"])), draw(st.integers(1, 4)))
+    paths = draw(st.integers(1, 6))
+    horizon = draw(st.sampled_from([1, 2, 7, 25]))
+    starts = st.sampled_from([0.0, 1.0, -1.0, 2.0, 1e10, 3.5]) | st.floats(-4.0, 4.0)
+    x0s = draw(arrays(float, (paths, model.n), elements=starts, fill=st.nothing()))
+    noise = st.sampled_from([-1.0, 0.0, 0.05]) | st.floats(-0.5, 0.5)
+    ws = draw(arrays(float, (paths, horizon, model.noise_dim), elements=noise, fill=st.nothing()))
+    return model, policy, x0s, ws
+
+
+def _assert_matches_oracle(model, policy, x0s, ws):
+    trajs = run_closed_loops(model, policy, x0s, ws, seeds=range(len(x0s)))
+    for k, traj in enumerate(trajs):
+        x, q, u, status, diverged_at = _oracle_closed_loop(model, policy, x0s[k], ws[k])
+        assert np.array_equal(traj.x, x) and np.array_equal(traj.w, ws[k, : traj.steps])
+        assert np.array_equal(traj.q, q) and np.array_equal(traj.u, u)
+        assert (traj.status, traj.diverged_at) == (status, diverged_at)
+        assert replay_consistent(model, traj) and audit_causality(policy, traj)
+    return trajs
+
+
+def _wide_zoom_batch():
+    # zoom m=2 on the doubling map cannot contract: starts far out escape
+    # within a few steps, small ones ride the overflow expansions for longer
+    model = catalog_model("scalar_doubling")
+    x0s = np.array([[0.1], [-0.4], [30.0], [-2.0e5], [1.5], [7.0e3]])
+    ws = np.random.default_rng(5).uniform(-0.05, 0.05, (6, 30, 1))
+    return model, zoom_policy(model, 2, 0.9, 2.0, 2.0), x0s, ws
+
+
+def _blow_up_batch(name, x0s):
+    model = _KERNEL_MODELS[name]()
+    ws = np.zeros((len(x0s), 5, 1))
+    ws[:, 0] = -1.0
+    return model, null_policy(2), np.array(x0s, float)[:, None], ws
+
+
+@settings(max_examples=50, deadline=None)
+@given(_kernel_cases())
+@example(_wide_zoom_batch())
+@example(_blow_up_batch("reciprocal", [1.0, 0.5, -1.0, 2.0]))  # path 0 reaches 0, then 1/0
+@example(_blow_up_batch("power40", [1e10, 2.0, 0.5, -1.0]))  # inf at step 0, > 1e12 at step 1
+def test_lockstep_kernel_matches_scalar_oracle(case):
+    _assert_matches_oracle(*case)
+
+
+def test_lockstep_kernel_edge_batches():
+    trajs = _assert_matches_oracle(*_wide_zoom_batch())
+    assert {t.status for t in trajs} == {"ok", "diverged"}
+    reciprocal = _assert_matches_oracle(*_blow_up_batch("reciprocal", [1.0, 0.5]))
+    assert reciprocal[0].diverged_at == 1 and not reciprocal[1].diverged
+    power = _assert_matches_oracle(*_blow_up_batch("power40", [1e10, 2.0, 0.5]))
+    assert [t.diverged_at for t in power] == [0, 1, None]
+
+
+@pytest.mark.parametrize("name", ["skew", "example1"])
+def test_lockstep_kernel_bitwise_at_many_paths(name):
+    # BLAS picks kernels by shape, so B u parity is checked on a wide batch
+    model = _KERNEL_MODELS[name]()
+    rng = np.random.default_rng(2)
+    x0s = rng.uniform(-1.0, 1.0, (256, model.n))
+    ws = rng.uniform(-0.1, 0.1, (256, 20, model.noise_dim))
+    _assert_matches_oracle(model, zoom_policy(model, 10, 0.6, 3.0, 2.0), x0s, ws)

@@ -26,6 +26,7 @@ from quantstab import (
     min_cover_cardinality,
     min_spanning_estimate,
     null_policy,
+    run_closed_loop,
     satisfies_frequencies,
     zoom_policy,
 )
@@ -346,6 +347,20 @@ def test_closed_loop_candidates_dedupe(ar1):
     assert candidates.count == 1  # all-null sequences collapse to one
     assert len(trajs) == 8
     assert candidates.provenance == "policy"
+
+
+def test_closed_loop_candidates_step_scenarios_as_single_loops(doubling):
+    # zoom with one cell cannot contract the doubling map; wide starts diverge
+    policy = zoom_policy(doubling, 2, 0.9, 2.0, 2.0)
+    scen = ScenarioSet.sample(InitSpec.uniform_box([-2e4], [2e4]), NoiseSpec.uniform(1, -0.05, 0.05), 30, 12, seed=4)
+    candidates, trajs = closed_loop_candidates(doubling, policy, scen)
+    assert any(t.diverged for t in trajs) and not all(t.diverged for t in trajs)
+    for i, traj in enumerate(trajs):
+        alone = run_closed_loop(doubling, policy, scen.x0s[i], scen.ws[i], seed=i)
+        assert np.array_equal(traj.x, alone.x) and np.array_equal(traj.u, alone.u)
+        assert (traj.diverged_at, traj.seed) == (alone.diverged_at, i)
+    kept = [t.u for t in trajs if not t.diverged]
+    assert candidates.count == len({u.tobytes() for u in kept})
 
 
 def test_satisfaction_matrix_shape(ar1):
