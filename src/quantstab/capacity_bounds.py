@@ -5,8 +5,9 @@ sub-dynamics Jacobian, with states drawn from the empirical measure (cell by
 weight, uniform within the cell) and noise drawn fresh from its law. The
 refined bound is the maximum over the declared subsets; the classical bound is
 the full-state subset. With common random numbers all subsets share one
-(x, w) sample set, which turns cross-subset differences into per-sample
-algebraic identities instead of noisy estimates.
+(x, w) sample set, and one Jacobian evaluation on it, which turns
+cross-subset differences into per-sample algebraic identities instead of
+noisy estimates.
 
 The histogram surrogate for the asymptotic mean introduces a bias that is
 reported as a caveat (overflow-mass warnings), not corrected.
@@ -26,7 +27,6 @@ from .dynamics import (
     SingularMatrixError,
     SystemModel,
     log2_abs_det_many,
-    subset_jacobian_many,
 )
 from .ergodics import EmpiricalMeasure
 from .simulation import NoiseSpec, Seed
@@ -110,11 +110,11 @@ def _draw_samples(
 
 
 def _subset_values(
-    model: SystemModel, subset: IndexSubset, xs: np.ndarray, ws: np.ndarray
+    subset: IndexSubset, xs: np.ndarray, ws: np.ndarray, jacs: np.ndarray
 ) -> np.ndarray:
-    jacs = subset_jacobian_many(model, subset, xs, ws)
+    """log2 |det| of the subset's block of the full Jacobians ``jacs`` at (xs, ws)."""
     try:
-        return log2_abs_det_many(jacs)
+        return log2_abs_det_many(jacs, subset.p0)
     except SingularMatrixError as exc:
         i = exc.index if exc.index is not None else 0
         raise SingularMatrixError(
@@ -140,7 +140,7 @@ def subset_bound(
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of log2 |det| for one subset."""
     xs, ws = _draw_samples(measure, noise, n_mc, seed)
-    return _mean_stderr(_subset_values(model, subset, xs, ws))
+    return _mean_stderr(_subset_values(subset, xs, ws, model.jacobian_many(xs, ws)))
 
 
 def classical_bound(
@@ -172,17 +172,23 @@ def refined_bound(
     lexicographically smallest subset so reports are deterministic.
     """
     full = IndexSubset(p=tuple(range(1, model.n + 1)), n=model.n)
-    shared = _draw_samples(measure, noise, n_mc, seed) if common_random_numbers else None
+
+    def draw(draw_seed: Seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        xs, ws = _draw_samples(measure, noise, n_mc, draw_seed)
+        return xs, ws, model.jacobian_many(xs, ws)
+
+    # with common random numbers every subset, the full state included, reads
+    # its block off one Jacobian array
+    shared = draw(seed) if common_random_numbers else None
+
+    def values(subset: IndexSubset, tag: int) -> np.ndarray:
+        sample = shared if shared is not None else draw(_derived_seed(seed, tag))
+        return _subset_values(subset, *sample)
 
     estimates: list[SubsetEstimate] = []
     for i, subset in enumerate(gamma):
         try:
-            xs, ws = (
-                shared
-                if shared is not None
-                else _draw_samples(measure, noise, n_mc, _derived_seed(seed, i))
-            )
-            mean, stderr = _mean_stderr(_subset_values(model, subset, xs, ws))
+            mean, stderr = _mean_stderr(values(subset, i))
             estimates.append(SubsetEstimate(subset.p, mean, stderr, n_mc))
         except SingularMatrixError as exc:
             estimates.append(SubsetEstimate(subset.p, None, None, n_mc, error=str(exc)))
@@ -195,12 +201,7 @@ def refined_bound(
     best = min(ok, key=lambda e: (-e.mean, e.p))
 
     try:
-        xs, ws = (
-            shared
-            if shared is not None
-            else _draw_samples(measure, noise, n_mc, _derived_seed(seed, len(gamma.subsets)))
-        )
-        classical, _ = _mean_stderr(_subset_values(model, full, xs, ws))
+        classical, _ = _mean_stderr(values(full, len(gamma.subsets)))
     except SingularMatrixError:
         classical = None
 

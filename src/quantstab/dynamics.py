@@ -416,53 +416,78 @@ def subset_jacobian(
     return jac[np.ix_(subset.p0, subset.p0)]
 
 
-def subset_jacobian_many(
-    model: SystemModel, subset: IndexSubset, xs: np.ndarray, ws: np.ndarray
-) -> np.ndarray:
-    jac = model.jacobian_many(xs, ws)
-    return jac[:, subset.p0[:, None], subset.p0[None, :]]
-
-
 # --------------------------------------------------------------------------
 # Log-determinants
 
+def _abs_dets(mats: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """|det| of the ``block`` x ``block`` principal submatrix of each stacked
+    matrix: the closed form ``|a|`` or ``|a d - b c|`` on strided views for a
+    block of one or two indices, LU (``np.linalg.det``) for larger blocks.
+    A row whose closed form is not finite (an overflowed product, or
+    ``inf - inf``) is computed again by LU. Entries may be inf or nan where
+    LU overflows or the matrix has non-finite entries.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(block) > 2:
+            if not np.array_equal(block, np.arange(mats.shape[-1])):
+                mats = mats[:, block[:, None], block[None, :]]
+            return np.abs(np.linalg.det(mats))
+        i, j = block[0], block[-1]
+        if len(block) == 1:
+            dets = np.abs(mats[:, i, i])
+        else:
+            dets = mats[:, i, i] * mats[:, j, j]
+            dets -= mats[:, i, j] * mats[:, j, i]
+            np.abs(dets, out=dets)
+        redo = np.nonzero(~np.isfinite(dets))[0]
+        if len(redo):
+            dets[redo] = np.abs(np.linalg.det(mats[redo][:, block[:, None], block[None, :]]))
+    return dets
+
+
+def _slogdet_log2(mat: np.ndarray, index: int) -> float:
+    """log2 |det| of one matrix whose determinant overflowed double range."""
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"matrix has non-finite entries at sample {index}")
+    sign, logabs = np.linalg.slogdet(mat)
+    if sign == 0.0:
+        raise SingularMatrixError(f"matrix is singular at sample {index}", index=index)
+    return float(logabs / _LOG2)
+
+
+def log2_abs_det_many(mats: np.ndarray, block: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Base-2 log of |det| of each stacked matrix, or of its principal
+    submatrix on the 0-based indices ``block``; raises
+    :class:`SingularMatrixError` naming the first slice with |det| below
+    1e-300.
+
+    Blocks of one or two indices take the closed form on views of the stacked
+    matrices, with no copy; per matrix it agrees with ``np.linalg.det`` (LU)
+    to about an ulp, and is exact on small integer entries.
+    """
+    mats = np.asarray(mats, dtype=float)
+    block = np.arange(mats.shape[-1]) if block is None else np.asarray(block, dtype=int)
+    dets = _abs_dets(mats, block)
+    small = dets < _DET_FLOOR  # false for nan and inf
+    if np.any(small):
+        i = int(np.argmax(small))
+        raise SingularMatrixError(f"|det| below 1e-300 at sample {i}", index=i)
+    finite = np.isfinite(dets)
+    out = np.log2(dets, where=finite, out=np.empty(len(dets)))
+    for i in np.nonzero(~finite)[0]:
+        out[i] = _slogdet_log2(mats[i][np.ix_(block, block)], int(i))
+    return out
+
+
 def log2_abs_det(mat: np.ndarray) -> float:
-    """Base-2 log of |det|, via LU; singular input is a hard error."""
+    """Base-2 log of |det|; singular input is a hard error. The one-row case
+    of :func:`log2_abs_det_many`, to the same bits."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
-    with np.errstate(over="ignore"):
-        det = np.linalg.det(mat)
-    if np.isfinite(det):
-        if abs(det) < _DET_FLOOR:
-            raise SingularMatrixError(f"|det| = {abs(det):.3e} below 1e-300")
-        return float(np.log2(abs(det)))
-    # determinant overflowed double range; recover the magnitude from slogdet
-    sign, logabs = np.linalg.slogdet(mat)
-    if sign == 0.0:
-        raise SingularMatrixError("matrix is singular")
-    return float(logabs / _LOG2)
-
-
-def log2_abs_det_many(mats: np.ndarray) -> np.ndarray:
-    """Stacked version of :func:`log2_abs_det`; raises on the first singular slice."""
-    mats = np.asarray(mats, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dets = np.linalg.det(mats)
-    bad = ~np.isfinite(dets)
-    out = np.empty(len(dets))
-    finite = ~bad
-    small = np.zeros(len(dets), dtype=bool)
-    small[finite] = np.abs(dets[finite]) < _DET_FLOOR
-    if np.any(small):
-        i = int(np.argmax(small))
-        raise SingularMatrixError(f"|det| below 1e-300 at sample {i}", index=i)
-    out[finite] = np.log2(np.abs(dets[finite]))
-    for i in np.nonzero(bad)[0]:
-        out[i] = log2_abs_det(mats[i])
-    return out
+    return float(log2_abs_det_many(mat[None])[0])
 
 
 # --------------------------------------------------------------------------
@@ -537,9 +562,8 @@ def gamma_falsify(
     while done < n:
         count = min(chunk, n - done)
         xs, ws = sampler(rng, count)
-        jacs = subset_jacobian_many(model, subset, xs, ws)
-        dets = np.abs(np.linalg.det(jacs))
-        dets = np.where(np.isfinite(dets), dets, math.inf)
+        dets = _abs_dets(model.jacobian_many(xs, ws), subset.p0)
+        dets[~np.isfinite(dets)] = math.inf
         i = int(np.argmin(dets))
         if dets[i] < best:
             best = float(dets[i])

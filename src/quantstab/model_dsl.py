@@ -397,7 +397,14 @@ def _power_chain(base, exponent: int):
     power = None
     while True:
         if e & 1:
-            power = base if power is None else power * base
+            if power is None:
+                power = base
+            elif e == 1 and isinstance(base, np.ndarray):
+                # the last product goes into the square this chain owns,
+                # never into the caller's array, so no extra array stays alive
+                power = np.multiply(power, base, out=base)
+            else:
+                power = power * base
         e >>= 1
         if not e:
             return power

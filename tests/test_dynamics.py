@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantstab import (
     GammaDeclaration,
@@ -20,7 +23,6 @@ from quantstab import (
 from quantstab.dynamics import (
     finite_difference_jacobian,
     log2_abs_det_many,
-    subset_jacobian_many,
 )
 
 
@@ -213,9 +215,8 @@ def test_opaque_model_uses_finite_difference_provider(example2):
     x = np.array([0.7, -0.3])
     w = np.array([0.1])
     assert np.allclose(wrapped.jacobian(x, w), example2.jacobian(x, w), rtol=1e-6, atol=1e-8)
-    sub = IndexSubset(p=(1,), n=2)
-    many = subset_jacobian_many(wrapped, sub, x[None, :], w[None, :])
-    assert np.allclose(many[0], subset_jacobian(example2, sub, x, w), rtol=1e-6)
+    many = wrapped.jacobian_many(x[None, :], w[None, :])
+    assert np.allclose(many[0], example2.jacobian(x, w), rtol=1e-6, atol=1e-8)
 
 
 # --------------------------------------------------------------------------
@@ -287,10 +288,17 @@ def test_log2_abs_det_rejects_nonsquare_and_nonfinite():
 
 def test_log2_abs_det_many_matches_scalar():
     rng = np.random.default_rng(5)
-    mats = rng.normal(size=(20, 3, 3)) + 2 * np.eye(3)
-    many = log2_abs_det_many(mats)
+    for n in (1, 2, 3):
+        mats = rng.normal(size=(20, n, n)) + 2 * np.eye(n)
+        mats[3] = np.diag(np.full(n, 1e200))  # overflows: LU, then slogdet
+        many = log2_abs_det_many(mats)
+        for i in range(20):
+            assert many[i] == log2_abs_det(mats[i])
+    block = [0, 2, 3]
+    mats = rng.normal(size=(20, 4, 4)) + 2 * np.eye(4)
+    many = log2_abs_det_many(mats, block)
     for i in range(20):
-        assert many[i] == pytest.approx(log2_abs_det(mats[i]), rel=1e-12)
+        assert many[i] == log2_abs_det(mats[i][np.ix_(block, block)])
 
 
 def test_log2_abs_det_many_flags_singular_index():
@@ -298,6 +306,91 @@ def test_log2_abs_det_many_flags_singular_index():
     with pytest.raises(SingularMatrixError) as err:
         log2_abs_det_many(mats)
     assert err.value.index == 1
+
+
+def _exact_det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * _exact_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+@st.composite
+def _dominant_stacks(draw):
+    """Stacked diagonally dominant matrices, so every principal block is well
+    conditioned, plus a 1- to 3-element index subset."""
+    n = draw(st.sampled_from([3, 4]))
+    m = draw(st.integers(1, 4))
+    entry = st.floats(-1.0, 1.0, allow_subnormal=False)
+    mats = np.array(draw(st.lists(entry, min_size=m * n * n, max_size=m * n * n))).reshape(m, n, n)
+    diag = draw(st.lists(st.floats(4.0, 8.0), min_size=m * n, max_size=m * n))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m * n, max_size=m * n))
+    mats[:, np.arange(n), np.arange(n)] = (np.array(diag) * np.array(signs)).reshape(m, n)
+    block = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    return mats, sorted(block)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dominant_stacks())
+def test_log2_abs_det_many_blocks_match_cofactor_oracle(case):
+    mats, block = case
+    got = log2_abs_det_many(mats, block)
+    for k, mat in enumerate(mats.tolist()):
+        sub = [[Fraction(mat[i][j]) for j in block] for i in block]
+        want = math.log2(abs(float(_exact_det(sub))))  # exact, then rounded once
+        assert abs(got[k] - want) <= 4 * math.ulp(want)
+
+
+def test_log2_abs_det_exact_on_integer_entries():
+    assert log2_abs_det(np.array([[3.0]])) == math.log2(3.0)
+    assert log2_abs_det(np.array([[-8.0]])) == 3.0
+    assert log2_abs_det(np.array([[2.0, 1.0], [1.0, 3.0]])) == math.log2(5.0)
+    assert log2_abs_det(np.array([[0.0, 7.0], [3.0, 0.0]])) == math.log2(21.0)
+    mats = np.array([[[5.0, 9.0, 1.0], [2.0, 6.0, 4.0], [7.0, 3.0, 3.0]]])
+    assert log2_abs_det_many(mats, [0]).tolist() == [math.log2(5.0)]
+    assert log2_abs_det_many(mats, [0, 2]).tolist() == [3.0]
+    assert log2_abs_det_many(mats, [1, 2]).tolist() == [math.log2(6.0)]
+
+
+def test_example2_full_determinant_is_half_the_first_entry_per_sample(example2):
+    rng = np.random.default_rng(8)
+    xs = rng.uniform(-2.0, 2.0, (100_000, 2))
+    ws = rng.uniform(-0.25, 0.25, (100_000, 1))
+    jacs = example2.jacobian_many(xs, ws)
+    full = log2_abs_det_many(jacs)
+    # det J = J11 * J22 - J12 * J21 = J11 / 2 with no rounding, so the two
+    # log2 values are the same bits
+    assert np.array_equal(full, log2_abs_det_many(jacs[:, :1, :1] * 0.5))
+    # log2|J11| - 1 rounds once more: one ulp of max(|value|, 1) apart at most
+    gap = np.abs(full - (log2_abs_det_many(jacs, [0]) - 1.0))
+    assert np.all(gap <= np.spacing(np.maximum(np.abs(full), 1.0)))
+
+
+def test_overflowing_closed_form_falls_back_to_lu():
+    # a d - b c is inf - inf = nan here; LU gives the true determinant, 0
+    big = np.full((2, 2), 1e200)
+    with pytest.raises(SingularMatrixError) as err:
+        log2_abs_det_many(np.stack([np.eye(2), np.eye(2), big]))
+    assert err.value.index == 2
+    padded = np.eye(3)
+    padded[1:, 1:] = big
+    with pytest.raises(SingularMatrixError) as err:
+        log2_abs_det_many(np.stack([np.eye(3), np.eye(3), padded]), [1, 2])
+    assert err.value.index == 2
+    model = SystemModel.from_text(
+        "states 2\nnoise 1\nx1' = 1e200*x1 + 1e200*x2 + w1\nx2' = 1e200*x1 + 1e200*x2"
+    )
+    result = gamma_falsify(model, IndexSubset(p=(1, 2), n=2, c_p=0.5), n=10, seed=0)
+    assert result.falsified and result.min_abs_det == 0.0 and result.n_samples == 10
+
+
+def test_log2_abs_det_many_rejects_nonfinite_entries():
+    for bad in ([[np.nan]], [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0, 0], [0, np.inf, 0], [0, 0, 1.0]]):
+        bad = np.array(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            log2_abs_det_many(np.stack([np.eye(len(bad)), bad]))
 
 
 # --------------------------------------------------------------------------

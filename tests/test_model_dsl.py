@@ -20,6 +20,7 @@ from quantstab.model_dsl import (
     StateVar,
     Sub,
     UnknownVariableError,
+    _power_chain,
     compile_exprs,
     differentiate,
     eval_expr,
@@ -304,6 +305,11 @@ def _same_bits(a: float, b: float) -> bool:
         ]
     ),
 )
+@example(
+    # the tuple raises as a whole, while the first expression alone is fine
+    exprs=[Const(0.0), Neg(Neg(Div(Const(0.0), Const(0.0))))],
+    points=np.zeros((6, 3)),
+)
 def test_scalar_array_and_tree_walk_agree_bitwise(exprs, points):
     fn = compile_exprs(exprs, 2, 1)
     try:
@@ -311,6 +317,7 @@ def test_scalar_array_and_tree_walk_agree_bitwise(exprs, points):
             cols = [np.broadcast_to(c, (len(points),)) for c in fn(*points.T)]
     except ZeroDivisionError:
         cols = None  # a constant subexpression divides by zero in every row
+    raised = np.zeros((len(points), len(exprs)), dtype=bool)
     for k, row in enumerate(points.tolist()):
         walked = []
         for i, expr in enumerate(exprs):
@@ -318,11 +325,29 @@ def test_scalar_array_and_tree_walk_agree_bitwise(exprs, points):
                 walked.append(eval_expr(expr, row[:2], row[2:]))
             except EvalDomainError:
                 walked.append(None)
+                raised[k, i] = True
                 assert cols is None or not np.isfinite(cols[i][k])
             else:
-                assert cols is not None and _same_bits(float(cols[i][k]), walked[-1])
+                assert cols is None or _same_bits(float(cols[i][k]), walked[-1])
         if None in walked:
             with pytest.raises(ZeroDivisionError):
                 fn(*row)
         else:
             assert all(_same_bits(a, b) for a, b in zip(fn(*row), walked))
+    if cols is None:
+        # the compiled tuple fails as a whole only for an expression whose
+        # tree walk fails at every row
+        assert raised.all(axis=0).any()
+
+
+def test_power_chain_leaves_the_base_alone_and_matches_the_scalar_chain():
+    base = np.array([0.9027556576068978, -1.7, 1e-200, 3.3, -0.0, 1e10])
+    kept = base.copy()
+    for exponent in range(1, 41):
+        with np.errstate(over="ignore", under="ignore"):
+            power = _power_chain(base, exponent)
+        assert np.array_equal(base, kept)
+        assert exponent == 1 or not np.shares_memory(power, base)
+        for got, v in zip(power.tolist(), base.tolist()):
+            assert _same_bits(got, _power_chain(v, exponent))
+    assert _power_chain(3.0, 3) == 27.0  # floats take the plain products
