@@ -16,6 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .policies import cell_coords, cell_numbers
 from .simulation import Trajectory
 
 __all__ = [
@@ -72,25 +73,21 @@ class Partition:
         return (self.high - self.low) / np.asarray(self.cells_per_axis, float)
 
     def cell_indices(self, states: np.ndarray) -> np.ndarray:
-        """Map state rows to cell indices; anything outside (or non-finite) is overflow."""
+        """Map state rows to cell indices; anything outside (or non-finite) is overflow.
+
+        Cells are half-open, ``[lo, hi)`` per axis, numbered row-major.
+        """
         states = np.atleast_2d(np.asarray(states, float))
         in_box = np.all((states >= self.low) & (states < self.high), axis=1)
         out = np.full(len(states), self.overflow_index, dtype=np.int64)
-        if np.any(in_box):
-            rel = (states[in_box] - self.low) / self.width
-            idx = np.minimum(rel.astype(np.int64), np.asarray(self.cells_per_axis) - 1)
-            out[in_box] = np.ravel_multi_index(tuple(idx.T), self.cells_per_axis)
+        out[in_box] = cell_numbers((states[in_box] - self.low) / self.width, self.cells_per_axis)
         return out
 
     def cell_bounds(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         if index == self.overflow_index:
             return (np.full(self.dim, -np.inf), np.full(self.dim, np.inf))
-        multi = np.array(np.unravel_index(index, self.cells_per_axis))
+        multi = cell_coords(index, self.cells_per_axis)
         return (self.low + multi * self.width, self.low + (multi + 1) * self.width)
-
-    def cell_center(self, index: int) -> np.ndarray:
-        lo, hi = self.cell_bounds(index)
-        return (lo + hi) / 2.0
 
 
 @dataclass(frozen=True)
@@ -129,7 +126,7 @@ class EmpiricalMeasure:
         if total <= 0.0:
             raise ValueError("measure has no in-box mass to sample from")
         cells = rng.choice(self.partition.n_boxes, size=count, p=in_box / total)
-        multi = np.array(np.unravel_index(cells, self.partition.cells_per_axis)).T
+        multi = cell_coords(cells, self.partition.cells_per_axis)
         offsets = rng.uniform(0.0, 1.0, (count, self.partition.dim))
         return self.partition.low + (multi + offsets) * self.partition.width
 

@@ -98,23 +98,22 @@ class _Controller:
             return self._policy.advance(self.state, np.array([q]))[0]
 
 
-class _Grid:
-    """Row-major numbering of the cells of a uniform grid; symbol = 1 + number."""
+def cell_numbers(scaled: np.ndarray, cells) -> np.ndarray:
+    """Row-major number of the grid cell of each row of ``scaled``.
 
-    def __init__(self, cells_per_axis):
-        self.cells = np.asarray(cells_per_axis, dtype=np.int64)
-        self.top = (self.cells - 1).astype(float)
-        self.strides = np.cumprod(np.r_[1, self.cells[:0:-1]])[::-1]
+    ``scaled`` holds in-range rows only, in cell widths from the grid's low
+    corner (``(x - low) / width``); a coordinate that rounds onto the top edge
+    of its axis is clipped into the top cell. Every uniform grid numbers its
+    cells here.
+    """
+    # scaled >= 0, so clipping only moves a top-edge index down into the top cell
+    return np.ravel_multi_index(tuple(scaled.astype(np.int64).T), cells, mode="clip")
 
-    def symbols(self, scaled: np.ndarray, inside: np.ndarray, overflow: int) -> np.ndarray:
-        """Symbol per row of ``scaled`` (coordinates in cell widths from the
-        low corner), or ``overflow`` where ``inside`` is False."""
-        idx = np.where(inside[:, None], np.minimum(scaled, self.top), 0.0).astype(np.int64)
-        return np.where(inside, 1 + idx @ self.strides, overflow)
 
-    def points(self, symbols: np.ndarray) -> np.ndarray:
-        """Per-axis cell indices (rows, N) of in-range symbols."""
-        return (symbols[:, None] - 1) // self.strides % self.cells
+def cell_coords(numbers, cells) -> np.ndarray:
+    """Per-axis cell indices of row-major cell numbers: shape (N,) for one
+    number, (rows, N) for an array of them."""
+    return np.array(np.unravel_index(numbers, cells)).T
 
 
 def _cancelling(policy, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +188,6 @@ class UniformQuantizerPolicy(CodingPolicy):
             )
         self.m = int(m)
         self.width = (self.high - self.low) / np.asarray(self.cells_per_axis, float)
-        self._grid = _Grid(self.cells_per_axis)
         self.target = (
             np.zeros(model.n) if target is None else np.broadcast_to(np.asarray(target, float), (model.n,)).copy()
         )
@@ -210,7 +208,9 @@ class UniformQuantizerPolicy(CodingPolicy):
 
     def symbols(self, state, xs):
         inside = ((xs >= self.low) & (xs < self.high)).all(axis=1)
-        return self._grid.symbols((xs - self.low) / self.width, inside, self.overflow_symbol)
+        out = np.full(len(xs), self.overflow_symbol)
+        out[inside] = 1 + cell_numbers((xs[inside] - self.low) / self.width, self.cells_per_axis)
+        return out
 
     def symbol_of(self, x) -> int:
         return int(self.symbols(None, np.asarray(x, float).reshape(1, -1))[0])
@@ -219,7 +219,7 @@ class UniformQuantizerPolicy(CodingPolicy):
         return self._centers(np.array([symbol]))[0]
 
     def _centers(self, symbols: np.ndarray) -> np.ndarray:
-        return self.low + (self._grid.points(symbols) + 0.5) * self.width
+        return self.low + (cell_coords(symbols - 1, self.cells_per_axis) + 0.5) * self.width
 
     def advance(self, state, qs):
         rows = np.minimum(qs, self.n_cells + 1) - 1
@@ -291,6 +291,7 @@ class ZoomPolicy(CodingPolicy):
         self.cells_per_axis = tuple(int(c) for c in np.broadcast_to(cells_per_axis, (model.n,)))
         if any(c < 1 for c in self.cells_per_axis):
             raise ValueError("need at least one cell per axis")
+        self._cells = np.asarray(self.cells_per_axis, float)  # per-step scaling
         self.n_cells = int(np.prod(self.cells_per_axis))
         if self.n_cells > self.m - 1:
             raise ValueError(
@@ -307,7 +308,6 @@ class ZoomPolicy(CodingPolicy):
             if noise_mean is None
             else np.broadcast_to(np.asarray(noise_mean, float), (model.noise_dim,)).copy()
         )
-        self._grid = _Grid(self.cells_per_axis)
 
     @property
     def overflow_symbol(self) -> int:
@@ -323,7 +323,10 @@ class ZoomPolicy(CodingPolicy):
         span = 2.0 * state.halfwidth[:, None]
         offset = xs - (state.center - state.halfwidth[:, None])
         inside = ((offset >= 0.0) & (offset < span)).all(axis=1)
-        return self._grid.symbols(offset / span * self._grid.cells, inside, self.overflow_symbol)
+        scaled = offset / span * self._cells
+        out = np.full(len(xs), self.overflow_symbol)
+        out[inside] = 1 + cell_numbers(scaled[inside], self.cells_per_axis)
+        return out
 
     def advance(self, state: "ZoomState", qs):
         """Shared state update of every row; returns the controls."""
@@ -334,8 +337,9 @@ class ZoomPolicy(CodingPolicy):
         state.halfwidth = state.halfwidth * np.where(hit, self.alpha, self.beta)
         if halfwidth.size:
             low = state.center[rows] - halfwidth[:, None]
-            width = 2.0 * halfwidth[:, None] / self._grid.cells
-            image, u = _cancelling(self, low + (self._grid.points(qs[rows]) + 0.5) * width)
+            width = 2.0 * halfwidth[:, None] / self._cells
+            coords = cell_coords(qs[rows] - 1, self.cells_per_axis)
+            image, u = _cancelling(self, low + (coords + 0.5) * width)
             state.center[rows] = image + self.model.control_effect(u)
             us[rows] = u
         return us

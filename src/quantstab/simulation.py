@@ -189,11 +189,19 @@ class Trajectory:
 
 
 def step(model: SystemModel, x, w, u) -> np.ndarray:
-    """One exact step of x' = f(x, w) + B u."""
-    u = np.asarray(u, dtype=float)
+    """One exact step of x' = f(x, w) + B u; the one-row case of
+    :meth:`SystemModel.step_many`, so a division by zero or an overflow in the
+    model gives a non-finite state, as in the lockstep loop."""
+    x, w, u = (np.asarray(v, dtype=float) for v in (x, w, u))
+    if x.shape != (model.n,) or w.shape != (model.noise_dim,):
+        raise ValueError(
+            f"expected state dim {model.n} and noise dim {model.noise_dim}, "
+            f"got {x.shape} and {w.shape}"
+        )
     if u.shape != (model.control_dim,):
         raise ValueError(f"expected control of dimension {model.control_dim}, got {u.shape}")
-    return model.f(x, w) + model.b @ u
+    with np.errstate(all="ignore"):
+        return model.step_many(x[None], w[None], u[None])[0]
 
 
 def path_seed(base_seed: int, path: int) -> tuple[int, int]:

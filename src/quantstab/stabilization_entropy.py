@@ -69,66 +69,38 @@ class ThresholdConstraintError(ValueError):
 
 @dataclass(frozen=True)
 class CellFamily:
-    """Pairwise-disjoint boxes; points outside every box belong to no cell."""
+    """The grid cells of a partition, or the whole space as one cell.
 
-    los: np.ndarray  # (count, dim)
-    his: np.ndarray
+    Build it with :meth:`from_partition` or :meth:`whole_space`. A grid
+    family locates points with :meth:`Partition.cell_indices`, so its cells
+    are exactly the cells of the measure; points in no cell locate to -1.
+    """
 
-    def __post_init__(self):
-        los = np.atleast_2d(np.asarray(self.los, float))
-        his = np.atleast_2d(np.asarray(self.his, float))
-        if los.shape != his.shape:
-            raise ValueError("lower and upper corners must have matching shapes")
-        count, dim = los.shape
-        if count < 1:
-            raise ValueError("family must contain at least one cell")
-        if dim == 0:
-            if count > 1:
-                raise ValueError("a zero-dimensional family can only hold one cell")
-        else:
-            if np.any(his <= los):
-                raise ValueError("every cell needs positive extent on every axis")
-            for i in range(count - 1):
-                hit = np.all((los[i] < his[i + 1:]) & (los[i + 1:] < his[i]), axis=1)
-                if hit.any():
-                    j = i + 1 + int(np.argmax(hit))
-                    raise ValueError(f"cells {i} and {j} overlap; family must be disjoint")
-        object.__setattr__(self, "los", los)
-        object.__setattr__(self, "his", his)
+    dim: int
+    partition: Optional[Partition] = None  # None: the whole space
 
     @classmethod
     def from_partition(cls, partition: Partition) -> "CellFamily":
         """The in-box grid cells of a partition (overflow is not a member)."""
-        bounds = [partition.cell_bounds(i) for i in range(partition.n_boxes)]
-        return cls(
-            los=np.array([b[0] for b in bounds]),
-            his=np.array([b[1] for b in bounds]),
-        )
+        return cls(partition.dim, partition)
 
     @classmethod
     def whole_space(cls, dim: int) -> "CellFamily":
-        """A single cell containing every finite point."""
-        return cls(
-            los=np.full((1, dim), -np.inf),
-            his=np.full((1, dim), np.inf),
-        )
+        """A single cell holding every point below +inf on every axis."""
+        return cls(dim)
 
     @property
     def count(self) -> int:
-        return len(self.los)
-
-    @property
-    def dim(self) -> int:
-        return self.los.shape[1]
+        return 1 if self.partition is None else self.partition.n_boxes
 
     def locate(self, points: np.ndarray) -> np.ndarray:
         """Cell index per point row, -1 where no cell contains the point."""
         points = np.atleast_2d(np.asarray(points, float))
-        out = np.full(len(points), -1, dtype=np.int64)
-        for i in range(self.count):
-            inside = np.all((points >= self.los[i]) & (points < self.his[i]), axis=1)
-            out[inside] = i
-        return out
+        if self.partition is None:
+            return np.where((points < np.inf).all(axis=1), 0, -1)
+        idx = self.partition.cell_indices(points)
+        idx[idx == self.partition.overflow_index] = -1
+        return idx
 
 
 # --------------------------------------------------------------------------
@@ -229,17 +201,6 @@ class CandidateControls:
     @property
     def horizon(self) -> int:
         return self.sequences.shape[1]
-
-    @classmethod
-    def grid(cls, levels: Sequence[float], horizon: int, control_dim: int, limit: int = 10**6):
-        """Full product grid of per-step control levels; policy-free studies only."""
-        size = len(levels) ** (horizon * control_dim)
-        if size > limit:
-            raise ValueError(f"grid of {size} sequences exceeds the limit {limit}")
-        seqs = np.array(
-            [s for s in itertools.product(levels, repeat=horizon * control_dim)], dtype=float
-        ).reshape(-1, horizon, control_dim)
-        return cls(sequences=seqs, provenance="grid")
 
 
 def closed_loop_candidates(

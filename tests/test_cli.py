@@ -330,3 +330,25 @@ def test_console_entry_help_via_subprocess():
     )
     assert "simulate" in result.stdout and "bound" in result.stdout
     assert "burn_in_fraction" in result.stdout
+
+
+# --------------------------------------------------------------------------
+# Benchmark trace contract
+
+def test_benchmark_tracer_runs_simulate(tmp_path):
+    # perfbench/tracing.py wraps functions by name where the CLI looks them up;
+    # a renamed or removed one breaks it before any benchmark run does
+    trace = tmp_path / "trace.json"
+    config = _write(tmp_path, _ar1_config(horizon=50, paths=2))
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "tracing.py"), str(trace),
+         "simulate", "--config", config, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == EXIT_OK, result.stderr
+    record = json.loads(trace.read_text())
+    assert record["failures"] == []
+    assert "simulation.batch_rollout" in {span[0] for span in record["spans"]}

@@ -20,6 +20,7 @@ from quantstab import (
 )
 from quantstab.simulation import (
     path_seed,
+    run_closed_loop,
     run_closed_loops,
     summarize_divergence,
     trajectory_to_csv,
@@ -97,6 +98,30 @@ def test_step_applies_control_through_b(example1):
 def test_step_rejects_wrong_control_dim(example1):
     with pytest.raises(ValueError):
         step(example1, [1.0, 1.0], [0.0, 0.0], [1.0])
+
+
+def test_step_rejects_wrong_state_and_noise_dim(example1):
+    with pytest.raises(ValueError, match="state dim"):
+        step(example1, [1.0], [0.0, 0.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="noise dim"):
+        step(example1, [1.0, 1.0], [0.0], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("name", ["example2", "skew"])
+def test_step_is_one_step_of_the_closed_loop_bitwise(name):
+    model = _KERNEL_MODELS[name]()
+    policy = uniform_quantizer_policy(model, [-4.0, -4.0], [4.0, 4.0], [3, 3])
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        x0, w = rng.uniform(-3.0, 3.0, model.n), rng.uniform(-0.5, 0.5, (1, model.noise_dim))
+        traj = run_closed_loop(model, policy, x0, w)
+        assert traj.u[0].any()
+        assert np.array_equal(step(model, x0, w[0], traj.u[0]), traj.x[1])
+
+
+def test_step_division_by_zero_gives_non_finite_state():
+    out = step(_KERNEL_MODELS["reciprocal"](), [0.0], [0.5], [0.0])
+    assert out.shape == (1,) and not np.isfinite(out).any()
 
 
 # --------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from quantstab import (
     SpanningTemplate,
     SystemModel,
     ThresholdConstraintError,
+    UniformQuantizerPolicy,
     build_R_epsilon,
     catalog_model,
     entropy_rate,
@@ -50,8 +51,8 @@ def test_family_from_partition_and_locate():
 
 def test_whole_space_family_contains_everything_finite():
     family = CellFamily.whole_space(2)
-    idx = family.locate(np.array([[1e9, -1e9], [0.0, 0.0], [np.inf, 0.0]]))
-    assert idx.tolist() == [0, 0, -1]
+    idx = family.locate(np.array([[1e9, -1e9], [0.0, 0.0], [np.inf, 0.0], [-np.inf, 0.0], [np.nan, 0.0]]))
+    assert idx.tolist() == [0, 0, -1, 0, -1]
 
 
 def test_zero_dimensional_family():
@@ -59,15 +60,58 @@ def test_zero_dimensional_family():
     assert family.locate(np.zeros((5, 0))).tolist() == [0] * 5
 
 
-def test_overlapping_family_rejected():
-    with pytest.raises(ValueError, match="overlap"):
-        CellFamily(los=np.array([[0.0], [0.5]]), his=np.array([[1.0], [1.5]]))
+def _oracle_grid_cell(low, high, cells, point):
+    """Scalar cell rule: ``[low, high)`` and ``int(min((x - low) / width, cells - 1))``
+    per axis, numbered row-major; -1 outside the box."""
+    number = 0
+    for x, lo, hi, c in zip(point, low, high, cells):
+        if not lo <= x < hi:
+            return -1
+        number = number * c + int(min((x - lo) / ((hi - lo) / c), c - 1))
+    return number
 
 
-def test_overlap_error_names_the_first_overlapping_pair():
-    los = np.array([[0.0, 0.0], [2.0, 0.0], [0.5, 0.5], [2.5, 0.0]])
-    with pytest.raises(ValueError, match=r"cells 0 and 2 overlap"):
-        CellFamily(los=los, his=los + 1.0)
+@st.composite
+def _grid_cases(draw):
+    dim = draw(st.integers(1, 3))
+    cells = tuple(draw(st.lists(st.integers(1, 9), min_size=dim, max_size=dim)))
+    bound = st.sampled_from([-4.1, -1.0, -0.3, 0.1, 2.0 / 3.0]) | st.floats(-10.0, 10.0)
+    extent = st.sampled_from([7.4, 2.5, 0.3, 1.0 / 3.0]) | st.floats(0.01, 20.0)
+    low = draw(st.lists(bound, min_size=dim, max_size=dim))
+    high = [lo + draw(extent) for lo in low]
+    part = Partition(low=low, high=high, cells_per_axis=cells)
+    values = [{-np.inf, np.inf, np.nan} for _ in range(dim)]
+    for i in range(part.n_boxes):
+        for edge in part.cell_bounds(i):
+            for axis, x in enumerate(edge):
+                values[axis] |= {x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)}
+    axes = [st.sampled_from(sorted(v, key=repr)) for v in values]
+    points = draw(st.lists(st.tuples(*axes), min_size=1, max_size=40))
+    return low, high, cells, np.array(points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grid_cases())
+# points an ulp from a cell edge, where the cell_bounds boxes disagree with the
+# scaled rule: below the cells-1|2 box edge yet scaled into cell 2; above the
+# top box edge 3.299999999999999 yet inside the box; below 0 yet (x - low) / width == 1
+@example(([-1.0], [1.0], (7,), np.array([[-0.42857142857142866]])))
+@example(([-0.3, -4.1], [2.2, 3.3], (5, 3), np.array([[1.0, np.nextafter(3.3, -np.inf)]])))
+@example(([-4.0], [4.0], (2,), np.array([[-5e-324]])))
+def test_grid_cell_users_agree_with_scalar_rule(case):
+    low, high, cells, points = case
+    part = Partition(low=low, high=high, cells_per_axis=cells)
+    expected = [_oracle_grid_cell(part.low, part.high, cells, p) for p in points]
+    assert CellFamily.from_partition(part).locate(points).tolist() == expected
+    idx = part.cell_indices(points)
+    assert np.where(idx == part.overflow_index, -1, idx).tolist() == expected
+    bits = [c.bit_length() - 1 for c in cells]
+    if all(2**b == c for b, c in zip(bits, cells)):  # the quantizer's grids are 2^bits cells
+        dim = len(cells)
+        model = SystemModel.from_callable(lambda x, w: x, n=dim, control_dim=dim, noise_dim=1, b=np.eye(dim))
+        policy = UniformQuantizerPolicy(model, low, high, bits)
+        q = policy.symbols(None, points)
+        assert np.where(q == policy.overflow_symbol, -1, q - 1).tolist() == expected
 
 
 # --------------------------------------------------------------------------
@@ -334,13 +378,6 @@ def test_entropy_rate_deterministic_in_seed(ar1):
     assert a == b
 
 
-def test_candidate_grid_generator_and_limit():
-    grid = CandidateControls.grid([-1.0, 1.0], horizon=3, control_dim=1)
-    assert grid.count == 8 and grid.provenance == "grid"
-    with pytest.raises(ValueError, match="limit"):
-        CandidateControls.grid([0.0, 1.0], horizon=30, control_dim=1)
-
-
 def test_closed_loop_candidates_dedupe(ar1):
     scen = ScenarioSet.sample(InitSpec.fixed([0.0]), NoiseSpec.gaussian(1), 5, 8, seed=0)
     candidates, trajs = closed_loop_candidates(ar1, null_policy(2, 1), scen)
@@ -393,10 +430,10 @@ def _oracle_states(model, x0, w_path, u_seq, horizon):
 
 
 def _oracle_cell(family, point):
-    for i in range(family.count):
-        if np.all(point >= family.los[i]) and np.all(point < family.his[i]):
-            return i
-    return -1
+    part = family.partition
+    if part is None:
+        return 0 if all(x < math.inf for x in point) else -1
+    return _oracle_grid_cell(part.low, part.high, part.cells_per_axis, point)
 
 
 def _oracle_matrix(model, candidates, inst, scen):
