@@ -51,6 +51,15 @@ class Partition:
         object.__setattr__(self, "high", high)
         object.__setattr__(self, "cells_per_axis", cells)
 
+    def __eq__(self, other) -> bool:
+        """Equal grids; the generated ``__eq__`` would compare the arrays elementwise."""
+        return (
+            isinstance(other, Partition)
+            and self.cells_per_axis == other.cells_per_axis
+            and np.array_equal(self.low, other.low)
+            and np.array_equal(self.high, other.high)
+        )
+
     @property
     def dim(self) -> int:
         return len(self.low)
@@ -78,10 +87,10 @@ class Partition:
         Cells are half-open, ``[lo, hi)`` per axis, numbered row-major.
         """
         states = np.atleast_2d(np.asarray(states, float))
-        in_box = np.all((states >= self.low) & (states < self.high), axis=1)
-        out = np.full(len(states), self.overflow_index, dtype=np.int64)
-        out[in_box] = cell_numbers((states[in_box] - self.low) / self.width, self.cells_per_axis)
-        return out
+        in_box = np.logical_and.reduce((states >= self.low) & (states < self.high), axis=1)
+        # outside rows are scaled from the low corner itself: 0, never inf or nan
+        scaled = (np.where(in_box[:, None], states, self.low) - self.low) / self.width
+        return np.where(in_box, cell_numbers(scaled, self.cells_per_axis), self.overflow_index)
 
     def cell_bounds(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         if index == self.overflow_index:

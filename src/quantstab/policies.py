@@ -207,10 +207,10 @@ class UniformQuantizerPolicy(CodingPolicy):
         return self.m
 
     def symbols(self, state, xs):
-        inside = ((xs >= self.low) & (xs < self.high)).all(axis=1)
-        out = np.full(len(xs), self.overflow_symbol)
-        out[inside] = 1 + cell_numbers((xs[inside] - self.low) / self.width, self.cells_per_axis)
-        return out
+        inside = np.logical_and.reduce((xs >= self.low) & (xs < self.high), axis=1)
+        # outside rows are scaled from the low corner itself, so they never overflow
+        scaled = (np.where(inside[:, None], xs, self.low) - self.low) / self.width
+        return np.where(inside, 1 + cell_numbers(scaled, self.cells_per_axis), self.m)
 
     def symbol_of(self, x) -> int:
         return int(self.symbols(None, np.asarray(x, float).reshape(1, -1))[0])
@@ -322,11 +322,9 @@ class ZoomPolicy(CodingPolicy):
     def symbols(self, state: "ZoomState", xs):
         span = 2.0 * state.halfwidth[:, None]
         offset = xs - (state.center - state.halfwidth[:, None])
-        inside = ((offset >= 0.0) & (offset < span)).all(axis=1)
-        scaled = offset / span * self._cells
-        out = np.full(len(xs), self.overflow_symbol)
-        out[inside] = 1 + cell_numbers(scaled[inside], self.cells_per_axis)
-        return out
+        inside = np.logical_and.reduce((offset >= 0.0) & (offset < span), axis=1)
+        scaled = np.where(inside[:, None], offset / span * self._cells, 0.0)
+        return np.where(inside, 1 + cell_numbers(scaled, self.cells_per_axis), self.m)
 
     def advance(self, state: "ZoomState", qs):
         """Shared state update of every row; returns the controls."""

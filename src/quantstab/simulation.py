@@ -9,7 +9,6 @@ necessity-bound experiments.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -37,6 +36,7 @@ __all__ = [
 ]
 
 DIVERGENCE_THRESHOLD = 1e12
+CSV_BLOCK_ROWS = 256  # rows formatted per write in trajectory_to_csv
 
 Seed = Union[int, Sequence[int]]
 
@@ -377,7 +377,8 @@ def summarize_divergence(trajectories: Sequence[Trajectory]) -> dict:
 # Export
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write one row per step as ``t,x1..xN,w1..wK,q,u1..uN'`` (17 sig. digits)."""
+    """Write one row per step as ``t,x1..xN,w1..wK,q,u1..uN'`` (17 sig. digits),
+    comma-separated with CRLF line ends, formatted in blocks of rows."""
     n = traj.x.shape[1]
     k = traj.w.shape[1]
     m = traj.u.shape[1]
@@ -388,15 +389,12 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
         + ["q"]
         + [f"u{i}" for i in range(1, m + 1)]
     )
+    template = ",".join(["%d"] + ["%.17g"] * (n + k) + ["%d"] + ["%.17g"] * m) + "\r\n"
+    steps = traj.steps
+    arrays = (traj.x[:steps], traj.w, traj.q[:, None], traj.u)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(traj.steps):
-            row = (
-                [str(t)]
-                + [format(v, ".17g") for v in traj.x[t]]
-                + [format(v, ".17g") for v in traj.w[t]]
-                + [str(int(traj.q[t]))]
-                + [format(v, ".17g") for v in traj.u[t]]
-            )
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        # one block of Python values at a time: whole columns would cost ~32 bytes a value
+        for start in range(0, steps, CSV_BLOCK_ROWS):
+            columns = [col for a in arrays for col in a[start : start + CSV_BLOCK_ROWS].T.tolist()]
+            fh.write("".join([template % row for row in zip(range(start, steps), *columns)]))

@@ -129,6 +129,25 @@ def test_merge_is_sample_count_weighted_average(ar1):
     assert np.allclose(left.weights, pooled.weights, atol=1e-12)
 
 
+def test_merge_over_equal_but_distinct_2d_partitions(make_uniform_measure):
+    first = make_uniform_measure([-1, -1], [1, 1], (2, 2))
+    second = make_uniform_measure([-1, -1], [1, 1], (2, 2))
+    assert first.partition is not second.partition
+    assert first.partition == second.partition
+    merged = first.merge(second)
+    assert merged.n_samples == 8 and np.array_equal(merged.weights, first.weights)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [([-1, -1], [1, 2], (2, 2)), ([-1, -1], [1, 1], (2, 1)), ([-1, -1], [1, 1], (4,)), ([-1], [1], (4,))],
+)
+def test_merge_rejects_a_different_partition(make_uniform_measure, other):
+    first = make_uniform_measure([-1, -1], [1, 1], (2, 2))
+    with pytest.raises(ValueError, match="different partitions"):
+        first.merge(make_uniform_measure(*other))
+
+
 def test_measure_validation_rejects_bad_weights():
     part = Partition(low=[0.0], high=[1.0], cells_per_axis=(2,))
     with pytest.raises(ValueError):

@@ -1,15 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quantstab import (
     NoiseSpec,
     InitSpec,
+    Partition,
+    SystemModel,
     batch_rollout,
+    catalog_model,
     null_policy,
     rollout,
     uniform_quantizer_policy,
     zoom_policy,
 )
+from quantstab.policies import ZoomState, _cancelling, cell_coords, cell_numbers
 
 
 # --------------------------------------------------------------------------
@@ -155,3 +163,220 @@ def test_zoom_range_shrinks_in_range_and_grows_on_overflow(doubling):
     q = encoder.encode(1, np.array([100.0]))
     assert q == policy.overflow_symbol
     assert encoder.state.halfwidth == 1.0
+
+
+# --------------------------------------------------------------------------
+# Where-based symbols and cell lookups against the masked versions they
+# replaced: every row takes the same arithmetic and results are picked by
+# np.where. These test-local copies gather the in-range rows and scatter them
+# back; the controls of both quantizers are checked against such copies too.
+
+def _masked_uniform_symbols(policy, xs):
+    inside = ((xs >= policy.low) & (xs < policy.high)).all(axis=1)
+    out = np.full(len(xs), policy.overflow_symbol)
+    out[inside] = 1 + cell_numbers((xs[inside] - policy.low) / policy.width, policy.cells_per_axis)
+    return out
+
+
+class _MaskedUniformTable:
+    """The lazily filled control table, checked on every call."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.controls = np.zeros((policy.n_cells + 1, policy.model.control_dim))
+        self.filled = np.zeros(policy.n_cells + 1, dtype=bool)
+        self.filled[policy.n_cells] = True
+
+    def advance(self, qs):
+        rows = np.minimum(qs, self.policy.n_cells + 1) - 1
+        missing = rows[~self.filled[rows]]
+        if missing.size:
+            missing = np.unique(missing)
+            self.controls[missing] = _cancelling(self.policy, self.policy._centers(missing + 1))[1]
+            self.filled[missing] = True
+        return self.controls[rows]
+
+
+def _masked_zoom_symbols(policy, state, xs):
+    span = 2.0 * state.halfwidth[:, None]
+    offset = xs - (state.center - state.halfwidth[:, None])
+    inside = ((offset >= 0.0) & (offset < span)).all(axis=1)
+    scaled = offset / span * policy._cells
+    out = np.full(len(xs), policy.overflow_symbol)
+    out[inside] = 1 + cell_numbers(scaled[inside], policy.cells_per_axis)
+    return out
+
+
+def _masked_zoom_advance(policy, state, qs):
+    us = np.zeros((len(qs), policy.model.control_dim))
+    hit = qs <= policy.n_cells
+    rows = slice(None) if hit.all() else hit
+    halfwidth = state.halfwidth[rows]
+    state.halfwidth = state.halfwidth * np.where(hit, policy.alpha, policy.beta)
+    if halfwidth.size:
+        low = state.center[rows] - halfwidth[:, None]
+        width = 2.0 * halfwidth[:, None] / policy._cells
+        coords = cell_coords(qs[rows] - 1, policy.cells_per_axis)
+        image, u = _cancelling(policy, low + (coords + 0.5) * width)
+        state.center[rows] = image + policy.model.control_effect(u)
+        us[rows] = u
+    return us
+
+
+def _masked_cell_indices(part, states):
+    in_box = np.all((states >= part.low) & (states < part.high), axis=1)
+    out = np.full(len(states), part.overflow_index, dtype=np.int64)
+    out[in_box] = cell_numbers((states[in_box] - part.low) / part.width, part.cells_per_axis)
+    return out
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_GRID_MODELS = {
+    "scalar_doubling": lambda: catalog_model("scalar_doubling"),
+    "example2": lambda: catalog_model("example2"),
+    # B u sums two rounded products per coordinate
+    "skew": lambda: SystemModel.from_text(
+        "states 2\nnoise 1\nB = [0.3 -1.7; 1.1 0.6]\nx1' = 1.5*x1 - 0.2*x2^2 + w1\nx2' = 0.4*x1*x2 - w1"
+    ),
+}
+_FAR = [np.inf, -np.inf, np.nan, 1e308, -1e308, 1e12]
+# on [-1, 1): the top edge, the float below it (scales onto the edge), the low edge, non-finite
+_TOP_EDGE_ROWS = np.array([[1.0], [np.nextafter(1.0, -np.inf)], [-1.0], [np.inf], [-np.inf], [np.nan]])
+
+
+def _coordinate(draw, low, high, cells, mix):
+    """One coordinate around the axis [low, high) of ``cells`` cells: edges and
+    their neighbours (the top edge's lower one scales onto the edge), inner
+    points and, by ``mix``, far and non-finite values. An empty axis (an
+    underflowed zoom range) has no inside, so it draws around it."""
+    with np.errstate(all="ignore"):
+        edges = low + np.arange(cells + 1) * ((high - low) / cells)
+    near = [float(v) for e in edges for v in (e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)) if np.isfinite(v)]
+    inner = [v for v in near if low <= v < high]
+    inside = st.sampled_from(inner) | st.floats(low, high, exclude_max=True) if inner else st.sampled_from(near + _FAR)
+    return draw({"inside": inside, "outside": st.sampled_from(_FAR), "mixed": inside | st.sampled_from(near + _FAR)}[mix])
+
+
+def _box_points(draw, low, high, cells, rows, mix):
+    return np.array([[_coordinate(draw, low[i], high[i], cells[i], mix) for i in range(len(low))] for _ in range(rows)])
+
+
+@st.composite
+def _uniform_cases(draw):
+    model = _GRID_MODELS[draw(st.sampled_from(sorted(_GRID_MODELS)))]()
+    low = np.array(draw(st.lists(st.sampled_from([-4.0, -1.0, -0.3, 0.0]), min_size=model.n, max_size=model.n)))
+    high = low + np.array(draw(st.lists(st.sampled_from([0.7, 2.0, 7.4]), min_size=model.n, max_size=model.n)))
+    policy = uniform_quantizer_policy(model, low, high, draw(st.integers(0, 2)))
+    mix = draw(st.sampled_from(["inside", "outside", "mixed"]))
+    batches = [_box_points(draw, low, high, policy.cells_per_axis, draw(st.integers(1, 6)), mix) for _ in range(3)]
+    return policy, batches
+
+
+@settings(max_examples=60, deadline=None)
+@given(_uniform_cases())
+@example((uniform_quantizer_policy(catalog_model("scalar_doubling"), -1.0, 1.0, 2), [_TOP_EDGE_ROWS] * 2))
+def test_uniform_steps_match_masked_versions_bitwise(case):
+    policy, batches = case
+    table = _MaskedUniformTable(policy)
+    for xs in batches:  # the table fills across calls
+        qs = policy.symbols(None, xs)
+        assert _same_bits(qs, _masked_uniform_symbols(policy, xs))
+        assert _same_bits(policy.advance(None, qs), table.advance(qs))
+        assert _same_bits(policy.advance(None, qs), table.advance(qs))
+
+
+@st.composite
+def _zoom_cases(draw):
+    model = _GRID_MODELS[draw(st.sampled_from(sorted(_GRID_MODELS)))]()
+    m = draw(st.integers(2, 10))
+    policy = zoom_policy(model, m, 0.6, 3.0, 2.0)
+    rows = draw(st.integers(1, 6))
+    # 0.0 and 5e-324 are halfwidths that underflowed; 1e308 spans inf
+    halfwidth = np.array(draw(st.lists(
+        st.sampled_from([0.0, 5e-324, 1e-300, 1e308]) | st.floats(1e-3, 1e3), min_size=rows, max_size=rows
+    )))
+    center = np.array(draw(st.lists(
+        st.lists(st.floats(-1e3, 1e3), min_size=model.n, max_size=model.n), min_size=rows, max_size=rows
+    )))
+    mix = draw(st.sampled_from(["inside", "outside", "mixed"]))
+    xs = np.empty((rows, model.n))
+    for k in range(rows):
+        low, high = center[k] - halfwidth[k], center[k] + halfwidth[k]
+        xs[k] = _box_points(draw, low, high, policy.cells_per_axis, 1, mix)[0]
+    qs = np.array(draw(st.lists(st.integers(1, m), min_size=rows, max_size=rows)))
+    return policy, ZoomState(center, halfwidth), xs, qs
+
+
+def _underflowed_zoom_case():
+    # row 0's range has shrunk to nothing, row 1 sees nan; then a hit and an overflow
+    policy = zoom_policy(catalog_model("scalar_doubling"), 4, 0.6, 3.0, 2.0)
+    state = ZoomState(np.zeros((2, 1)), np.array([0.0, 2.0]))
+    return policy, state, np.array([[0.0], [np.nan]]), np.array([1, 4])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_zoom_cases())
+@example(_underflowed_zoom_case())
+def test_zoom_steps_match_masked_versions_bitwise(case):
+    policy, state, xs, qs = case
+    with np.errstate(all="ignore"):  # as in the closed loop: overflow shows in the states
+        assert _same_bits(policy.symbols(state, xs), _masked_zoom_symbols(policy, state, xs))
+        for q in (policy.symbols(state, xs), qs):
+            ours = ZoomState(state.center.copy(), state.halfwidth.copy())
+            theirs = ZoomState(state.center.copy(), state.halfwidth.copy())
+            assert _same_bits(policy.advance(ours, q), _masked_zoom_advance(policy, theirs, q))
+            assert _same_bits(ours.center, theirs.center)
+            assert _same_bits(ours.halfwidth, theirs.halfwidth)
+
+
+def test_zoom_evaluates_f_only_at_hit_centroids():
+    # f is defined on x >= 0 only; the overflow row must not evaluate it at
+    # the centroid of the bottom cell, -0.5
+    calls = []
+
+    def root(x, w):
+        calls.append(float(x[0]))
+        return np.array([math.sqrt(x[0]) + w[0]])
+
+    model = SystemModel.from_callable(root, n=1, control_dim=1, noise_dim=1, b=np.eye(1))
+    policy = zoom_policy(model, 3, 0.5, 3.0, 1.0)
+    state = ZoomState(np.zeros((2, 1)), np.array([1.0, 1.0]))
+    qs = policy.symbols(state, np.array([[0.5], [5.0]]))
+    assert qs.tolist() == [2, policy.overflow_symbol]
+    us = policy.advance(state, qs)
+    assert calls == [0.5]
+    assert us.tolist() == [[-math.sqrt(0.5)], [0.0]]
+    assert state.center.tolist() == [[0.0], [0.0]]
+    assert state.halfwidth.tolist() == [0.5, 3.0]
+
+
+@st.composite
+def _partition_cases(draw):
+    dim = draw(st.integers(1, 3))
+    low = np.array(draw(st.lists(st.sampled_from([-4.0, -1.0, -0.3, 0.0]), min_size=dim, max_size=dim)))
+    high = low + np.array(draw(st.lists(st.sampled_from([0.7, 2.0, 7.4]), min_size=dim, max_size=dim)))
+    part = Partition(low, high, tuple(draw(st.lists(st.integers(1, 7), min_size=dim, max_size=dim))))
+    mix = draw(st.sampled_from(["inside", "outside", "mixed"]))
+    return part, _box_points(draw, part.low, part.high, part.cells_per_axis, draw(st.integers(1, 8)), mix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_partition_cases())
+@example((Partition([-1.0], [1.0], (4,)), _TOP_EDGE_ROWS))
+def test_cell_indices_match_masked_version_bitwise(case):
+    part, states = case
+    assert _same_bits(part.cell_indices(states), _masked_cell_indices(part, states))
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_lookups_do_not_warn_on_non_finite_rows(example2):
+    far = np.array([[np.inf, 0.0], [-np.inf, 0.5], [np.nan, 0.0], [0.0, np.nan], [1e308, -1e308], [0.5, 0.5]])
+    # cells narrower than 1, so scaling the far rows would overflow
+    part = Partition([-1.0, -1.0], [1.0, 1.0], (4, 4))
+    assert part.cell_indices(far).tolist() == [16, 16, 16, 16, 16, 15]
+    policy = uniform_quantizer_policy(example2, [-1.0, -1.0], [1.0, 1.0], [2, 2])
+    assert [policy.symbol_of(x) for x in far] == [policy.overflow_symbol] * 5 + [16]

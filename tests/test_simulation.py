@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,8 @@ from quantstab import (
     zoom_policy,
 )
 from quantstab.simulation import (
+    CSV_BLOCK_ROWS,
+    Trajectory,
     path_seed,
     run_closed_loop,
     run_closed_loops,
@@ -267,6 +271,78 @@ def test_trajectory_csv_schema(tmp_path, example2):
     assert np.array_equal(
         np.array([float(v) for v in first[1:3]]), traj.x[0]
     )
+
+
+def _csv_writer_oracle(traj, path):
+    """The export as one csv.writer row per step, one format call per value."""
+    n, k, m = traj.x.shape[1], traj.w.shape[1], traj.u.shape[1]
+    header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"w{j}" for j in range(1, k + 1)]
+    header += ["q"] + [f"u{i}" for i in range(1, m + 1)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for t in range(traj.steps):
+            writer.writerow(
+                [str(t)]
+                + [format(v, ".17g") for v in traj.x[t]]
+                + [format(v, ".17g") for v in traj.w[t]]
+                + [str(int(traj.q[t]))]
+                + [format(v, ".17g") for v in traj.u[t]]
+            )
+
+
+def _assert_csv_matches_oracle(traj, tmp_path):
+    ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    trajectory_to_csv(traj, ours)
+    _csv_writer_oracle(traj, oracle)
+    data = ours.read_bytes()
+    assert data == oracle.read_bytes()
+    assert data.count(b"\r\n") == data.count(b"\n") == traj.steps + 1
+    return data
+
+
+_CSV_VALUES = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, 0.1]) | st.floats()
+
+
+@st.composite
+def _csv_trajectories(draw):
+    n, k, m = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    steps = draw(st.integers(0, 30))
+    return Trajectory(
+        x=draw(arrays(float, (steps + 1, n), elements=_CSV_VALUES)),
+        w=draw(arrays(float, (steps, k), elements=_CSV_VALUES)),
+        q=draw(arrays(np.int64, steps, elements=st.integers(1, 2**40))),
+        u=draw(arrays(float, (steps, m), elements=_CSV_VALUES)),
+        seed=0,
+        horizon=steps,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_csv_trajectories())
+def test_trajectory_csv_matches_csv_writer_oracle(tmp_path_factory, traj):
+    _assert_csv_matches_oracle(traj, tmp_path_factory.mktemp("csv"))
+
+
+def test_trajectory_csv_blocks_and_truncated_paths(tmp_path, doubling):
+    # longer than one block and not a whole number of blocks
+    steps = 2 * CSV_BLOCK_ROWS + 37
+    rng = np.random.default_rng(4)
+    traj = Trajectory(
+        x=rng.standard_normal((steps + 1, 2)),
+        w=rng.standard_normal((steps, 1)),
+        q=rng.integers(1, 5, steps),
+        u=rng.standard_normal((steps, 2)),
+        seed=0,
+        horizon=steps,
+    )
+    traj.x[[0, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, steps - 1]] = [[np.nan, -0.0], [np.inf, -np.inf], [-0.0, 0.0], [np.nan, np.inf]]
+    data = _assert_csv_matches_oracle(traj, tmp_path)
+    assert data.splitlines()[-1].startswith(b"%d," % (steps - 1))
+    # a diverged path is written up to its truncation
+    diverged = rollout(doubling, null_policy(2), NoiseSpec.zero(1), InitSpec.fixed([1.0]), 100, seed=0)
+    assert diverged.diverged and 0 < diverged.steps < 100
+    _assert_csv_matches_oracle(diverged, tmp_path)
 
 
 # --------------------------------------------------------------------------
