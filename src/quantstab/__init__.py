@@ -69,8 +69,8 @@ from .simulation import (
 )
 from .stabilization_entropy import (
     CandidateControls,
-    CellFamily,
     EntropyPoint,
+    NoCandidatesError,
     ScenarioSet,
     SpanningInstance,
     SpanningTemplate,

@@ -2,9 +2,10 @@
 
 Every subcommand is a pure function of (config, seed) to bytes on disk, so
 reruns are byte-identical and runs are archivable as a single file. Unknown
-config keys are hard errors. Exit codes: 0 success, 2 config error,
-3 assumption-violation findings (bound violation flag, falsified floor,
-singular Jacobian).
+config keys are hard errors. Exit codes: 0 success, 2 config error (an
+entropy epsilon too large for the cell masses included), 3 assumption-violation
+findings (bound violation flag, falsified floor, singular Jacobian, every
+entropy scenario diverged).
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ from .simulation import (
     trajectory_to_csv,
 )
 from .stabilization_entropy import (
-    CellFamily,
+    NoCandidatesError,
     SpanningTemplate,
+    ThresholdConstraintError,
     entropy_curve_to_csv,
     entropy_rate,
 )
@@ -101,6 +103,9 @@ configuration file keys (JSON object):
                       "split":m,"state_partition":{partition spec},
                       "noise_partition":{partition spec}?,
                       "thresholds":"lemma"|"vacuous","dump_matrix":bool}
+                     cells are the state_partition cells times the
+                     noise_partition cells (default: one noise cell); split
+                     (1..N) is checked but changes no output
   diagnose           {"checkpoints":[..]}
 
 subcommands need: simulate -> model noise init policy horizon paths seed;
@@ -271,16 +276,20 @@ def _build_policy(section: dict, model: SystemModel, noise: NoiseSpec) -> Coding
     raise ConfigError(f"unknown policy kind {kind!r}")
 
 
-def _build_partition(section: dict, where: str = "partition") -> Partition:
+def _build_partition(section: dict, dim: int, where: str = "partition") -> Partition:
+    """A partition of the ``dim``-dimensional space it is used on."""
     _check_keys(section, {"low", "high", "cells_per_axis"}, where)
     try:
-        return Partition(
+        partition = Partition(
             low=np.asarray(_require(section, "low", where), float),
             high=np.asarray(_require(section, "high", where), float),
             cells_per_axis=tuple(_require(section, "cells_per_axis", where)),
         )
     except ValueError as exc:
         raise ConfigError(f"bad {where} spec: {exc}") from exc
+    if partition.dim != dim:
+        raise ConfigError(f"{where} has dim {partition.dim}, expected {dim}")
+    return partition
 
 
 def _build_gamma(entries: list, n: int) -> GammaDeclaration:
@@ -333,7 +342,7 @@ class Experiment:
             )
         self.policy = _build_policy(self._get_section("policy"), self.model, self.noise)
         self.partition = (
-            _build_partition(raw["partition"]) if "partition" in raw else None
+            _build_partition(raw["partition"], self.model.n) if "partition" in raw else None
         )
         self.gamma = _build_gamma(raw["gamma"], self.model.n) if "gamma" in raw else None
 
@@ -504,66 +513,55 @@ def cmd_entropy(exp: Experiment, out: Path, verbose: bool) -> int:
         "entropy",
     )
     horizons = [int(t) for t in _require(section, "horizons", "entropy")]
+    if any(t < 1 for t in horizons):
+        raise ConfigError("every entropy horizon must be at least 1")
     n_scenarios = int(_require(section, "scenarios", "entropy"))
-    rho = float(section.get("rho", 0.5))
-    epsilon = float(section.get("epsilon", 0.05))
+    if n_scenarios < 1:
+        raise ConfigError("entropy scenarios must be at least 1")
+    thresholds = section.get("thresholds", "lemma")
+    if thresholds not in ("lemma", "vacuous"):
+        raise ConfigError(f"unknown entropy thresholds mode {thresholds!r}")
     split = int(section.get("split", exp.model.n))
     if not (1 <= split <= exp.model.n):
         raise ConfigError(f"entropy split must lie in [1, {exp.model.n}]")
     state_part = _build_partition(
-        _require(section, "state_partition", "entropy"), "entropy.state_partition"
+        _require(section, "state_partition", "entropy"), exp.model.n, "entropy.state_partition"
     )
-    if state_part.dim != exp.model.n:
-        raise ConfigError("entropy state_partition must cover the full state dimension")
-
-    d_part = Partition(
-        low=state_part.low[:split],
-        high=state_part.high[:split],
-        cells_per_axis=state_part.cells_per_axis[:split],
-    )
-    d_family = CellFamily.from_partition(d_part)
-    if split < exp.model.n:
-        e_part = Partition(
-            low=state_part.low[split:],
-            high=state_part.high[split:],
-            cells_per_axis=state_part.cells_per_axis[split:],
-        )
-        e_family = CellFamily.from_partition(e_part)
-    else:
-        e_family = CellFamily.whole_space(0)
+    noise_part = None
     if "noise_partition" in section:
-        f_family = CellFamily.from_partition(
-            _build_partition(section["noise_partition"], "entropy.noise_partition")
+        noise_part = _build_partition(
+            section["noise_partition"], exp.model.noise_dim, "entropy.noise_partition"
         )
-    else:
-        f_family = CellFamily.whole_space(exp.model.noise_dim)
-
     try:
         template = SpanningTemplate(
-            m_split=split,
-            d_family=d_family,
-            e_family=e_family,
-            f_family=f_family,
-            rho=rho,
-            epsilon=epsilon,
+            state_partition=state_part,
+            noise_partition=noise_part,
+            rho=float(section.get("rho", 0.5)),
+            epsilon=float(section.get("epsilon", 0.05)),
         )
     except ValueError as exc:
         raise ConfigError(f"bad entropy template: {exc}") from exc
 
     matrices: dict = {}
-    points = entropy_rate(
-        exp.model,
-        exp.policy,
-        exp.noise,
-        exp.init,
-        template,
-        horizons,
-        n_scenarios,
-        seed=exp.seed,
-        burn_in_fraction=exp.burn_in_fraction,
-        thresholds=section.get("thresholds", "lemma"),
-        matrix_sink=matrices if section.get("dump_matrix", False) else None,
-    )
+    try:
+        points = entropy_rate(
+            exp.model,
+            exp.policy,
+            exp.noise,
+            exp.init,
+            template,
+            horizons,
+            n_scenarios,
+            seed=exp.seed,
+            burn_in_fraction=exp.burn_in_fraction,
+            thresholds=thresholds,
+            matrix_sink=matrices if section.get("dump_matrix", False) else None,
+        )
+    except ThresholdConstraintError as exc:
+        raise ConfigError(f"entropy thresholds: {exc}") from exc
+    except NoCandidatesError as exc:
+        print(f"assumption violation: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     entropy_curve_to_csv(points, out / "entropy_curve.csv")
     for horizon, matrix in matrices.items():
         np.savetxt(

@@ -84,9 +84,12 @@ class Partition:
     def cell_indices(self, states: np.ndarray) -> np.ndarray:
         """Map state rows to cell indices; anything outside (or non-finite) is overflow.
 
-        Cells are half-open, ``[lo, hi)`` per axis, numbered row-major.
+        Cells are half-open, ``[lo, hi)`` per axis, numbered row-major. Raises
+        ``ValueError`` unless the rows have one entry per axis.
         """
         states = np.atleast_2d(np.asarray(states, float))
+        if states.ndim != 2 or states.shape[1] != self.dim:
+            raise ValueError(f"need rows of width {self.dim}, got shape {states.shape}")
         in_box = np.logical_and.reduce((states >= self.low) & (states < self.high), axis=1)
         # outside rows are scaled from the low corner itself: 0, never inf or nan
         scaled = (np.where(in_box[:, None], states, self.low) - self.low) / self.width

@@ -38,7 +38,7 @@ from .simulation import (  # noqa: F401
 
 __all__ = [
     "ThresholdConstraintError",
-    "CellFamily",
+    "NoCandidatesError",
     "SpanningTemplate",
     "SpanningInstance",
     "ScenarioSet",
@@ -64,56 +64,39 @@ class ThresholdConstraintError(ValueError):
     """The threshold collection violates the spanning-set constraints."""
 
 
-# --------------------------------------------------------------------------
-# Cell families
-
-@dataclass(frozen=True)
-class CellFamily:
-    """The grid cells of a partition, or the whole space as one cell.
-
-    Build it with :meth:`from_partition` or :meth:`whole_space`. A grid
-    family locates points with :meth:`Partition.cell_indices`, so its cells
-    are exactly the cells of the measure; points in no cell locate to -1.
-    """
-
-    dim: int
-    partition: Optional[Partition] = None  # None: the whole space
-
-    @classmethod
-    def from_partition(cls, partition: Partition) -> "CellFamily":
-        """The in-box grid cells of a partition (overflow is not a member)."""
-        return cls(partition.dim, partition)
-
-    @classmethod
-    def whole_space(cls, dim: int) -> "CellFamily":
-        """A single cell holding every point below +inf on every axis."""
-        return cls(dim)
-
-    @property
-    def count(self) -> int:
-        return 1 if self.partition is None else self.partition.n_boxes
-
-    def locate(self, points: np.ndarray) -> np.ndarray:
-        """Cell index per point row, -1 where no cell contains the point."""
-        points = np.atleast_2d(np.asarray(points, float))
-        if self.partition is None:
-            return np.where((points < np.inf).all(axis=1), 0, -1)
-        idx = self.partition.cell_indices(points)
-        idx[idx == self.partition.overflow_index] = -1
-        return idx
+class NoCandidatesError(ValueError):
+    """Every closed-loop run diverged before the horizon."""
 
 
 # --------------------------------------------------------------------------
 # Instances, scenarios, candidates
 
+def _noise_cell_count(partition: Optional[Partition]) -> int:
+    return 1 if partition is None else partition.n_boxes
+
+
+def _noise_cells(partition: Optional[Partition], ws: np.ndarray) -> np.ndarray:
+    """Noise cell of each row of ``ws``; ``_noise_cell_count(partition)`` where
+    the row is in no cell.
+
+    Without a partition there is one cell, holding every row below +inf on
+    every axis (``nan`` and ``+inf`` rows lie in no cell).
+    """
+    if partition is None:
+        return np.where((ws < np.inf).all(axis=1), 0, 1)
+    return partition.cell_indices(ws)
+
+
 @dataclass(frozen=True)
 class SpanningTemplate:
-    """Everything an instance needs except the horizon and the thresholds."""
+    """Everything an instance needs except the horizon and the thresholds.
 
-    m_split: int  # states split into first m and last N-m coordinates
-    d_family: CellFamily  # over R^m
-    e_family: CellFamily  # over R^(N-m)
-    f_family: CellFamily  # over the noise space
+    The joint cells are the in-box cells of ``state_partition`` times those of
+    ``noise_partition`` (``None``: the whole noise space as one cell).
+    """
+
+    state_partition: Partition
+    noise_partition: Optional[Partition]
     rho: float
     epsilon: float
 
@@ -122,25 +105,21 @@ class SpanningTemplate:
             raise ValueError("rho must lie in (0, 1)")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
-        if self.d_family.dim != self.m_split:
-            raise ValueError("first family dimension must equal the split point")
 
 
 @dataclass(frozen=True)
 class SpanningInstance:
-    """A concrete spanning problem: horizon, families, rho and thresholds."""
+    """A concrete spanning problem: horizon, partitions, rho and thresholds."""
 
     horizon: int
-    m_split: int
-    d_family: CellFamily
-    e_family: CellFamily
-    f_family: CellFamily
+    state_partition: Partition
+    noise_partition: Optional[Partition]  # None: the whole noise space as one cell
     rho: float
-    thresholds: np.ndarray  # (d, e, f) values r_{j,k,l} in [0, 1]
+    thresholds: np.ndarray  # (state cells, noise cells) values r_{j,l} in [0, 1]
 
     def __post_init__(self):
         r = np.asarray(self.thresholds, float)
-        shape = (self.d_family.count, self.e_family.count, self.f_family.count)
+        shape = (self.state_partition.n_boxes, _noise_cell_count(self.noise_partition))
         if r.shape != shape:
             raise ValueError(f"thresholds must have shape {shape}, got {r.shape}")
         if np.any(r < -1e-12) or np.any(r > 1.0 + 1e-12):
@@ -189,10 +168,9 @@ class ScenarioSet:
 
 @dataclass(frozen=True)
 class CandidateControls:
-    """Finite set of open-loop control sequences with provenance."""
+    """Finite set of open-loop control sequences."""
 
     sequences: np.ndarray  # (count, T, N')
-    provenance: str  # 'policy' | 'grid'
 
     @property
     def count(self) -> int:
@@ -226,8 +204,10 @@ def closed_loop_candidates(
             seen.add(key)
             kept.append(traj.u)
     if not kept:
-        raise ValueError("every closed-loop run diverged; no candidate sequences")
-    candidates = CandidateControls(sequences=np.array(kept), provenance="policy")
+        raise NoCandidatesError(
+            f"every closed-loop run diverged before T={horizon}; no candidate sequences"
+        )
+    candidates = CandidateControls(sequences=np.array(kept))
     assert candidates.count <= policy.m**horizon
     return candidates, trajs
 
@@ -240,7 +220,9 @@ def build_R_epsilon(
 ) -> np.ndarray:
     """Per-cell frequency thresholds from cell masses with slack epsilon.
 
-    For joint mass kappa = Q(D_j x E_k) * nu(F_l) the threshold is
+    ``q_weights`` holds the mass Q(D_j) of each state cell, ``nu_weights`` the
+    mass nu(F_l) of each noise cell; the result has shape (state cells, noise
+    cells). For joint mass kappa = Q(D_j) * nu(F_l) the threshold is
     ``(1 + epsilon) * (1 - kappa)``, degenerating to 1 for kappa = 0 (vacuous)
     and to epsilon for kappa = 1. Raises if the collection violates the
     spanning-set constraints, i.e. epsilon is too large for these masses.
@@ -249,17 +231,19 @@ def build_R_epsilon(
         raise ValueError("epsilon must be positive")
     q = np.asarray(q_weights, float)
     nu = np.asarray(nu_weights, float)
+    if q.ndim != 1 or nu.ndim != 1:
+        raise ValueError("cell masses must be one-dimensional arrays")
     if np.any(q < 0) or np.any(q > 1) or np.any(nu < 0) or np.any(nu > 1):
         raise ValueError("cell masses must lie in [0, 1]")
-    kappa = q[:, :, None] * nu[None, None, :]
+    kappa = q[:, None] * nu[None, :]
     r = (1.0 + epsilon) * (1.0 - kappa)
     r = np.where(kappa == 0.0, 1.0, r)
     r = np.where(kappa == 1.0, epsilon, r)
     if np.any(r > 1.0):
-        j, k, l = np.unravel_index(int(np.argmax(r)), r.shape)
+        j, l = np.unravel_index(int(np.argmax(r)), r.shape)
         raise ThresholdConstraintError(
-            f"epsilon={epsilon} too large: threshold {r[j, k, l]:.6f} > 1 at cell "
-            f"({j}, {k}, {l}) with mass {kappa[j, k, l]:.6f}"
+            f"epsilon={epsilon} too large: threshold {r[j, l]:.6f} > 1 at state cell "
+            f"{j}, noise cell {l} with mass {kappa[j, l]:.6f}"
         )
     slack = float(np.sum(1.0 - r))
     if slack < 0.0 or slack > 1.0:
@@ -303,22 +287,18 @@ def _satisfied(
 ) -> np.ndarray:
     """Per-row frequency satisfaction for states (P, T, N) and noise cells (P, T).
 
-    Every row's joint (d, e, f) occupancy comes from one ``bincount`` over
-    ``row * n_cells + cell``.
+    Every row's joint (state, noise) occupancy comes from one ``bincount``
+    over ``row * n_cells + cell``; the joint cells include each grid's
+    "in no cell" index, whose counts are then dropped.
     """
     pairs, horizon, n = states.shape
-    m = instance.m_split
-    rows = pairs * horizon  # explicit: a zero-width split cannot infer -1
-    d_idx = instance.d_family.locate(states[:, :, :m].reshape(rows, m))
-    e_idx = instance.e_family.locate(states[:, :, m:].reshape(rows, n - m))
-    f_idx = f_idx.reshape(-1)
-    n_e, n_f = instance.e_family.count, instance.f_family.count
-    n_cells = instance.d_family.count * n_e * n_f
-    valid = (d_idx >= 0) & (e_idx >= 0) & (f_idx >= 0)
-    key = np.repeat(np.arange(pairs) * n_cells, horizon) + (d_idx * n_e + e_idx) * n_f + f_idx
-    counts = np.bincount(key[valid], minlength=pairs * n_cells).reshape(pairs, n_cells)
-    limit = (1.0 - instance.thresholds - 1e-12).reshape(-1)
-    return np.all(counts / horizon >= limit, axis=1)
+    n_s, n_f = instance.thresholds.shape
+    s_idx = instance.state_partition.cell_indices(states.reshape(pairs * horizon, n))
+    n_cells = (n_s + 1) * (n_f + 1)
+    key = np.repeat(np.arange(pairs) * n_cells, horizon) + s_idx * (n_f + 1) + f_idx.reshape(-1)
+    counts = np.bincount(key, minlength=pairs * n_cells).reshape(pairs, n_s + 1, n_f + 1)
+    limit = 1.0 - instance.thresholds - 1e-12
+    return np.all(counts[:, :n_s, :n_f] / horizon >= limit, axis=(1, 2))
 
 
 def open_loop_states(
@@ -348,7 +328,7 @@ def satisfies_frequencies(
     x0, w_path = scenario
     T = instance.horizon
     states = open_loop_states(model, x0, w_path, np.asarray(u_seq, float), T)
-    f_idx = instance.f_family.locate(w_path[:T])
+    f_idx = _noise_cells(instance.noise_partition, w_path[:T])
     return bool(_satisfied(states[None], f_idx[None], instance)[0])
 
 
@@ -367,8 +347,8 @@ def satisfaction_matrix(
     n_cand, n_scen = candidates.count, scenarios.count
     out = np.zeros((n_cand, n_scen), dtype=bool)
     T = instance.horizon
-    f_idx = instance.f_family.locate(
-        scenarios.ws[:, :T].reshape(n_scen * T, scenarios.ws.shape[2])
+    f_idx = _noise_cells(
+        instance.noise_partition, scenarios.ws[:, :T].reshape(n_scen * T, scenarios.ws.shape[2])
     ).reshape(n_scen, T)
     block = max(1, PAIR_BLOCK // max(1, n_scen))
     for lo in range(0, n_cand, block):
@@ -485,28 +465,23 @@ class EntropyPoint:
         return self.s_estimate != math.inf
 
 
-def _joint_state_weights(
+def _state_weights(
     trajs: Sequence[Trajectory], template: SpanningTemplate, burn_in: int
 ) -> np.ndarray:
     states = [traj.x[burn_in: traj.steps] for traj in trajs]
     total = sum(len(s) for s in states)
     if total == 0:
         raise ValueError("no post-burn-in states to estimate cell masses from")
-    states = np.concatenate(states)
-    m = template.m_split
-    d_idx = template.d_family.locate(states[:, :m])
-    e_idx = template.e_family.locate(states[:, m:])
-    valid = (d_idx >= 0) & (e_idx >= 0)
-    n_d, n_e = template.d_family.count, template.e_family.count
-    counts = np.bincount(d_idx[valid] * n_e + e_idx[valid], minlength=n_d * n_e)
-    return counts.reshape(n_d, n_e) / total
+    part = template.state_partition
+    counts = np.bincount(part.cell_indices(np.concatenate(states)), minlength=part.n_cells)
+    return counts[:-1] / total
 
 
 def _noise_weights(scenarios: ScenarioSet, template: SpanningTemplate) -> np.ndarray:
     flat = scenarios.ws.reshape(-1, scenarios.ws.shape[2])
-    idx = template.f_family.locate(flat)
-    counts = np.bincount(idx[idx >= 0], minlength=template.f_family.count).astype(float)
-    return counts / len(flat)
+    n_f = _noise_cell_count(template.noise_partition)
+    counts = np.bincount(_noise_cells(template.noise_partition, flat), minlength=n_f + 1)
+    return counts[:n_f] / len(flat)
 
 
 def entropy_rate(
@@ -532,27 +507,25 @@ def entropy_rate(
     ``matrix_sink`` is a dict it receives the satisfaction matrix per horizon
     for audit dumps.
     """
+    if thresholds not in ("lemma", "vacuous"):
+        raise ValueError(f"unknown thresholds mode {thresholds!r}")
     points = []
     for horizon in horizons:
         scen = ScenarioSet.sample(init, noise, horizon, n_scenarios, seed=(seed, horizon))
         candidates, trajs = closed_loop_candidates(model, policy, scen)
         if thresholds == "vacuous":
             r = np.ones(
-                (template.d_family.count, template.e_family.count, template.f_family.count)
+                (template.state_partition.n_boxes, _noise_cell_count(template.noise_partition))
             )
-        elif thresholds == "lemma":
+        else:
             burn = int(burn_in_fraction * horizon)
-            q_weights = _joint_state_weights(trajs, template, burn)
+            q_weights = _state_weights(trajs, template, burn)
             nu_weights = _noise_weights(scen, template)
             r = build_R_epsilon(q_weights, nu_weights, template.epsilon)
-        else:
-            raise ValueError(f"unknown thresholds mode {thresholds!r}")
         instance = SpanningInstance(
             horizon=horizon,
-            m_split=template.m_split,
-            d_family=template.d_family,
-            e_family=template.e_family,
-            f_family=template.f_family,
+            state_partition=template.state_partition,
+            noise_partition=template.noise_partition,
             rho=template.rho,
             thresholds=r,
         )

@@ -132,10 +132,8 @@ def test_criterion_04_counting_bound_structural():
     noise_g = qs.NoiseSpec.gaussian(1, 0.0, 0.5)
     noise_u = qs.NoiseSpec.uniform(1, -0.05, 0.05)
     init = qs.InitSpec.uniform_box([-1], [1])
-    d_ar1 = qs.CellFamily.from_partition(qs.Partition(low=[-3.0], high=[3.0], cells_per_axis=(2,)))
-    d_dbl = qs.CellFamily.from_partition(qs.Partition(low=[-4.0], high=[4.0], cells_per_axis=(2,)))
-    e0 = qs.CellFamily.whole_space(0)
-    f1 = qs.CellFamily.whole_space(1)
+    d_ar1 = qs.Partition(low=[-3.0], high=[3.0], cells_per_axis=(2,))
+    d_dbl = qs.Partition(low=[-4.0], high=[4.0], cells_per_axis=(2,))
 
     grid = [
         ("null/ar1/M2", ar1, qs.null_policy(2, 1), noise_g, d_ar1),
@@ -145,8 +143,8 @@ def test_criterion_04_counting_bound_structural():
         ("quantizer/ar1/M4", ar1, qs.uniform_quantizer_policy(ar1, [-2.0], [2.0], [1], noise_mean=noise_g.mean, m=4), noise_g, d_ar1),
     ]
     failures = []
-    for name, model, policy, noise, d_family in grid:
-        template = qs.SpanningTemplate(1, d_family, e0, f1, 0.75, 0.3)
+    for name, model, policy, noise, state_partition in grid:
+        template = qs.SpanningTemplate(state_partition, None, 0.75, 0.3)
         points = qs.entropy_rate(model, policy, noise, init, template, [2, 4, 6, 8], 32, seed=9)
         m = policy.m
         for p in points:

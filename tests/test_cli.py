@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from quantstab import stabilization_entropy
 from quantstab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, load_experiment, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -36,6 +38,10 @@ def _ar1_config(**extra):
 
 def _read_tree(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _digests(root: Path) -> dict:
+    return {str(name): hashlib.sha256(data).hexdigest() for name, data in _read_tree(root).items()}
 
 
 # --------------------------------------------------------------------------
@@ -113,6 +119,24 @@ def test_bad_dsl_model_is_config_error(tmp_path, capsys):
     assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+def _example1_config():
+    return json.loads((REPO / "configs" / "example1_bound.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "cfg, command",
+    [
+        (_ar1_config(partition={"low": [-6, -6], "high": [6, 6], "cells_per_axis": [8, 8]}), "diagnose"),
+        (_ar1_config(partition={"low": [-6, -6], "high": [6, 6], "cells_per_axis": [8, 8]},
+                     gamma=[{"p": [1], "c_p": 0.4}]), "bound"),
+        ({**_example1_config(), "partition": {"low": [-16], "high": [16], "cells_per_axis": [16]}}, "bound"),
+    ],
+)
+def test_partition_dim_must_match_state_dim(tmp_path, capsys, cfg, command):
+    assert main([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "partition has dim" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # simulate
 
@@ -134,8 +158,7 @@ def test_simulate_zoom_outputs_match_golden_digests(tmp_path):
     out = tmp_path / "out"
     args = ["simulate", "--config", cfg, "--seed", "0", "--paths", "2", "--horizon", "2000", "--out", str(out)]
     assert main(args) == EXIT_OK
-    digests = {str(name): hashlib.sha256(data).hexdigest() for name, data in _read_tree(out).items()}
-    assert digests == _ZOOM_GOLDEN_SHA256
+    assert _digests(out) == _ZOOM_GOLDEN_SHA256
 
 def test_simulate_outputs_and_reproducibility(tmp_path):
     cfg = _write(tmp_path, _ar1_config())
@@ -289,6 +312,93 @@ def test_entropy_matrix_dump(tmp_path):
     assert (out / "satisfaction_T4.csv").exists()
 
 
+# SHA-256 of every `entropy` output file, taken with NumPy 2.4.6 on Linux
+# x86-64 from the code that still split the state grid into D x E cell
+# families, where split 1 and split 2 gave the same bytes. The same caveat
+# about NumPy's noise stream applies as for the `simulate` digests above.
+_ZOOM_ENTROPY_GOLDEN_SHA256 = {
+    "entropy_curve.csv": "8d192e75667b679968a36803bcde2d42dceab7484af00dd2fc62005070e4f9aa",
+    "entropy_summary.json": "4c835dd8b3228bfed57c7b1fd1c1cb1600859104b6c2833fd9385e0a219e1faa",
+    "satisfaction_T4.csv": "6fbd6bb4f76c702b5d6072612340887cba4de1a3b74d67752ab42ee418f32848",
+    "satisfaction_T6.csv": "614ecfcc593b5cc6f568fc476088897375f5cd7bbf8cd7be755ac3166d3e66be",
+    "satisfaction_T8.csv": "2bc7dd73c6b6d0fdf42c56ff59d572dad06fa9f69eb490bd37765bff6fb7d9ab",
+}
+_EXAMPLE1_ENTROPY_GOLDEN_SHA256 = {
+    "entropy_curve.csv": "26444c03fc3ea69d6dd6c0e0c4b5b43b0e112e05d88979a0410d255beb550b33",
+    "entropy_summary.json": "b51ca616ade87951f95b9e67e7043d5ec5b42f11ddc07b9187f8c1e2b3447aaa",
+    "satisfaction_T10.csv": "668cd510568057d788195ab5cc48df15481fca0a12f10c2a3c0fdd113408fb61",
+    "satisfaction_T12.csv": "fbf5e028356eb5f263eb917189e1f8bda2dcf96272a9b8f18846a50bdf87cc48",
+}
+
+
+def _zoom_entropy_config(**entropy):
+    cfg = json.loads((REPO / "configs" / "doubling_zoom_entropy.json").read_text())
+    cfg["entropy"].update(entropy)
+    return cfg
+
+
+def test_entropy_zoom_outputs_match_golden_digests(tmp_path):
+    out = tmp_path / "out"
+    config = _write(tmp_path, _zoom_entropy_config(dump_matrix=True))
+    assert main(["entropy", "--config", config, "--seed", "0", "--out", str(out)]) == EXIT_OK
+    assert _digests(out) == _ZOOM_ENTROPY_GOLDEN_SHA256
+
+
+def test_entropy_2d_noise_grid_outputs_match_golden_digests_at_every_split(tmp_path):
+    # infeasible at T = 10 and spanned by 2 candidates at T = 12; without the
+    # noise grid T = 10 is feasible too, so the noise cells are exercised
+    cfg = _example1_config()
+    for key in ("partition", "gamma", "bound"):
+        del cfg[key]
+    cfg["entropy"] = {
+        "horizons": [10, 12],
+        "scenarios": 16,
+        "rho": 0.9,
+        "epsilon": 0.1,
+        "state_partition": {"low": [-1.0, -1.0], "high": [1.0, 1.0], "cells_per_axis": [2, 2]},
+        "noise_partition": {"low": [-0.1, -0.1], "high": [0.1, 0.1], "cells_per_axis": [2, 1]},
+        "dump_matrix": True,
+    }
+    for split in (1, 2):
+        cfg["entropy"]["split"] = split
+        out = tmp_path / f"split{split}"
+        config = _write(tmp_path, cfg, f"split{split}.json")
+        assert main(["entropy", "--config", config, "--seed", "0", "--out", str(out)]) == EXIT_OK
+        assert _digests(out) == _EXAMPLE1_ENTROPY_GOLDEN_SHA256
+
+
+def test_entropy_epsilon_too_large_is_config_error(tmp_path, capsys):
+    config = _write(tmp_path, _zoom_entropy_config(epsilon=0.9, horizons=[4]))
+    assert main(["entropy", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "epsilon=0.9 too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"thresholds": "lemmas"}, {"scenarios": 0}, {"horizons": [4, 0]}, {"split": 2}],
+)
+def test_entropy_bad_setting_is_config_error_before_any_simulation(tmp_path, capsys, setting):
+    config = _write(tmp_path, _zoom_entropy_config(**setting))
+    with mock.patch.object(stabilization_entropy, "run_closed_loops", side_effect=AssertionError):
+        assert main(["entropy", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_entropy_noise_partition_dim_must_match_noise_dim(tmp_path, capsys):
+    noise_partition = {"low": [-0.1, -0.1], "high": [0.1, 0.1], "cells_per_axis": [2, 2]}
+    config = _write(tmp_path, _zoom_entropy_config(noise_partition=noise_partition))
+    assert main(["entropy", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "noise_partition has dim 2, expected 1" in capsys.readouterr().err
+
+
+def test_entropy_every_scenario_diverged_exits_3(tmp_path, capsys):
+    cfg = _zoom_entropy_config(horizons=[4])
+    cfg["init"] = {"kind": "fixed", "values": [1e13]}  # beyond the divergence threshold
+    assert main(["entropy", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == EXIT_VIOLATION
+    err = capsys.readouterr().err
+    assert "assumption violation" in err and "T=4" in err
+
+
 def test_entropy_requires_section(tmp_path):
     assert (
         main(["entropy", "--config", _write(tmp_path, _ar1_config()), "--out", str(tmp_path / "o")])
@@ -358,19 +468,29 @@ def test_console_entry_help_via_subprocess():
 # Benchmark trace contract
 
 def test_benchmark_tracer_runs_simulate(tmp_path):
-    # perfbench/tracing.py wraps functions by name where the CLI looks them up;
-    # a renamed or removed one breaks it before any benchmark run does
-    trace = tmp_path / "trace.json"
-    config = _write(tmp_path, _ar1_config(horizon=50, paths=2))
+    # perfbench/tracing.py wraps functions by name where the CLI and the
+    # entropy module look them up; a renamed or removed one breaks it before
+    # any benchmark run does
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    result = subprocess.run(
-        [sys.executable, str(REPO / "perfbench" / "tracing.py"), str(trace),
-         "simulate", "--config", config, "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert result.returncode == EXIT_OK, result.stderr
-    record = json.loads(trace.read_text())
-    assert record["failures"] == []
-    assert "simulation.batch_rollout" in {span[0] for span in record["spans"]}
+    runs = [
+        ("simulate", _ar1_config(horizon=50, paths=2), {"simulation.batch_rollout"}),
+        (
+            "entropy",
+            _zoom_entropy_config(horizons=[4], scenarios=8),
+            {"stabilization_entropy.satisfaction_matrix", "stabilization_entropy.build_R_epsilon"},
+        ),
+    ]
+    for command, cfg, spans in runs:
+        trace = tmp_path / f"{command}_trace.json"
+        config = _write(tmp_path, cfg, f"{command}.json")
+        result = subprocess.run(
+            [sys.executable, str(REPO / "perfbench" / "tracing.py"), str(trace),
+             command, "--config", config, "--out", str(tmp_path / command)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        record = json.loads(trace.read_text())
+        assert record["failures"] == []
+        assert spans <= {span[0] for span in record["spans"]}

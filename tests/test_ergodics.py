@@ -48,6 +48,17 @@ def test_partition_upper_edge_is_overflow():
     assert part.cell_indices([[0.999999]])[0] == 3
 
 
+def test_cell_indices_reject_rows_of_the_wrong_width():
+    part = Partition(low=[-1.0, -1.0], high=[1.0, 1.0], cells_per_axis=(2, 2))
+    with pytest.raises(ValueError, match="width 2"):
+        part.cell_indices(np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="width 2"):
+        part.cell_indices(np.zeros((3, 3)))
+    line = Partition(low=[0.0], high=[1.0], cells_per_axis=(4,))
+    with pytest.raises(ValueError, match="width 1"):
+        line.cell_indices(np.zeros((3, 2)))
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         Partition(low=[0.0], high=[0.0], cells_per_axis=(1,))

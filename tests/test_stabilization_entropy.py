@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from quantstab import (
     CandidateControls,
-    CellFamily,
     InitSpec,
     NoiseSpec,
     Partition,
@@ -40,24 +39,17 @@ from quantstab.stabilization_entropy import (
 
 
 # --------------------------------------------------------------------------
-# Cell families
+# Noise cells
 
-def test_family_from_partition_and_locate():
-    family = CellFamily.from_partition(Partition(low=[0.0], high=[1.0], cells_per_axis=(4,)))
-    assert family.count == 4
-    idx = family.locate(np.array([[0.1], [0.6], [1.5], [np.inf]]))
-    assert idx.tolist() == [0, 2, -1, -1]
-
-
-def test_whole_space_family_contains_everything_finite():
-    family = CellFamily.whole_space(2)
-    idx = family.locate(np.array([[1e9, -1e9], [0.0, 0.0], [np.inf, 0.0], [-np.inf, 0.0], [np.nan, 0.0]]))
-    assert idx.tolist() == [0, 0, -1, 0, -1]
+def test_noise_cells_on_a_grid_mark_rows_in_no_cell_as_overflow():
+    part = Partition(low=[0.0], high=[1.0], cells_per_axis=(4,))
+    idx = stabilization_entropy._noise_cells(part, np.array([[0.1], [0.6], [1.5], [np.inf]]))
+    assert idx.tolist() == [0, 2, 4, 4]
 
 
-def test_zero_dimensional_family():
-    family = CellFamily.whole_space(0)
-    assert family.locate(np.zeros((5, 0))).tolist() == [0] * 5
+def test_noise_cells_without_partition_hold_everything_below_inf():
+    rows = np.array([[1e9, -1e9], [0.0, 0.0], [np.inf, 0.0], [-np.inf, 0.0], [np.nan, 0.0]])
+    assert stabilization_entropy._noise_cells(None, rows).tolist() == [0, 0, 1, 0, 1]
 
 
 def _oracle_grid_cell(low, high, cells, point):
@@ -102,7 +94,6 @@ def test_grid_cell_users_agree_with_scalar_rule(case):
     low, high, cells, points = case
     part = Partition(low=low, high=high, cells_per_axis=cells)
     expected = [_oracle_grid_cell(part.low, part.high, cells, p) for p in points]
-    assert CellFamily.from_partition(part).locate(points).tolist() == expected
     idx = part.cell_indices(points)
     assert np.where(idx == part.overflow_index, -1, idx).tolist() == expected
     bits = [c.bit_length() - 1 for c in cells]
@@ -118,63 +109,63 @@ def test_grid_cell_users_agree_with_scalar_rule(case):
 # Threshold construction
 
 def test_thresholds_zero_mass_cell_is_vacuous():
-    r = build_R_epsilon(np.array([[1.0, 0.0]]).T, np.array([1.0]), 0.05)
-    assert r[1, 0, 0] == 1.0
+    r = build_R_epsilon(np.array([1.0, 0.0]), np.array([1.0]), 0.05)
+    assert r[1, 0] == 1.0
 
 
 def test_thresholds_full_mass_cell_gets_epsilon():
-    r = build_R_epsilon(np.array([[1.0]]), np.array([1.0]), 0.05)
-    assert r[0, 0, 0] == 0.05
+    r = build_R_epsilon(np.array([1.0]), np.array([1.0]), 0.05)
+    assert r[0, 0] == 0.05
 
 
 def test_thresholds_interior_formula():
-    r = build_R_epsilon(np.array([[0.9]]), np.array([1.0]), 0.05)
-    assert r[0, 0, 0] == pytest.approx(1.05 * 0.1, abs=1e-15)
+    r = build_R_epsilon(np.array([0.9]), np.array([1.0]), 0.05)
+    assert r[0, 0] == pytest.approx(1.05 * 0.1, abs=1e-15)
 
 
 def test_thresholds_single_set_degenerates_to_epsilon_branch():
-    # d = e = f = 1 with all the mass in the one cell
-    r = build_R_epsilon(np.ones((1, 1)), np.ones(1), 0.02)
-    assert r.shape == (1, 1, 1) and r[0, 0, 0] == 0.02
+    # one state cell and one noise cell with all the mass in them
+    r = build_R_epsilon(np.ones(1), np.ones(1), 0.02)
+    assert r.shape == (1, 1) and r[0, 0] == 0.02
 
 
 def test_thresholds_epsilon_too_large_raises_with_offending_value():
-    q = np.full((10, 1), 0.01)
+    q = np.full(10, 0.01)
     with pytest.raises(ThresholdConstraintError, match="too large"):
         build_R_epsilon(q, np.array([1.0]), 0.05)
 
 
 def test_thresholds_validate_masses():
     with pytest.raises(ValueError):
-        build_R_epsilon(np.array([[1.5]]), np.array([1.0]), 0.05)
+        build_R_epsilon(np.array([1.5]), np.array([1.0]), 0.05)
     with pytest.raises(ValueError):
-        build_R_epsilon(np.array([[0.5]]), np.array([1.0]), 0.0)
+        build_R_epsilon(np.array([0.5]), np.array([1.0]), 0.0)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        build_R_epsilon(np.array([[0.5]]), np.array([1.0]), 0.05)
 
 
 def test_instance_threshold_constraints_checked():
-    d = CellFamily.from_partition(Partition(low=[0.0], high=[1.0], cells_per_axis=(2,)))
-    e = CellFamily.whole_space(0)
-    f = CellFamily.whole_space(1)
+    part = Partition(low=[0.0], high=[1.0], cells_per_axis=(2,))
     with pytest.raises(ThresholdConstraintError):
-        SpanningInstance(4, 1, d, e, f, 0.5, np.full((2, 1, 1), 0.2))  # sum(1-r) = 1.6
-    ok = SpanningInstance(4, 1, d, e, f, 0.5, np.full((2, 1, 1), 0.6))
-    assert ok.thresholds.shape == (2, 1, 1)
+        SpanningInstance(4, part, None, 0.5, np.full((2, 1), 0.2))  # sum(1-r) = 1.6
+    with pytest.raises(ValueError, match="shape"):
+        SpanningInstance(4, part, None, 0.5, np.full((2, 1, 1), 0.6))
+    ok = SpanningInstance(4, part, None, 0.5, np.full((2, 1), 0.6))
+    assert ok.thresholds.shape == (2, 1)
 
 
 # --------------------------------------------------------------------------
 # Frequency satisfaction
 
 def _trivial_instance(thresholds, horizon=10):
-    d = CellFamily.from_partition(Partition(low=[-1.0], high=[1.0], cells_per_axis=(2,)))
-    e = CellFamily.whole_space(0)
-    f = CellFamily.whole_space(1)
-    return SpanningInstance(horizon, 1, d, e, f, 0.5, np.asarray(thresholds, float))
+    part = Partition(low=[-1.0], high=[1.0], cells_per_axis=(2,))
+    return SpanningInstance(horizon, part, None, 0.5, np.asarray(thresholds, float))
 
 
 def test_resting_scenario_satisfies_tight_thresholds():
     model = SystemModel.from_text("states 1\nnoise 1\nx1' = x1 + 0*w1")
     # all mass in cell 1 ([0,1)); cell 0 is vacuous
-    inst = _trivial_instance([[[1.0]], [[0.02]]])
+    inst = _trivial_instance([[1.0], [0.02]])
     scenario = (np.array([0.5]), np.zeros((10, 1)))
     u = np.zeros((10, 1))
     assert satisfies_frequencies(model, u, scenario, inst)
@@ -182,7 +173,7 @@ def test_resting_scenario_satisfies_tight_thresholds():
 
 def test_vacuous_thresholds_accept_anything():
     model = SystemModel.from_text("states 1\nnoise 1\nx1' = 2*x1 + w1")
-    inst = _trivial_instance([[[1.0]], [[1.0]]])
+    inst = _trivial_instance([[1.0], [1.0]])
     scenario = (np.array([0.9]), np.random.default_rng(0).normal(size=(10, 1)))
     assert satisfies_frequencies(model, np.zeros((10, 1)), scenario, inst)
     assert satisfies_frequencies(model, np.full((10, 1), 3.3), scenario, inst)
@@ -191,11 +182,11 @@ def test_vacuous_thresholds_accept_anything():
 def test_insufficient_frequency_fails():
     # next state equals the noise, so the visited cells follow the noise path
     model = SystemModel.from_text("states 1\nnoise 1\nx1' = 0*x1 + w1")
-    inst = _trivial_instance([[[1.0]], [[0.5]]], horizon=10)  # need freq >= 0.5 in cell 1
+    inst = _trivial_instance([[1.0], [0.5]], horizon=10)  # need freq >= 0.5 in cell 1
     w = np.array([0.5, 0.5, 0.5, -1, -1, -1, -1, -1, -1, -1])[:, None]
     scenario = (np.array([0.5]), w)  # states: 0.5, 0.5, 0.5, 0.5, -1 ... -> 4/10 in cell 1
     assert not satisfies_frequencies(model, np.zeros((10, 1)), scenario, inst)
-    relaxed = _trivial_instance([[[1.0]], [[0.6]]], horizon=10)  # need only 0.4
+    relaxed = _trivial_instance([[1.0], [0.6]], horizon=10)  # need only 0.4
     assert satisfies_frequencies(model, np.zeros((10, 1)), scenario, relaxed)
 
 
@@ -205,7 +196,7 @@ def test_relaxing_thresholds_preserves_satisfaction():
     for _ in range(20):
         w = rng.uniform(-1, 1, (8, 1))
         scenario = (rng.uniform(-1, 1, 1), w)
-        r = rng.uniform(0.5, 1.0, (2, 1, 1))
+        r = rng.uniform(0.5, 1.0, (2, 1))
         tight = _trivial_instance(r, horizon=8)
         loose = _trivial_instance(np.minimum(r + 0.2, 1.0), horizon=8)
         u = np.zeros((8, 1))
@@ -230,8 +221,8 @@ def test_open_loop_blowup_lands_outside_all_cells(example2):
     u = np.zeros((6, 2))
     states = open_loop_states(example2, x0, w, u, 6)
     assert np.all(np.isinf(states[-1]))
-    fam = CellFamily.whole_space(2)
-    assert fam.locate(states[-1:])[0] == -1
+    part = Partition(low=[-1e300] * 2, high=[1e300] * 2, cells_per_axis=(1, 1))
+    assert part.cell_indices(states[-1:])[0] == part.overflow_index
 
 
 # --------------------------------------------------------------------------
@@ -239,17 +230,17 @@ def test_open_loop_blowup_lands_outside_all_cells(example2):
 
 def test_empty_candidate_set_never_spans():
     model = SystemModel.from_text("states 1\nnoise 1\nx1' = x1 + 0*w1")
-    inst = _trivial_instance([[[1.0]], [[1.0]]], horizon=5)
+    inst = _trivial_instance([[1.0], [1.0]], horizon=5)
     scen = ScenarioSet.sample(InitSpec.fixed([0.5]), NoiseSpec.zero(1), 5, 4, seed=0)
-    empty = CandidateControls(sequences=np.zeros((0, 5, 1)), provenance="grid")
+    empty = CandidateControls(sequences=np.zeros((0, 5, 1)))
     assert is_spanning(model, empty, inst, scen) == (False, 0.0)
 
 
 def test_single_covering_candidate_spans_fully():
     model = SystemModel.from_text("states 1\nnoise 1\nx1' = x1 + 0*w1")
-    inst = _trivial_instance([[[1.0]], [[1.0]]], horizon=5)
+    inst = _trivial_instance([[1.0], [1.0]], horizon=5)
     scen = ScenarioSet.sample(InitSpec.fixed([0.5]), NoiseSpec.zero(1), 5, 4, seed=0)
-    one = CandidateControls(sequences=np.zeros((1, 5, 1)), provenance="grid")
+    one = CandidateControls(sequences=np.zeros((1, 5, 1)))
     spanning, fraction = is_spanning(model, one, inst, scen)
     assert spanning and fraction == 1.0
     assert min_spanning_estimate(model, one, inst, scen, mode="exact") == 1
@@ -265,12 +256,11 @@ def test_lemma_construction_spans_for_stable_null_loop(ar1):
     policy = null_policy(2, 1)
     candidates, trajs = closed_loop_candidates(ar1, policy, scen)
     assert candidates.count == 1  # the null policy emits one sequence
-    d = CellFamily.from_partition(Partition(low=[-3.0], high=[3.0], cells_per_axis=(2,)))
-    template = SpanningTemplate(1, d, CellFamily.whole_space(0), CellFamily.whole_space(1), 0.5, 0.1)
-    from quantstab.stabilization_entropy import _joint_state_weights, _noise_weights
+    template = SpanningTemplate(Partition(low=[-3.0], high=[3.0], cells_per_axis=(2,)), None, 0.5, 0.1)
+    from quantstab.stabilization_entropy import _state_weights, _noise_weights
 
-    r = build_R_epsilon(_joint_state_weights(trajs, template, 0), _noise_weights(scen, template), 0.1)
-    inst = SpanningInstance(horizon, 1, template.d_family, template.e_family, template.f_family, 0.5, r)
+    r = build_R_epsilon(_state_weights(trajs, template, 0), _noise_weights(scen, template), 0.1)
+    inst = SpanningInstance(horizon, template.state_partition, None, 0.5, r)
     spanning, fraction = is_spanning(ar1, candidates, inst, scen)
     assert spanning
     assert fraction > 0.5
@@ -326,11 +316,11 @@ def test_infeasible_returns_infinity():
 def test_enlarging_candidate_set_never_reduces_coverage():
     rng = np.random.default_rng(7)
     model = SystemModel.from_text("states 1\nnoise 1\nx1' = 0*x1 + w1")
-    inst = _trivial_instance([[[1.0]], [[0.7]]], horizon=6)
+    inst = _trivial_instance([[1.0], [0.7]], horizon=6)
     scen = ScenarioSet.sample(InitSpec.uniform_box([-1], [1]), NoiseSpec.uniform(1, -1, 1), 6, 10, seed=1)
     seqs = rng.uniform(-1, 1, (6, 6, 1))
-    small = CandidateControls(seqs[:3], "grid")
-    large = CandidateControls(seqs, "grid")
+    small = CandidateControls(seqs[:3])
+    large = CandidateControls(seqs)
     _, frac_small = is_spanning(model, small, inst, scen)
     _, frac_large = is_spanning(model, large, inst, scen)
     assert frac_large >= frac_small
@@ -343,8 +333,7 @@ def test_entropy_rate_doubling_zoom_structural_caps(doubling):
     noise = NoiseSpec.uniform(1, -0.05, 0.05)
     init = InitSpec.uniform_box([-1], [1])
     policy = zoom_policy(doubling, 4, 0.75, 3.0, 2.0, noise_mean=noise.mean)
-    d = CellFamily.from_partition(Partition(low=[-4.0], high=[4.0], cells_per_axis=(2,)))
-    template = SpanningTemplate(1, d, CellFamily.whole_space(0), CellFamily.whole_space(1), 0.75, 0.3)
+    template = SpanningTemplate(Partition(low=[-4.0], high=[4.0], cells_per_axis=(2,)), None, 0.75, 0.3)
     points = entropy_rate(doubling, policy, noise, init, template, [4, 6, 8], 32, seed=9)
     assert [p.horizon for p in points] == [4, 6, 8]
     for point in points:
@@ -359,8 +348,7 @@ def test_entropy_rate_vacuous_thresholds_give_rate_zero(ar1):
     noise = NoiseSpec.gaussian(1, 0.0, 0.5)
     init = InitSpec.uniform_box([-1], [1])
     policy = null_policy(2, 1)
-    d = CellFamily.from_partition(Partition(low=[-3.0], high=[3.0], cells_per_axis=(2,)))
-    template = SpanningTemplate(1, d, CellFamily.whole_space(0), CellFamily.whole_space(1), 0.5, 0.1)
+    template = SpanningTemplate(Partition(low=[-3.0], high=[3.0], cells_per_axis=(2,)), None, 0.5, 0.1)
     points = entropy_rate(ar1, policy, noise, init, template, [4, 8], 16, seed=3, thresholds="vacuous")
     for point in points:
         assert point.s_estimate == 1
@@ -371,8 +359,7 @@ def test_entropy_rate_deterministic_in_seed(ar1):
     noise = NoiseSpec.gaussian(1, 0.0, 0.5)
     init = InitSpec.uniform_box([-1], [1])
     policy = null_policy(4, 1)
-    d = CellFamily.from_partition(Partition(low=[-3.0], high=[3.0], cells_per_axis=(2,)))
-    template = SpanningTemplate(1, d, CellFamily.whole_space(0), CellFamily.whole_space(1), 0.75, 0.3)
+    template = SpanningTemplate(Partition(low=[-3.0], high=[3.0], cells_per_axis=(2,)), None, 0.75, 0.3)
     a = entropy_rate(ar1, policy, noise, init, template, [6], 16, seed=5)
     b = entropy_rate(ar1, policy, noise, init, template, [6], 16, seed=5)
     assert a == b
@@ -383,7 +370,6 @@ def test_closed_loop_candidates_dedupe(ar1):
     candidates, trajs = closed_loop_candidates(ar1, null_policy(2, 1), scen)
     assert candidates.count == 1  # all-null sequences collapse to one
     assert len(trajs) == 8
-    assert candidates.provenance == "policy"
 
 
 def test_closed_loop_candidates_step_scenarios_as_single_loops(doubling):
@@ -403,7 +389,7 @@ def test_closed_loop_candidates_step_scenarios_as_single_loops(doubling):
 def test_satisfaction_matrix_shape(ar1):
     scen = ScenarioSet.sample(InitSpec.fixed([0.0]), NoiseSpec.gaussian(1), 4, 5, seed=0)
     candidates, _ = closed_loop_candidates(ar1, null_policy(2, 1), scen)
-    inst = _trivial_instance([[[1.0]], [[1.0]]], horizon=4)
+    inst = _trivial_instance([[1.0], [1.0]], horizon=4)
     matrix = satisfaction_matrix(ar1, candidates, inst, scen)
     assert matrix.shape == (1, 5)
     assert matrix.all()
@@ -429,15 +415,14 @@ def _oracle_states(model, x0, w_path, u_seq, horizon):
     return states
 
 
-def _oracle_cell(family, point):
-    part = family.partition
+def _oracle_cell(part, point):
     if part is None:
         return 0 if all(x < math.inf for x in point) else -1
     return _oracle_grid_cell(part.low, part.high, part.cells_per_axis, point)
 
 
 def _oracle_matrix(model, candidates, inst, scen):
-    T, m = inst.horizon, inst.m_split
+    T = inst.horizon
     out = np.zeros((candidates.count, scen.count), dtype=bool)
     for i in range(candidates.count):
         for j in range(scen.count):
@@ -446,9 +431,8 @@ def _oracle_matrix(model, candidates, inst, scen):
             counts = np.zeros(inst.thresholds.shape)
             for t in range(T):
                 cell = (
-                    _oracle_cell(inst.d_family, states[t, :m]),
-                    _oracle_cell(inst.e_family, states[t, m:]),
-                    _oracle_cell(inst.f_family, w_path[t]),
+                    _oracle_cell(inst.state_partition, states[t]),
+                    _oracle_cell(inst.noise_partition, w_path[t]),
                 )
                 if min(cell) >= 0:
                     counts[cell] += 1
@@ -466,21 +450,22 @@ def _lockstep_model(name):
 
 
 def _grid(dim, cells):
-    return CellFamily.from_partition(Partition(low=[-2.0] * dim, high=[2.0] * dim, cells_per_axis=cells))
+    return Partition(low=[-2.0] * dim, high=[2.0] * dim, cells_per_axis=cells)
 
 
-def _lockstep_instance(model, horizon, targets):
-    """Split 1; a grid e-family when there is a second coordinate; a noise grid.
+def _lockstep_instance(model, horizon, targets, noise_grid=True):
+    """Two cells on every state axis; two noise cells on the first noise axis,
+    or without ``noise_grid`` the whole noise space as one cell.
 
-    ``targets`` maps flat (d, e, f) cells to thresholds; every other cell is vacuous.
+    ``targets`` maps flat (state, noise) cells to thresholds; every other cell is vacuous.
     """
-    d = _grid(1, (2,))
-    e = _grid(1, (2,)) if model.n == 2 else CellFamily.whole_space(0)
-    f = _grid(model.noise_dim, (2,) + (1,) * (model.noise_dim - 1))
-    r = np.ones(d.count * e.count * f.count)
+    state = _grid(model.n, (2,) * model.n)
+    noise = _grid(model.noise_dim, (2,) + (1,) * (model.noise_dim - 1)) if noise_grid else None
+    shape = (state.n_boxes, noise.n_boxes if noise_grid else 1)
+    r = np.ones(shape[0] * shape[1])
     for cell, level in targets:
         r[cell % len(r)] = level
-    return SpanningInstance(horizon, 1, d, e, f, 0.5, r.reshape(d.count, e.count, f.count))
+    return SpanningInstance(horizon, state, noise, 0.5, r.reshape(shape))
 
 
 def _full_arrays(shape, elements):
@@ -505,7 +490,7 @@ def _lockstep_cases(draw):
     pair = draw(st.lists(st.tuples(st.integers(0, 7), level), min_size=2, max_size=2))
     targets = [[(cell, draw(level))] for cell in range(8)] + [pair]
     block = draw(st.integers(1, 13))
-    return model, CandidateControls(seqs, "grid"), targets, ScenarioSet(x0s, ws), block
+    return model, CandidateControls(seqs), targets, ScenarioSet(x0s, ws), block
 
 
 def _pinned_case(name, horizon, n_cand, block):
@@ -515,7 +500,7 @@ def _pinned_case(name, horizon, n_cand, block):
     scen = ScenarioSet(x0s, rng.uniform(-2.5, 2.5, (2, horizon, model.noise_dim)))
     seqs = rng.choice([-1e308, -0.7, 0.0, 0.3, 1e308], size=(n_cand, horizon, model.control_dim))
     targets = [[(cell, 0.8)] for cell in range(8)] + [[(2, 0.7), (5, 0.9)]]
-    return model, CandidateControls(seqs, "grid"), targets, scen, block
+    return model, CandidateControls(seqs), targets, scen, block
 
 
 @settings(max_examples=50, deadline=None)
@@ -527,8 +512,9 @@ def _pinned_case(name, horizon, n_cand, block):
 def test_lockstep_matrix_matches_scalar_oracle(case):
     model, candidates, targets, scen, block = case
     horizon = scen.horizon
-    for cells in targets:
-        inst = _lockstep_instance(model, horizon, cells)
+    # the whole noise space as one cell, then a noise grid for every target set
+    for cells, noise_grid in [(targets[-1], False)] + [(cells, True) for cells in targets]:
+        inst = _lockstep_instance(model, horizon, cells, noise_grid)
         with mock.patch.object(stabilization_entropy, "PAIR_BLOCK", block):
             matrix = satisfaction_matrix(model, candidates, inst, scen)
         assert matrix.shape == (candidates.count, scen.count)
