@@ -22,6 +22,7 @@ from .dynamics import (
     SystemModel,
     catalog_model,
     catalog_names,
+    falsify_floors,
     gamma_falsify,
     inverse_permute,
     log2_abs_det,

@@ -7,7 +7,8 @@ refined bound is the maximum over the declared subsets; the classical bound is
 the full-state subset. With common random numbers all subsets share one
 (x, w) sample set, and one Jacobian evaluation on it, which turns
 cross-subset differences into per-sample algebraic identities instead of
-noisy estimates.
+noisy estimates; a declared full-state subset then gives the classical bound
+without a second evaluation.
 
 The histogram surrogate for the asymptotic mean introduces a bias that is
 reported as a caveat (overflow-mass warnings), not corrected.
@@ -200,10 +201,15 @@ def refined_bound(
         )
     best = min(ok, key=lambda e: (-e.mean, e.p))
 
-    try:
-        classical, _ = _mean_stderr(values(full, len(gamma.subsets)))
-    except SingularMatrixError:
-        classical = None
+    declared_full = next((e for e in estimates if e.p == full.p), None)
+    if shared is not None and declared_full is not None:
+        # its values are the full state's, read off the same Jacobian array
+        classical = declared_full.mean
+    else:
+        try:
+            classical, _ = _mean_stderr(values(full, len(gamma.subsets)))
+        except SingularMatrixError:
+            classical = None
 
     violation = capacity is not None and best.mean > capacity + VIOLATION_STDERRS * best.stderr
     return BoundReport(

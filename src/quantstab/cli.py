@@ -21,7 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .capacity_bounds import refined_bound
-from .dynamics import (
+# gamma_falsify stays importable from this module, unused: perfbench/tracing.py
+# wraps it here
+from .dynamics import (  # noqa: F401
     GammaDeclaration,
     IndexSubset,
     SingularMatrixError,
@@ -29,6 +31,7 @@ from .dynamics import (
     catalog_model,
     catalog_names,
     default_falsification_sampler,
+    falsify_floors,
     gamma_falsify,
 )
 from .ergodics import (
@@ -108,6 +111,10 @@ configuration file keys (JSON object):
                      (1..N) is checked but changes no output
   diagnose           {"checkpoints":[..]}
 
+int keys (seed, horizon, paths, noise dim, policy m, n_mc, bound seed,
+falsify samples, horizons, scenarios, split) also take integral floats such
+as 1e6; any other value is a config error.
+
 subcommands need: simulate -> model noise init policy horizon paths seed;
 bound -> simulate keys + partition gamma [bound falsify]; entropy -> simulate
 keys + entropy; diagnose -> simulate keys + partition [diagnose].
@@ -127,6 +134,15 @@ def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"missing key {key!r} in {where}")
     return section[key]
+
+
+def _integer(value, key: str) -> int:
+    """A count or seed: an int, or a float with no fractional part (1e6)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
 _TOP_KEYS = {
@@ -171,14 +187,14 @@ def _build_noise(section: dict) -> NoiseSpec:
         if family == "gaussian":
             _check_keys(section, {"family", "mean", "std", "dim"}, "noise")
             return NoiseSpec.gaussian(
-                int(_require(section, "dim", "noise")),
+                _integer(_require(section, "dim", "noise"), "noise.dim"),
                 section.get("mean", 0.0),
                 section.get("std", 1.0),
             )
         if family == "uniform":
             _check_keys(section, {"family", "low", "high", "dim"}, "noise")
             return NoiseSpec.uniform(
-                int(_require(section, "dim", "noise")),
+                _integer(_require(section, "dim", "noise"), "noise.dim"),
                 _require(section, "low", "noise"),
                 _require(section, "high", "noise"),
             )
@@ -187,6 +203,8 @@ def _build_noise(section: dict) -> NoiseSpec:
             return NoiseSpec.atoms(
                 _require(section, "values", "noise"), _require(section, "probs", "noise")
             )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"bad noise spec: {exc}") from exc
     raise ConfigError(f"unknown noise family {family!r}")
@@ -236,7 +254,8 @@ def _build_policy(section: dict, model: SystemModel, noise: NoiseSpec) -> Coding
     try:
         if kind == "null":
             _check_keys(section, {"kind", "m"}, "policy")
-            return null_policy(int(_require(section, "m", "policy")), model.control_dim)
+            m = _integer(_require(section, "m", "policy"), "policy.m")
+            return null_policy(m, model.control_dim)
         if kind == "uniform_quantizer":
             _check_keys(
                 section,
@@ -250,7 +269,7 @@ def _build_policy(section: dict, model: SystemModel, noise: NoiseSpec) -> Coding
                 _require(section, "bits_per_axis", "policy"),
                 target=section.get("target"),
                 noise_mean=noise.mean,
-                m=section.get("m"),
+                m=None if section.get("m") is None else _integer(section["m"], "policy.m"),
             )
         if kind == "zoom":
             _check_keys(
@@ -260,7 +279,7 @@ def _build_policy(section: dict, model: SystemModel, noise: NoiseSpec) -> Coding
             )
             return zoom_policy(
                 model,
-                int(_require(section, "m", "policy")),
+                _integer(_require(section, "m", "policy"), "policy.m"),
                 float(_require(section, "alpha", "policy")),
                 float(_require(section, "beta", "policy")),
                 float(_require(section, "initial_halfwidth", "policy")),
@@ -321,7 +340,7 @@ class Experiment:
 
         def pick(key, fallback):
             value = overrides.get(key)
-            return int(fallback() if value is None else value)
+            return _integer(fallback() if value is None else value, key)
 
         self.seed = pick("seed", lambda: raw.get("seed", 0))
         self.horizon = pick("horizon", lambda: self._get_top("horizon"))
@@ -416,9 +435,9 @@ def cmd_bound(exp: Experiment, out: Path, verbose: bool) -> int:
         raise ConfigError("the bound subcommand needs 'partition' and 'gamma' sections")
     section = exp.raw.get("bound", {})
     _check_keys(section, {"n_mc", "common_random_numbers", "seed"}, "bound")
-    n_mc = int(section.get("n_mc", 100_000))
+    n_mc = _integer(section.get("n_mc", 100_000), "bound.n_mc")
     crn = bool(section.get("common_random_numbers", True))
-    mc_seed = int(section.get("seed", exp.seed))
+    mc_seed = _integer(section.get("seed", exp.seed), "bound.seed")
 
     findings = []
 
@@ -431,10 +450,11 @@ def cmd_bound(exp: Experiment, out: Path, verbose: bool) -> int:
             halfwidth=float(falsify_cfg.get("box_halfwidth", 100.0)),
             cauchy_fraction=float(falsify_cfg.get("cauchy_fraction", 0.1)),
         )
-        samples = int(falsify_cfg.get("samples", 100_000))
+        samples = _integer(falsify_cfg.get("samples", 100_000), "falsify.samples")
         falsification = []
-        for subset in exp.gamma:
-            result = gamma_falsify(exp.model, subset, sampler, n=samples, seed=mc_seed)
+        subsets = exp.gamma.subsets
+        results = falsify_floors(exp.model, subsets, sampler, n=samples, seed=mc_seed)
+        for subset, result in zip(subsets, results):
             falsification.append(
                 {
                     "p": list(subset.p),
@@ -512,16 +532,19 @@ def cmd_entropy(exp: Experiment, out: Path, verbose: bool) -> int:
         },
         "entropy",
     )
-    horizons = [int(t) for t in _require(section, "horizons", "entropy")]
+    horizons = _require(section, "horizons", "entropy")
+    if not isinstance(horizons, list):
+        raise ConfigError(f"entropy.horizons must be a list, got {horizons!r}")
+    horizons = [_integer(t, "entropy.horizons") for t in horizons]
     if any(t < 1 for t in horizons):
         raise ConfigError("every entropy horizon must be at least 1")
-    n_scenarios = int(_require(section, "scenarios", "entropy"))
+    n_scenarios = _integer(_require(section, "scenarios", "entropy"), "entropy.scenarios")
     if n_scenarios < 1:
         raise ConfigError("entropy scenarios must be at least 1")
     thresholds = section.get("thresholds", "lemma")
     if thresholds not in ("lemma", "vacuous"):
         raise ConfigError(f"unknown entropy thresholds mode {thresholds!r}")
-    split = int(section.get("split", exp.model.n))
+    split = _integer(section.get("split", exp.model.n), "entropy.split")
     if not (1 <= split <= exp.model.n):
         raise ConfigError(f"entropy split must lie in [1, {exp.model.n}]")
     state_part = _build_partition(

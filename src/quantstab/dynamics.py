@@ -32,6 +32,7 @@ __all__ = [
     "log2_abs_det",
     "log2_abs_det_many",
     "gamma_falsify",
+    "falsify_floors",
     "default_falsification_sampler",
     "finite_difference_jacobian",
 ]
@@ -535,6 +536,60 @@ def default_falsification_sampler(
     return sample
 
 
+def falsify_floors(
+    model: SystemModel,
+    subsets: Sequence[IndexSubset],
+    sampler: Optional[Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]] = None,
+    n: int = 100_000,
+    seed: int = 0,
+    chunk: int = 20_000,
+) -> list[FalsificationResult]:
+    """Search one sample set for a point with |det| <= each subset's floor.
+
+    Each chunk of samples is drawn once and its full Jacobians evaluated
+    once; every subset still searching reads its block off them. A subset
+    stops at the chunk holding its first counterexample (``n_samples`` counts
+    the samples drawn up to then), otherwise it reports the minimum
+    determinant magnitude over all n samples. The pass ends when every subset
+    has stopped or n samples are drawn, so each result is the one a pass for
+    that subset alone would give.
+    """
+    subsets = list(subsets)
+    if n < 1:
+        raise ValueError("need at least one sample")
+    for subset in subsets:
+        if subset.c_p is None:
+            raise ValueError(f"subset {subset.p} has no declared floor to falsify")
+    if sampler is None:
+        sampler = default_falsification_sampler(model)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+
+    best = [math.inf] * len(subsets)
+    at: list = [(None, None)] * len(subsets)
+    results: list[Optional[FalsificationResult]] = [None] * len(subsets)
+    live = list(range(len(subsets)))
+    done = 0
+    while done < n and live:
+        count = min(chunk, n - done)
+        xs, ws = sampler(rng, count)
+        jacs = model.jacobian_many(xs, ws)
+        for k in list(live):
+            subset = subsets[k]
+            dets = _abs_dets(jacs, subset.p0)
+            dets[~np.isfinite(dets)] = math.inf
+            i = int(np.argmin(dets))
+            if dets[i] < best[k]:
+                best[k] = float(dets[i])
+                at[k] = (xs[i].copy(), ws[i].copy())
+            if best[k] <= subset.c_p:
+                results[k] = FalsificationResult(subset, True, best[k], *at[k], done + count)
+                live.remove(k)
+        done += count
+    for k in live:
+        results[k] = FalsificationResult(subsets[k], False, best[k], *at[k], n)
+    return results
+
+
 def gamma_falsify(
     model: SystemModel,
     subset: IndexSubset,
@@ -543,46 +598,10 @@ def gamma_falsify(
     seed: int = 0,
     chunk: int = 20_000,
 ) -> FalsificationResult:
-    """Search for a sampled point with |det| <= the declared floor.
+    """Search for a sampled point with |det| <= the declared floor: the
+    one-subset case of :func:`falsify_floors`.
 
     Returns the first counterexample found, otherwise the minimum determinant
     magnitude observed over all n samples.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    if subset.c_p is None:
-        raise ValueError(f"subset {subset.p} has no declared floor to falsify")
-    if sampler is None:
-        sampler = default_falsification_sampler(model)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    best = math.inf
-    best_x = best_w = None
-    done = 0
-    while done < n:
-        count = min(chunk, n - done)
-        xs, ws = sampler(rng, count)
-        dets = _abs_dets(model.jacobian_many(xs, ws), subset.p0)
-        dets[~np.isfinite(dets)] = math.inf
-        i = int(np.argmin(dets))
-        if dets[i] < best:
-            best = float(dets[i])
-            best_x, best_w = xs[i].copy(), ws[i].copy()
-        if best <= subset.c_p:
-            return FalsificationResult(
-                subset=subset,
-                falsified=True,
-                min_abs_det=best,
-                at_x=best_x,
-                at_w=best_w,
-                n_samples=done + count,
-            )
-        done += count
-    return FalsificationResult(
-        subset=subset,
-        falsified=False,
-        min_abs_det=best,
-        at_x=best_x,
-        at_w=best_w,
-        n_samples=n,
-    )
+    return falsify_floors(model, [subset], sampler, n, seed, chunk)[0]

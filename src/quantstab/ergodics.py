@@ -139,8 +139,13 @@ class EmpiricalMeasure:
             raise ValueError("measure has no in-box mass to sample from")
         cells = rng.choice(self.partition.n_boxes, size=count, p=in_box / total)
         multi = cell_coords(cells, self.partition.cells_per_axis)
-        offsets = rng.uniform(0.0, 1.0, (count, self.partition.dim))
-        return self.partition.low + (multi + offsets) * self.partition.width
+        # low + (multi + offsets) * width, built in the offsets array: IEEE
+        # sums and products commute, so the bits are the same
+        states = rng.uniform(0.0, 1.0, (count, self.partition.dim))
+        states += multi
+        states *= self.partition.width
+        states += self.partition.low
+        return states
 
 
 def _as_trajectories(trajectories) -> list[Trajectory]:

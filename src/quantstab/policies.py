@@ -225,7 +225,10 @@ class UniformQuantizerPolicy(CodingPolicy):
         rows = np.minimum(qs, self.n_cells + 1) - 1
         missing = rows[~self._filled[rows]]
         if missing.size:
-            missing = np.unique(missing)
+            # sorted and unique, as np.unique, which would import numpy.ma
+            mark = np.zeros(self.n_cells + 1, dtype=bool)
+            mark[missing] = True
+            missing = np.flatnonzero(mark)
             self._controls[missing] = _cancelling(self, self._centers(missing + 1))[1]
             self._filled[missing] = True
         return self._controls[rows]

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from quantstab import (
     refined_bound,
     subset_bound,
 )
-from quantstab import Partition
+from quantstab import Partition, capacity_bounds
 from conftest import uniform_measure
 
 
@@ -82,6 +83,29 @@ def test_singleton_full_gamma_report_equals_classical(example2, make_uniform_mea
     report = refined_bound(example2, gamma, measure, NOISE1, 5000, seed=3)
     assert report.max_bound == report.classical_bound
     assert report.argmax == (1, 2)
+
+
+def test_declared_full_state_subset_is_the_classical_bound_bitwise(example2, make_uniform_measure):
+    measure = make_uniform_measure([-2, -2], [2, 2], (4, 4))
+    partial = (IndexSubset((1,), 2, 0.9), IndexSubset((2,), 2, 0.4))
+    with_full = GammaDeclaration(partial + (IndexSubset((1, 2), 2, 0.4),))
+    calls = mock.patch.object(
+        capacity_bounds, "log2_abs_det_many", wraps=capacity_bounds.log2_abs_det_many
+    )
+    with calls as reused:
+        report = refined_bound(example2, with_full, measure, NOISE1, 5000, seed=3)
+    assert reused.call_count == 3  # no fourth evaluation for the classical bound
+    with calls as fresh:
+        alone = refined_bound(example2, GammaDeclaration(partial), measure, NOISE1, 5000, seed=3)
+    assert fresh.call_count == 3
+    by_p = {e.p: e for e in report.subsets}
+    assert report.classical_bound == by_p[(1, 2)].mean
+    assert np.float64(report.classical_bound).tobytes() == np.float64(alone.classical_bound).tobytes()
+    # without common random numbers the classical bound keeps its own draw
+    independent = refined_bound(
+        example2, with_full, measure, NOISE1, 5000, seed=3, common_random_numbers=False
+    )
+    assert independent.classical_bound != {e.p: e for e in independent.subsets}[(1, 2)].mean
 
 
 def test_without_crn_estimates_differ_statistically(example2, make_uniform_measure):
@@ -192,6 +216,13 @@ def test_per_subset_errors_do_not_abort_others(make_uniform_measure):
     assert by_p[(2,)].error is None and by_p[(2,)].mean == 1.0
     assert report.max_bound == 1.0 and report.argmax == (2,)
     assert report.classical_bound is None  # full jacobian is singular too
+
+    # a declared full-state subset that fails leaves no classical bound either
+    full = IndexSubset((1, 2), 2, 0.1)
+    report = refined_bound(model, GammaDeclaration(gamma.subsets + (full,)), measure, NOISE2, 500,
+                           seed=1, capacity=3.0)
+    assert {e.p: e for e in report.subsets}[(1, 2)].error is not None
+    assert report.classical_bound is None and report.argmax == (2,)
 
 
 def test_all_subsets_failing_raises(make_uniform_measure):

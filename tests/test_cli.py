@@ -264,6 +264,144 @@ def test_bound_surviving_floor_exits_0(tmp_path):
     assert falsification["subsets"][0]["min_abs_det"] == 0.5
 
 
+def _mc_bound_config(crn=True, gamma=None):
+    # the mc-bound benchmark's example2 setting cut down: 4 paths of 400
+    # steps, 20,000 Monte Carlo samples and 50,000 falsification samples,
+    # which are three chunks of at most 20,000
+    cfg = json.loads((REPO / "configs" / "example2_bound.json").read_text())
+    cfg.update(horizon=400, paths=4)
+    cfg["bound"] = {"n_mc": 20_000, "common_random_numbers": crn}
+    cfg["falsify"]["samples"] = 50_000
+    if gamma is not None:
+        cfg["gamma"] = gamma
+    return cfg
+
+
+# |det| is at least 1 for p=[1], 0.5 everywhere for p=[2] and at least 0.5
+# for p=[1, 2]: the last two floors break, the first survives
+_BREAKING_FLOORS = [{"p": [1], "c_p": 1.0}, {"p": [2], "c_p": 0.5}, {"p": [1, 2], "c_p": 0.55}]
+
+# SHA-256 of the `bound` outputs of _mc_bound_config at seed 0, taken with
+# NumPy 2.4.6 on Linux x86-64 from the code that ran one falsification search
+# per subset and evaluated the classical bound apart from a declared
+# full-state subset. The same caveat about NumPy's streams applies as for the
+# `simulate` digests above.
+_FALSIFICATION_SHA256 = "3280a20ae02789827056f8bd6f6755bb8a213fb47ab453465deb547528f021de"
+_CRN_REPORT_SHA256 = "90dcb58e9ecec4dd6917df5569932369c33e717d8f26ee021ed95a28ab8e52d4"
+_MC_BOUND_GOLDEN_SHA256 = {
+    "crn": (
+        EXIT_OK,
+        {"bound_report.json": _CRN_REPORT_SHA256, "falsification.json": _FALSIFICATION_SHA256},
+    ),
+    "independent": (
+        EXIT_OK,
+        {
+            "bound_report.json": "07e925123c163199aa79c9f2f07321e82c906459efb7778abb82c9bceaa47a50",
+            "falsification.json": _FALSIFICATION_SHA256,
+        },
+    ),
+    "breaking floors": (
+        EXIT_VIOLATION,
+        {
+            "bound_report.json": _CRN_REPORT_SHA256,
+            "falsification.json": "839217fce954d85e2fdf4672f546a950b1a02defe7cf37cf04aafa6f19dd1a08",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, cfg",
+    [
+        ("crn", _mc_bound_config()),
+        ("independent", _mc_bound_config(crn=False)),
+        ("breaking floors", _mc_bound_config(gamma=_BREAKING_FLOORS)),
+    ],
+)
+def test_bound_outputs_match_golden_digests(tmp_path, case, cfg):
+    out = tmp_path / "out"
+    code = main(["bound", "--config", _write(tmp_path, cfg), "--seed", "0", "--out", str(out)])
+    assert (code, _digests(out)) == _MC_BOUND_GOLDEN_SHA256[case]
+
+
+def _tiny_example2_bound_config():
+    cfg = json.loads((REPO / "configs" / "example2_bound.json").read_text())
+    cfg.update(horizon=200, paths=2)
+    cfg["bound"]["n_mc"] = 2000
+    cfg["falsify"]["samples"] = 3000
+    return cfg
+
+
+def test_uniform_quantizer_bound_run_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs about 15 ms and 1.8 MB to import; np.unique loads it
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    if loaded.stdout.strip() == "True":
+        pytest.skip("importing numpy alone loads numpy.ma here")
+    args = ["bound", "--config", _write(tmp_path, _tiny_example2_bound_config()), "--out", str(tmp_path / "o")]
+    run = (
+        "import sys\nfrom quantstab.cli import main\n"
+        f"code = main({args!r})\nprint(code, 'numpy.ma' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", run], capture_output=True, text=True, env=env)
+    assert result.stdout.split() == [str(EXIT_OK), "False"], result.stderr
+
+
+# --------------------------------------------------------------------------
+# integer settings
+
+def _set(cfg, path, value):
+    *outer, last = path
+    for key in outer:
+        cfg = cfg.setdefault(key, {})
+    cfg[last] = value
+
+
+def _ar1_bound_config():
+    return _ar1_config(gamma=[{"p": [1], "c_p": 0.4}], bound={"n_mc": 1000}, falsify={"samples": 1000})
+
+
+@pytest.mark.parametrize(
+    "command, path, value, key",
+    [
+        ("entropy", ("entropy", "horizons"), [4.7], "entropy.horizons"),
+        ("entropy", ("entropy", "scenarios"), 8.9, "entropy.scenarios"),
+        ("entropy", ("entropy", "split"), 1.5, "entropy.split"),
+        ("entropy", ("horizon",), 300.5, "horizon"),
+        ("entropy", ("seed",), True, "seed"),
+        ("entropy", ("paths",), "2", "paths"),
+        ("entropy", ("policy", "m"), 4.5, "policy.m"),
+        ("entropy", ("noise", "dim"), 1.5, "noise.dim"),
+        ("bound", ("bound", "n_mc"), 1000.5, "bound.n_mc"),
+        ("bound", ("bound", "seed"), "3", "bound.seed"),
+        ("bound", ("falsify", "samples"), True, "falsify.samples"),
+        ("simulate", ("policy", "m"), 2.5, "policy.m"),
+    ],
+)
+def test_non_integer_count_is_config_error(tmp_path, capsys, command, path, value, key):
+    cfg = _zoom_entropy_config() if command == "entropy" else _ar1_bound_config()
+    _set(cfg, path, value)
+    with mock.patch.object(stabilization_entropy, "run_closed_loops", side_effect=AssertionError):
+        code = main([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {key} must be an integer" in err
+
+
+def test_integral_float_counts_are_accepted(tmp_path):
+    # JSON writers may print 1e6 for a count
+    as_ints, as_floats = _ar1_bound_config(), _ar1_bound_config()
+    for path, value in [(("seed",), 5.0), (("horizon",), 4e2), (("bound", "n_mc"), 1e3),
+                        (("bound", "seed"), 9.0), (("falsify", "samples"), 1e3)]:
+        _set(as_floats, path, value)
+    _set(as_ints, ("bound", "seed"), 9)
+    out1, out2 = tmp_path / "ints", tmp_path / "floats"
+    assert main(["bound", "--config", _write(tmp_path, as_ints, "i.json"), "--out", str(out1)]) == EXIT_OK
+    assert main(["bound", "--config", _write(tmp_path, as_floats, "f.json"), "--out", str(out2)]) == EXIT_OK
+    assert _read_tree(out1) == _read_tree(out2)
+
+
 # --------------------------------------------------------------------------
 # entropy
 
@@ -479,6 +617,7 @@ def test_benchmark_tracer_runs_simulate(tmp_path):
             _zoom_entropy_config(horizons=[4], scenarios=8),
             {"stabilization_entropy.satisfaction_matrix", "stabilization_entropy.build_R_epsilon"},
         ),
+        ("bound", _tiny_example2_bound_config(), {"capacity_bounds.refined_bound"}),
     ]
     for command, cfg, spans in runs:
         trace = tmp_path / f"{command}_trace.json"

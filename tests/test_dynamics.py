@@ -1,18 +1,22 @@
 import math
 from fractions import Fraction
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantstab import (
+    FalsificationResult,
     GammaDeclaration,
     IndexSubset,
     SingularMatrixError,
     SystemModel,
     catalog_model,
     catalog_names,
+    falsify_floors,
     gamma_falsify,
     inverse_permute,
     log2_abs_det,
@@ -21,6 +25,8 @@ from quantstab import (
     subset_map,
 )
 from quantstab.dynamics import (
+    _abs_dets,
+    default_falsification_sampler,
     finite_difference_jacobian,
     log2_abs_det_many,
 )
@@ -427,3 +433,131 @@ def test_falsify_requires_declared_floor(example2):
         gamma_falsify(example2, IndexSubset(p=(1,), n=2), n=10, seed=0)
     with pytest.raises(ValueError, match="at least one sample"):
         gamma_falsify(example2, IndexSubset(p=(1,), n=2, c_p=0.5), n=0, seed=0)
+
+
+# --------------------------------------------------------------------------
+# One falsification pass for every subset
+
+_FLOOR_MODEL = SystemModel.from_text(
+    "states 3\nnoise 1\nx1' = x1^3 + x2 + w1\nx2' = x1*x2\nx3' = x3^2 + x1"
+)
+# blocks of one, two and three indices: both closed forms and LU
+_FLOOR_BLOCKS = [(1,), (2,), (1, 2), (2, 3), (1, 2, 3)]
+_FLOOR_SAMPLER = default_falsification_sampler(_FLOOR_MODEL, halfwidth=2.0)
+
+
+def _chunks(n, seed, chunk):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    for done in range(0, n, chunk):
+        count = min(chunk, n - done)
+        xs, ws = _FLOOR_SAMPLER(rng, count)
+        yield done + count, xs, ws, _FLOOR_MODEL.jacobian_many(xs, ws)
+
+
+def _one_subset_search(subset, n, seed, chunk):
+    """The former per-subset search, kept as the oracle: its own draws, its
+    own Jacobians and its own first-counterexample stop."""
+    best, best_x, best_w = math.inf, None, None
+    for drawn, xs, ws, jacs in _chunks(n, seed, chunk):
+        dets = _abs_dets(jacs, subset.p0)
+        dets[~np.isfinite(dets)] = math.inf
+        i = int(np.argmin(dets))
+        if dets[i] < best:
+            best, best_x, best_w = float(dets[i]), xs[i].copy(), ws[i].copy()
+        if best <= subset.c_p:
+            return FalsificationResult(subset, True, best, best_x, best_w, drawn)
+    return FalsificationResult(subset, False, best, best_x, best_w, n)
+
+
+def _fields(result):
+    return (
+        result.subset,
+        result.falsified,
+        result.min_abs_det,
+        result.at_x.tobytes(),
+        result.at_w.tobytes(),
+        result.n_samples,
+    )
+
+
+@st.composite
+def _floor_cases(draw):
+    chunk = draw(st.integers(1, 600))
+    n = draw(st.integers(1, min(2500, 40 * chunk)))
+    seed = draw(st.integers(0, 2**16))
+    blocks = draw(st.lists(st.sampled_from(_FLOOR_BLOCKS), min_size=1, max_size=4, unique=True))
+    stop = st.sampled_from(["first", "later", "never"])
+    stops = draw(st.lists(stop, min_size=len(blocks), max_size=len(blocks)))
+    return n, chunk, seed, list(zip(blocks, stops))
+
+
+def _floor_at(block, stop, n, seed, chunk):
+    """A floor the search first breaks in chunk 0 ("first"), in a later chunk
+    where the running minimum drops ("later"), or never; and that chunk."""
+    minima, best = [], math.inf
+    for _, _, _, jacs in _chunks(n, seed, chunk):
+        sub = jacs[:, np.asarray(block) - 1][:, :, np.asarray(block) - 1]
+        best = min(best, float(np.min(np.abs(np.linalg.det(sub)))))
+        minima.append(best)
+    drops = [j for j in range(1, len(minima)) if minima[j] < minima[j - 1] * (1 - 1e-9)]
+    if stop == "first":
+        return max(minima[0] * (1 + 1e-9), 1e-300), 0
+    if stop == "later" and drops:
+        j = drops[-1]
+        return (minima[j] + minima[j - 1]) / 2, j
+    return minima[-1] / 2, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_floor_cases())
+# chunk does not divide n; floors break in chunk 0, a later chunk and never
+@example((1000, 300, 7, [((1,), "later"), ((1, 2), "first"), ((2, 3), "never"), ((1, 2, 3), "later")]))
+# n < chunk: one partial chunk
+@example((50, 200, 3, [((2,), "first"), ((1, 2, 3), "never")]))
+def test_shared_pass_equals_one_search_per_subset(case):
+    n, chunk, seed, specs = case
+    subsets, stop_chunks = [], []
+    for block, stop in specs:
+        c_p, stop_chunk = _floor_at(block, stop, n, seed, chunk)
+        subsets.append(IndexSubset(p=block, n=3, c_p=c_p))
+        stop_chunks.append(stop_chunk)
+
+    shared = falsify_floors(_FLOOR_MODEL, subsets, _FLOOR_SAMPLER, n=n, seed=seed, chunk=chunk)
+    assert len(shared) == len(subsets)
+    for subset, stop_chunk, result in zip(subsets, stop_chunks, shared):
+        want = _fields(_one_subset_search(subset, n, seed, chunk))
+        assert _fields(result) == want
+        one = gamma_falsify(_FLOOR_MODEL, subset, _FLOOR_SAMPLER, n=n, seed=seed, chunk=chunk)
+        assert _fields(one) == want
+        if stop_chunk is None:
+            assert not result.falsified and result.n_samples == n
+        else:
+            assert result.falsified and result.n_samples == min((stop_chunk + 1) * chunk, n)
+
+
+def test_shared_pass_differentiates_each_chunk_once(example2):
+    surviving = [IndexSubset(p=p, n=2, c_p=1e-3) for p in [(1,), (2,), (1, 2)]]
+    with mock.patch.object(example2, "jacobian_many", wraps=example2.jacobian_many) as jac:
+        results = falsify_floors(example2, surviving, n=50_000, seed=0, chunk=15_000)
+    assert jac.call_count == math.ceil(50_000 / 15_000)
+    assert [r.n_samples for r in results] == [50_000] * 3
+
+    # |det| of the p=[2] block is 0.5 everywhere and of p=[1, 2] at least
+    # 0.5: both floors break in chunk 0, the p=[1] floor never
+    floors = [IndexSubset(p=(1,), n=2, c_p=1e-3), IndexSubset(p=(2,), n=2, c_p=1.0),
+              IndexSubset(p=(1, 2), n=2, c_p=1.0)]
+    with mock.patch.object(example2, "jacobian_many", wraps=example2.jacobian_many) as jac:
+        results = falsify_floors(example2, floors, n=50_000, seed=0, chunk=15_000)
+    assert jac.call_count == math.ceil(50_000 / 15_000)
+    assert [(r.falsified, r.n_samples) for r in results] == [(False, 50_000), (True, 15_000), (True, 15_000)]
+
+    # once every subset has stopped, nothing more is drawn
+    with mock.patch.object(example2, "jacobian_many", wraps=example2.jacobian_many) as jac:
+        falsify_floors(example2, floors[1:], n=50_000, seed=0, chunk=15_000)
+    assert jac.call_count == 1
+
+
+def test_shared_pass_requires_every_floor(example2):
+    subsets = [IndexSubset(p=(1,), n=2, c_p=0.5), IndexSubset(p=(2,), n=2)]
+    with pytest.raises(ValueError, match=r"\(2,\) has no declared floor"):
+        falsify_floors(example2, subsets, n=10, seed=0)

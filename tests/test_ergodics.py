@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantstab import (
     InitSpec,
@@ -16,6 +18,7 @@ from quantstab import (
     rollout,
 )
 from quantstab.ergodics import EmpiricalMeasure, measure_to_csv
+from quantstab.policies import cell_coords
 
 
 def _iid_sampler_model():
@@ -174,6 +177,39 @@ def test_sample_states_respects_cell_weights():
     draws = measure.sample_states(rng, 40_000)
     assert np.all((draws >= 0.0) & (draws < 1.0))
     assert np.mean(draws < 0.5) == pytest.approx(0.25, abs=0.01)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    axes=st.lists(
+        st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.integers(1, 5)),
+        min_size=1,
+        max_size=2,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 300),
+)
+def test_sample_states_in_place_equals_the_expression_bitwise(axes, seed, count):
+    part = Partition(
+        low=[lo for lo, _, _ in axes],
+        high=[lo + span for lo, span, _ in axes],
+        cells_per_axis=tuple(c for _, _, c in axes),
+    )
+    weights = np.random.default_rng(seed).random(part.n_cells)
+    weights[np.random.default_rng(seed + 1).random(part.n_cells) < 0.3] = 0.0
+    weights[0] += 1.0  # some in-box mass
+    measure = EmpiricalMeasure(part, weights / weights.sum(), 100, 0)
+
+    rng = np.random.default_rng(seed)
+    in_box = measure.weights[:-1]
+    cells = rng.choice(part.n_boxes, size=count, p=in_box / in_box.sum())
+    multi = cell_coords(cells, part.cells_per_axis)
+    offsets = rng.uniform(0.0, 1.0, (count, part.dim))
+    want = part.low + (multi + offsets) * part.width
+
+    got = measure.sample_states(np.random.default_rng(seed), count)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_measure_csv_round_trip(tmp_path, ar1):
