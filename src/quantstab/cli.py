@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -41,9 +42,9 @@ from .ergodics import (
     frequency_convergence,
     measure_to_csv,
 )
-from .model_dsl import DslSyntaxError
 from .policies import CodingPolicy, null_policy, uniform_quantizer_policy, zoom_policy
 from .simulation import (
+    CoordInit,
     InitSpec,
     NoiseSpec,
     batch_rollout,
@@ -111,9 +112,13 @@ configuration file keys (JSON object):
                      (1..N) is checked but changes no output
   diagnose           {"checkpoints":[..]}
 
-int keys (seed, horizon, paths, noise dim, policy m, n_mc, bound seed,
-falsify samples, horizons, scenarios, split) also take integral floats such
-as 1e6; any other value is a config error.
+every value has a kind: int, float, bool, str, list or object, as above.
+Floats are finite, and integral floats such as 1e6 count as ints. A per-axis
+list of numbers (low, high, mean, std, target, center, bits_per_axis,
+cells_per_axis) also takes one number for every axis. Counts (horizon, paths,
+n_mc, samples, horizons, scenarios) are at least 1, seeds at least 0.
+Anything else, and any key not listed, is a config error (exit 2) that names
+the key, e.g. gamma[0].p.
 
 subcommands need: simulate -> model noise init policy horizon paths seed;
 bound -> simulate keys + partition gamma [bound falsify]; entropy -> simulate
@@ -122,259 +127,273 @@ keys + entropy; diagnose -> simulate keys + partition [diagnose].
 
 
 # --------------------------------------------------------------------------
-# Config parsing
+# Config reading
+#
+# Each key is read in one place, by ``_Section.get`` with its kind: a function
+# (value, key path) -> value that raises ConfigError naming the path.
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
-
-
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return section[key]
+_REQUIRED = object()
 
 
-def _integer(value, key: str) -> int:
-    """A count or seed: an int, or a float with no fractional part (1e6)."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+class _Section:
+    """One JSON object of the config: ``get`` reads a key as its kind,
+    ``close`` rejects every key that was never read."""
+
+    def __init__(self, raw: dict, path: str = ""):
+        self.raw = raw
+        self.path = path  # "" at the top level
+        self._read: set[str] = set()
+
+    def get(self, key: str, kind, default=_REQUIRED):
+        self._read.add(key)
+        if key in self.raw:
+            return kind(self.raw[key], f"{self.path}.{key}" if self.path else key)
+        if default is _REQUIRED:
+            raise ConfigError(f"missing key {key!r} in {self.path or 'config'}")
+        return default
+
+    def close(self) -> None:
+        unknown = ", ".join(map(repr, sorted(set(self.raw) - self._read)))
+        if unknown:
+            raise ConfigError(f"unknown key(s) {unknown} in {self.path or 'config'}")
+
+
+def _integer(value, key: str, low: Optional[int] = None) -> int:
+    """An int, or a float with no fractional part (1e6), of at least ``low``."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{key} must be an integer, got {value!r}")
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{key} must be at least {low}, got {value}")
+    return value
 
 
-_TOP_KEYS = {
-    "out_dir",
-    "seed",
-    "horizon",
-    "paths",
-    "burn_in_fraction",
-    "model",
-    "noise",
-    "init",
-    "policy",
-    "partition",
-    "gamma",
-    "bound",
-    "falsify",
-    "entropy",
-    "diagnose",
-}
+_seed = partial(_integer, low=0)
+_count = partial(_integer, low=1)  # horizons, paths and sample counts
 
 
-def _build_model(section: dict) -> SystemModel:
-    _check_keys(section, {"catalog", "dsl"}, "model")
-    if ("catalog" in section) == ("dsl" in section):
+def _number(value, key: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
+def _boolean(value, key: str) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key} must be true or false, got {value!r}")
+
+
+def _string(value, key: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{key} must be a string, got {value!r}")
+
+
+def _list(kind, lone: bool = False):
+    """A list of values of ``kind``; with ``lone`` also a single value, which
+    the library broadcasts to every axis."""
+
+    def read(value, key: str):
+        if isinstance(value, list):
+            return [kind(v, key) for v in value]
+        if lone:
+            return kind(value, key)
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+
+    return read
+
+
+_numbers = _list(_number, lone=True)
+_integers = _list(_integer, lone=True)
+
+
+def _object(value, key: str) -> _Section:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    return _Section(value, key)
+
+
+def _objects(value, key: str) -> list[_Section]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list of objects, got {value!r}")
+    return [_object(v, f"{key}[{i}]") for i, v in enumerate(value)]
+
+
+def _construct(what: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError a config error about ``what``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def _build_model(section: _Section) -> SystemModel:
+    name = section.get("catalog", _string, None)
+    text = section.get("dsl", _string, None)
+    section.close()
+    if (name is None) == (text is None):
         raise ConfigError("model needs exactly one of 'catalog' or 'dsl'")
-    if "catalog" in section:
-        name = section["catalog"]
-        if name not in catalog_names():
-            raise ConfigError(
-                f"unknown catalog model {name!r}; available: {', '.join(catalog_names())}"
-            )
-        return catalog_model(name)
-    try:
-        return SystemModel.from_text(section["dsl"], name="dsl")
-    except DslSyntaxError as exc:
-        raise ConfigError(f"bad model text: {exc}") from exc
-
-
-def _build_noise(section: dict) -> NoiseSpec:
-    family = _require(section, "family", "noise")
-    try:
-        if family == "gaussian":
-            _check_keys(section, {"family", "mean", "std", "dim"}, "noise")
-            return NoiseSpec.gaussian(
-                _integer(_require(section, "dim", "noise"), "noise.dim"),
-                section.get("mean", 0.0),
-                section.get("std", 1.0),
-            )
-        if family == "uniform":
-            _check_keys(section, {"family", "low", "high", "dim"}, "noise")
-            return NoiseSpec.uniform(
-                _integer(_require(section, "dim", "noise"), "noise.dim"),
-                _require(section, "low", "noise"),
-                _require(section, "high", "noise"),
-            )
-        if family == "atoms":
-            _check_keys(section, {"family", "values", "probs"}, "noise")
-            return NoiseSpec.atoms(
-                _require(section, "values", "noise"), _require(section, "probs", "noise")
-            )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"bad noise spec: {exc}") from exc
-    raise ConfigError(f"unknown noise family {family!r}")
-
-
-def _build_init(section: dict) -> InitSpec:
-    kind = _require(section, "kind", "init")
-    try:
-        if kind == "uniform":
-            _check_keys(section, {"kind", "low", "high"}, "init")
-            return InitSpec.uniform_box(section["low"], section["high"])
-        if kind == "gaussian":
-            _check_keys(section, {"kind", "mean", "std"}, "init")
-            mean = np.atleast_1d(np.asarray(section["mean"], float))
-            return InitSpec.gaussian(len(mean), mean, section["std"])
-        if kind == "fixed":
-            _check_keys(section, {"kind", "values"}, "init")
-            return InitSpec.fixed(section["values"])
-        if kind == "coords":
-            _check_keys(section, {"kind", "coords"}, "init")
-            from .simulation import CoordInit
-
-            coords = []
-            for i, c in enumerate(section["coords"]):
-                ckind = _require(c, "kind", f"init.coords[{i}]")
-                if ckind == "uniform":
-                    _check_keys(c, {"kind", "low", "high"}, f"init.coords[{i}]")
-                    coords.append(CoordInit("uniform", float(c["low"]), float(c["high"])))
-                elif ckind == "gaussian":
-                    _check_keys(c, {"kind", "mean", "std"}, f"init.coords[{i}]")
-                    coords.append(CoordInit("gaussian", float(c["mean"]), float(c["std"])))
-                elif ckind == "fixed":
-                    _check_keys(c, {"kind", "value"}, f"init.coords[{i}]")
-                    coords.append(CoordInit("fixed", float(c["value"])))
-                else:
-                    raise ConfigError(f"unknown init coord kind {ckind!r}")
-            return InitSpec(tuple(coords))
-    except (ValueError, KeyError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad init spec: {exc}") from exc
-    raise ConfigError(f"unknown init kind {kind!r}")
-
-
-def _build_policy(section: dict, model: SystemModel, noise: NoiseSpec) -> CodingPolicy:
-    kind = _require(section, "kind", "policy")
-    try:
-        if kind == "null":
-            _check_keys(section, {"kind", "m"}, "policy")
-            m = _integer(_require(section, "m", "policy"), "policy.m")
-            return null_policy(m, model.control_dim)
-        if kind == "uniform_quantizer":
-            _check_keys(
-                section,
-                {"kind", "box_low", "box_high", "bits_per_axis", "target", "m"},
-                "policy",
-            )
-            return uniform_quantizer_policy(
-                model,
-                _require(section, "box_low", "policy"),
-                _require(section, "box_high", "policy"),
-                _require(section, "bits_per_axis", "policy"),
-                target=section.get("target"),
-                noise_mean=noise.mean,
-                m=None if section.get("m") is None else _integer(section["m"], "policy.m"),
-            )
-        if kind == "zoom":
-            _check_keys(
-                section,
-                {"kind", "m", "alpha", "beta", "initial_halfwidth", "cells_per_axis", "center", "target"},
-                "policy",
-            )
-            return zoom_policy(
-                model,
-                _integer(_require(section, "m", "policy"), "policy.m"),
-                float(_require(section, "alpha", "policy")),
-                float(_require(section, "beta", "policy")),
-                float(_require(section, "initial_halfwidth", "policy")),
-                cells_per_axis=section.get("cells_per_axis"),
-                center=section.get("center"),
-                target=section.get("target"),
-                noise_mean=noise.mean,
-            )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad policy spec: {exc}") from exc
-    raise ConfigError(f"unknown policy kind {kind!r}")
-
-
-def _build_partition(section: dict, dim: int, where: str = "partition") -> Partition:
-    """A partition of the ``dim``-dimensional space it is used on."""
-    _check_keys(section, {"low", "high", "cells_per_axis"}, where)
-    try:
-        partition = Partition(
-            low=np.asarray(_require(section, "low", where), float),
-            high=np.asarray(_require(section, "high", where), float),
-            cells_per_axis=tuple(_require(section, "cells_per_axis", where)),
+    if text is not None:
+        return _construct("model text", SystemModel.from_text, text, name="dsl")
+    if name not in catalog_names():
+        raise ConfigError(
+            f"unknown catalog model {name!r}; available: {', '.join(catalog_names())}"
         )
-    except ValueError as exc:
-        raise ConfigError(f"bad {where} spec: {exc}") from exc
+    return catalog_model(name)
+
+
+def _build_noise(section: _Section) -> NoiseSpec:
+    family = section.get("family", _string)
+    if family == "gaussian":
+        build, dim = NoiseSpec.gaussian, section.get("dim", _integer)
+        args = (dim, section.get("mean", _numbers, 0.0), section.get("std", _numbers, 1.0))
+    elif family == "uniform":
+        build, dim = NoiseSpec.uniform, section.get("dim", _integer)
+        args = (dim, section.get("low", _numbers), section.get("high", _numbers))
+    elif family == "atoms":
+        build = NoiseSpec.atoms
+        args = (section.get("values", _list(_numbers)), section.get("probs", _list(_number)))
+    else:
+        raise ConfigError(f"unknown noise family {family!r}")
+    section.close()
+    return _construct("noise spec", build, *args)
+
+
+def _coord_init(section: _Section) -> CoordInit:
+    kind = section.get("kind", _string)
+    if kind == "uniform":
+        coord = CoordInit(kind, section.get("low", _number), section.get("high", _number))
+    elif kind == "gaussian":
+        coord = CoordInit(kind, section.get("mean", _number), section.get("std", _number))
+    elif kind == "fixed":
+        coord = CoordInit(kind, section.get("value", _number))
+    else:
+        raise ConfigError(f"unknown init coord kind {kind!r}")
+    section.close()
+    return coord
+
+
+def _build_init(section: _Section) -> InitSpec:
+    kind = section.get("kind", _string)
+    if kind == "uniform":
+        build = InitSpec.uniform_box
+        args = (section.get("low", _numbers), section.get("high", _numbers))
+    elif kind == "gaussian":
+        mean = section.get("mean", _numbers)
+        build, args = InitSpec.gaussian, (np.size(mean), mean, section.get("std", _numbers))
+    elif kind == "fixed":
+        build, args = InitSpec.fixed, (section.get("values", _numbers),)
+    elif kind == "coords":
+        build, args = InitSpec, (tuple(_coord_init(c) for c in section.get("coords", _objects)),)
+    else:
+        raise ConfigError(f"unknown init kind {kind!r}")
+    section.close()
+    return _construct("init spec", build, *args)
+
+
+def _build_policy(section: _Section, model: SystemModel, noise: NoiseSpec) -> CodingPolicy:
+    kind = section.get("kind", _string)
+    if kind == "null":
+        build, args, options = null_policy, (section.get("m", _integer), model.control_dim), {}
+    elif kind == "uniform_quantizer":
+        build = uniform_quantizer_policy
+        args = (
+            model,
+            section.get("box_low", _numbers),
+            section.get("box_high", _numbers),
+            section.get("bits_per_axis", _integers),
+        )
+        options = {
+            "target": section.get("target", _numbers, None),
+            "noise_mean": noise.mean,
+            "m": section.get("m", _integer, None),
+        }
+    elif kind == "zoom":
+        build = zoom_policy
+        args = (
+            model,
+            section.get("m", _integer),
+            section.get("alpha", _number),
+            section.get("beta", _number),
+            section.get("initial_halfwidth", _number),
+        )
+        options = {
+            "cells_per_axis": section.get("cells_per_axis", _integers, None),
+            "center": section.get("center", _numbers, None),
+            "target": section.get("target", _numbers, None),
+            "noise_mean": noise.mean,
+        }
+    else:
+        raise ConfigError(f"unknown policy kind {kind!r}")
+    section.close()
+    return _construct("policy spec", build, *args, **options)
+
+
+def _build_partition(section: _Section, dim: int) -> Partition:
+    """A partition of the ``dim``-dimensional space it is used on."""
+    low, high = section.get("low", _numbers), section.get("high", _numbers)
+    cells = section.get("cells_per_axis", _integers)
+    section.close()
+    partition = _construct(f"{section.path} spec", Partition, low, high, cells)
     if partition.dim != dim:
-        raise ConfigError(f"{where} has dim {partition.dim}, expected {dim}")
+        raise ConfigError(f"{section.path} has dim {partition.dim}, expected {dim}")
     return partition
 
 
-def _build_gamma(entries: list, n: int) -> GammaDeclaration:
+def _build_gamma(entries: list[_Section], n: int) -> GammaDeclaration:
     subsets = []
-    for i, entry in enumerate(entries):
-        _check_keys(entry, {"p", "c_p"}, f"gamma[{i}]")
-        try:
-            subsets.append(
-                IndexSubset(
-                    p=tuple(int(v) for v in _require(entry, "p", f"gamma[{i}]")),
-                    n=n,
-                    c_p=float(_require(entry, "c_p", f"gamma[{i}]")),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad gamma[{i}]: {exc}") from exc
-    try:
-        return GammaDeclaration(tuple(subsets))
-    except ValueError as exc:
-        raise ConfigError(f"bad gamma declaration: {exc}") from exc
+    for entry in entries:
+        p, c_p = entry.get("p", _list(_integer)), entry.get("c_p", _number)
+        entry.close()
+        subsets.append(_construct(entry.path, IndexSubset, p=p, n=n, c_p=c_p))
+    return _construct("gamma declaration", GammaDeclaration, tuple(subsets))
 
 
 class Experiment:
     """Validated experiment: constructed objects plus per-subcommand sections."""
 
     def __init__(self, raw: dict, overrides: dict):
-        _check_keys(raw, _TOP_KEYS, "config")
         self.raw = raw
+        top = _Section(raw)
 
-        def pick(key, fallback):
-            value = overrides.get(key)
-            return _integer(fallback() if value is None else value, key)
+        def pick(key, kind, default=None):
+            value = top.get(key, kind, default)
+            if overrides.get(key) is not None:
+                return kind(overrides[key], key)
+            if value is None:
+                raise ConfigError(f"missing top-level key {key!r} (or pass the matching flag)")
+            return value
 
-        self.seed = pick("seed", lambda: raw.get("seed", 0))
-        self.horizon = pick("horizon", lambda: self._get_top("horizon"))
-        self.paths = pick("paths", lambda: self._get_top("paths"))
-        self.burn_in_fraction = float(raw.get("burn_in_fraction", 0.1))
+        self.seed = pick("seed", _seed, 0)
+        self.horizon = pick("horizon", _count)
+        self.paths = pick("paths", _count)
+        self.out_dir = top.get("out_dir", _string, None)
+        self.burn_in_fraction = top.get("burn_in_fraction", _number, 0.1)
         if not (0.0 <= self.burn_in_fraction < 1.0):
             raise ConfigError("burn_in_fraction must lie in [0, 1)")
-        self.model = _build_model(self._get_section("model"))
-        self.noise = _build_noise(self._get_section("noise"))
-        self.init = _build_init(self._get_section("init"))
+        model, noise, init, policy = (top.get(k, _object) for k in ("model", "noise", "init", "policy"))
+        partition = top.get("partition", _object, None)
+        gamma = top.get("gamma", _objects, None)
+        # each read by the subcommand that uses it
+        self.bound, self.falsify, self.entropy, self.diagnose = (
+            top.get(k, _object, None) for k in ("bound", "falsify", "entropy", "diagnose")
+        )
+        top.close()
+
+        self.model = _build_model(model)
+        self.noise = _build_noise(noise)
+        self.init = _build_init(init)
         if self.noise.dim != self.model.noise_dim:
             raise ConfigError(
                 f"noise dim {self.noise.dim} does not match model noise dim {self.model.noise_dim}"
             )
         if self.init.dim != self.model.n:
-            raise ConfigError(
-                f"init dim {self.init.dim} does not match state dim {self.model.n}"
-            )
-        self.policy = _build_policy(self._get_section("policy"), self.model, self.noise)
-        self.partition = (
-            _build_partition(raw["partition"], self.model.n) if "partition" in raw else None
-        )
-        self.gamma = _build_gamma(raw["gamma"], self.model.n) if "gamma" in raw else None
-
-    def _get_top(self, key: str):
-        if key not in self.raw:
-            raise ConfigError(f"missing top-level key {key!r} (or pass the matching flag)")
-        return self.raw[key]
-
-    def _get_section(self, key: str) -> dict:
-        value = self._get_top(key)
-        if not isinstance(value, dict):
-            raise ConfigError(f"{key!r} must be an object")
-        return value
+            raise ConfigError(f"init dim {self.init.dim} does not match state dim {self.model.n}")
+        self.policy = _build_policy(policy, self.model, self.noise)
+        self.partition = None if partition is None else _build_partition(partition, self.model.n)
+        self.gamma = None if gamma is None else _build_gamma(gamma, self.model.n)
 
     @property
     def burn_in(self) -> int:
@@ -433,24 +452,23 @@ def cmd_simulate(exp: Experiment, out: Path, verbose: bool) -> int:
 def cmd_bound(exp: Experiment, out: Path, verbose: bool) -> int:
     if exp.partition is None or exp.gamma is None:
         raise ConfigError("the bound subcommand needs 'partition' and 'gamma' sections")
-    section = exp.raw.get("bound", {})
-    _check_keys(section, {"n_mc", "common_random_numbers", "seed"}, "bound")
-    n_mc = _integer(section.get("n_mc", 100_000), "bound.n_mc")
-    crn = bool(section.get("common_random_numbers", True))
-    mc_seed = _integer(section.get("seed", exp.seed), "bound.seed")
+    section = exp.bound or _Section({}, "bound")
+    n_mc = section.get("n_mc", _count, 100_000)
+    crn = section.get("common_random_numbers", _boolean, True)
+    mc_seed = section.get("seed", _seed, exp.seed)
+    section.close()
 
     findings = []
 
-    falsify_cfg = exp.raw.get("falsify")
-    falsification = None
-    if falsify_cfg is not None:
-        _check_keys(falsify_cfg, {"samples", "box_halfwidth", "cauchy_fraction"}, "falsify")
-        sampler = default_falsification_sampler(
-            exp.model,
-            halfwidth=float(falsify_cfg.get("box_halfwidth", 100.0)),
-            cauchy_fraction=float(falsify_cfg.get("cauchy_fraction", 0.1)),
+    falsify = exp.falsify
+    if falsify is not None:
+        halfwidth = falsify.get("box_halfwidth", _number, 100.0)
+        cauchy_fraction = falsify.get("cauchy_fraction", _number, 0.1)
+        samples = falsify.get("samples", _count, 100_000)
+        falsify.close()
+        sampler = _construct(
+            "falsify spec", default_falsification_sampler, exp.model, halfwidth, cauchy_fraction
         )
-        samples = _integer(falsify_cfg.get("samples", 100_000), "falsify.samples")
         falsification = []
         subsets = exp.gamma.subsets
         results = falsify_floors(exp.model, subsets, sampler, n=samples, seed=mc_seed)
@@ -514,56 +532,25 @@ def cmd_bound(exp: Experiment, out: Path, verbose: bool) -> int:
 
 
 def cmd_entropy(exp: Experiment, out: Path, verbose: bool) -> int:
-    section = exp.raw.get("entropy")
+    section = exp.entropy
     if section is None:
         raise ConfigError("the entropy subcommand needs an 'entropy' section")
-    _check_keys(
-        section,
-        {
-            "horizons",
-            "scenarios",
-            "rho",
-            "epsilon",
-            "split",
-            "state_partition",
-            "noise_partition",
-            "thresholds",
-            "dump_matrix",
-        },
-        "entropy",
-    )
-    horizons = _require(section, "horizons", "entropy")
-    if not isinstance(horizons, list):
-        raise ConfigError(f"entropy.horizons must be a list, got {horizons!r}")
-    horizons = [_integer(t, "entropy.horizons") for t in horizons]
-    if any(t < 1 for t in horizons):
-        raise ConfigError("every entropy horizon must be at least 1")
-    n_scenarios = _integer(_require(section, "scenarios", "entropy"), "entropy.scenarios")
-    if n_scenarios < 1:
-        raise ConfigError("entropy scenarios must be at least 1")
-    thresholds = section.get("thresholds", "lemma")
+    horizons = section.get("horizons", _list(_count))
+    n_scenarios = section.get("scenarios", _count)
+    thresholds = section.get("thresholds", _string, "lemma")
     if thresholds not in ("lemma", "vacuous"):
         raise ConfigError(f"unknown entropy thresholds mode {thresholds!r}")
-    split = _integer(section.get("split", exp.model.n), "entropy.split")
+    split = section.get("split", _integer, exp.model.n)
     if not (1 <= split <= exp.model.n):
         raise ConfigError(f"entropy split must lie in [1, {exp.model.n}]")
-    state_part = _build_partition(
-        _require(section, "state_partition", "entropy"), exp.model.n, "entropy.state_partition"
-    )
-    noise_part = None
-    if "noise_partition" in section:
-        noise_part = _build_partition(
-            section["noise_partition"], exp.model.noise_dim, "entropy.noise_partition"
-        )
-    try:
-        template = SpanningTemplate(
-            state_partition=state_part,
-            noise_partition=noise_part,
-            rho=float(section.get("rho", 0.5)),
-            epsilon=float(section.get("epsilon", 0.05)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad entropy template: {exc}") from exc
+    state_part = _build_partition(section.get("state_partition", _object), exp.model.n)
+    noise_part = section.get("noise_partition", _object, None)
+    if noise_part is not None:
+        noise_part = _build_partition(noise_part, exp.model.noise_dim)
+    rho, epsilon = section.get("rho", _number, 0.5), section.get("epsilon", _number, 0.05)
+    dump_matrix = section.get("dump_matrix", _boolean, False)
+    section.close()
+    template = _construct("entropy template", SpanningTemplate, state_part, noise_part, rho, epsilon)
 
     matrices: dict = {}
     try:
@@ -578,7 +565,7 @@ def cmd_entropy(exp: Experiment, out: Path, verbose: bool) -> int:
             seed=exp.seed,
             burn_in_fraction=exp.burn_in_fraction,
             thresholds=thresholds,
-            matrix_sink=matrices if section.get("dump_matrix", False) else None,
+            matrix_sink=matrices if dump_matrix else None,
         )
     except ThresholdConstraintError as exc:
         raise ConfigError(f"entropy thresholds: {exc}") from exc
@@ -622,8 +609,9 @@ def cmd_entropy(exp: Experiment, out: Path, verbose: bool) -> int:
 def cmd_diagnose(exp: Experiment, out: Path, verbose: bool) -> int:
     if exp.partition is None:
         raise ConfigError("the diagnose subcommand needs a 'partition' section")
-    section = exp.raw.get("diagnose", {})
-    _check_keys(section, {"checkpoints"}, "diagnose")
+    section = exp.diagnose or _Section({}, "diagnose")
+    checkpoints = section.get("checkpoints", _list(_integer), None)
+    section.close()
     trajs = _run_paths(exp, verbose)
 
     with warnings.catch_warnings(record=True) as caught:
@@ -640,8 +628,8 @@ def cmd_diagnose(exp: Experiment, out: Path, verbose: bool) -> int:
             fh.write(f"{name},{value:.17g}\n")
 
     lead = trajs[0]
-    if "checkpoints" in section:
-        checkpoints = [int(c) for c in section["checkpoints"] if 1 <= int(c) <= lead.steps]
+    if checkpoints is not None:
+        checkpoints = [c for c in checkpoints if 1 <= c <= lead.steps]
     else:
         checkpoints = sorted(
             {10**k for k in range(1, 8) if 10**k <= lead.steps} | {lead.steps}
@@ -715,7 +703,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             args.config,
             overrides={"seed": args.seed, "paths": args.paths, "horizon": args.horizon},
         )
-        out = args.out or exp.raw.get("out_dir")
+        out = args.out or exp.out_dir
         if out is None:
             raise ConfigError("no output directory: pass --out or set out_dir in the config")
         out_path = Path(out)

@@ -236,70 +236,45 @@ def finite_difference_jacobian(
 
 
 # --------------------------------------------------------------------------
-# Built-in catalog (ASTs constructed directly, not via the parser)
+# Built-in catalog, written in the model DSL
 
-from .model_dsl import Add, Const, Mul, NoiseVar, Pow, StateVar  # noqa: E402
-
-
-def _x(i: int) -> StateVar:
-    return StateVar(i)
-
-
-def _w(j: int) -> NoiseVar:
-    return NoiseVar(j)
-
-
-def _catalog_sources() -> dict[str, ModelSource]:
-    return {
-        # 2-d linear, one expanding and one contracting axis, additive noise on both
-        "example1": ModelSource(
-            n=2,
-            control_dim=2,
-            noise_dim=2,
-            b=np.eye(2),
-            exprs=(
-                Add(Mul(Const(2.0), _x(1)), _w(1)),
-                Add(Mul(Const(0.5), _x(2)), _w(2)),
-            ),
-        ),
-        # cubic expansion in x1 coupled to a stable x2 driven by scalar noise
-        "example2": ModelSource(
-            n=2,
-            control_dim=2,
-            noise_dim=1,
-            b=np.eye(2),
-            exprs=(
-                Mul(Add(Pow(_x(1), 3), _x(1)), Add(Const(1.0), Pow(_x(2), 2))),
-                Add(Mul(Const(0.5), _x(2)), _w(1)),
-            ),
-        ),
-        "scalar_doubling": ModelSource(
-            n=1,
-            control_dim=1,
-            noise_dim=1,
-            b=np.array([[1.0]]),
-            exprs=(Add(Mul(Const(2.0), _x(1)), _w(1)),),
-        ),
-        "stable_ar1": ModelSource(
-            n=1,
-            control_dim=1,
-            noise_dim=1,
-            b=np.array([[1.0]]),
-            exprs=(Add(Mul(Const(0.5), _x(1)), _w(1)),),
-        ),
-    }
+_CATALOG = {
+    # 2-d linear, one expanding and one contracting axis, additive noise on both
+    "example1": """
+        states 2
+        noise 2
+        x1' = 2*x1 + w1
+        x2' = 0.5*x2 + w2
+    """,
+    # cubic expansion in x1 coupled to a stable x2 driven by scalar noise
+    "example2": """
+        states 2
+        noise 1
+        x1' = (x1^3 + x1) * (1 + x2^2)
+        x2' = 0.5*x2 + w1
+    """,
+    "scalar_doubling": """
+        states 1
+        noise 1
+        x1' = 2*x1 + w1
+    """,
+    "stable_ar1": """
+        states 1
+        noise 1
+        x1' = 0.5*x1 + w1
+    """,
+}
 
 
 def catalog_names() -> tuple[str, ...]:
-    return tuple(_catalog_sources())
+    return tuple(_CATALOG)
 
 
 def catalog_model(name: str) -> SystemModel:
     """Instantiate a built-in model; shares the DSL-model interface."""
-    sources = _catalog_sources()
-    if name not in sources:
-        raise KeyError(f"unknown catalog model {name!r}; available: {', '.join(sources)}")
-    return SystemModel.from_source(sources[name], name=name)
+    if name not in _CATALOG:
+        raise KeyError(f"unknown catalog model {name!r}; available: {', '.join(_CATALOG)}")
+    return SystemModel.from_text(_CATALOG[name], name=name)
 
 
 # --------------------------------------------------------------------------
@@ -522,6 +497,10 @@ def default_falsification_sampler(
     The Cauchy rows probe both the neighbourhood of the origin and far tails,
     since a floor claim quantifies over all of R^N x W.
     """
+    if not halfwidth > 0.0:
+        raise ValueError(f"box halfwidth must be positive, got {halfwidth}")
+    if not 0.0 <= cauchy_fraction <= 1.0:
+        raise ValueError(f"Cauchy fraction must lie in [0, 1], got {cauchy_fraction}")
 
     def sample(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
         xs = rng.uniform(-halfwidth, halfwidth, (count, model.n))

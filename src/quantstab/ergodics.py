@@ -138,11 +138,11 @@ class EmpiricalMeasure:
         if total <= 0.0:
             raise ValueError("measure has no in-box mass to sample from")
         cells = rng.choice(self.partition.n_boxes, size=count, p=in_box / total)
-        multi = cell_coords(cells, self.partition.cells_per_axis)
-        # low + (multi + offsets) * width, built in the offsets array: IEEE
-        # sums and products commute, so the bits are the same
+        # low + (cell coords + offsets) * width, built in the offsets array:
+        # IEEE sums and products commute, so the bits are the same
         states = rng.uniform(0.0, 1.0, (count, self.partition.dim))
-        states += multi
+        for axis, coords in enumerate(np.unravel_index(cells, self.partition.cells_per_axis)):
+            states[:, axis] += coords
         states *= self.partition.width
         states += self.partition.low
         return states
@@ -202,12 +202,9 @@ def frequency_convergence(
     if any(c < 1 or c > traj.steps for c in checkpoints):
         raise ValueError(f"checkpoints must lie in [1, {traj.steps}]")
     indices = partition.cell_indices(traj.x[: traj.steps])
-    onehot = np.zeros((traj.steps, partition.n_cells))
-    onehot[np.arange(traj.steps), indices] = 1.0
-    cumulative = np.cumsum(onehot, axis=0)
     out = np.empty((len(checkpoints), partition.n_cells))
     for row, c in enumerate(checkpoints):
-        out[row] = cumulative[c - 1] / c
+        out[row] = np.bincount(indices[:c], minlength=partition.n_cells) / c
     return out
 
 

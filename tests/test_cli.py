@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from quantstab import stabilization_entropy
+from quantstab import cli, stabilization_entropy
 from quantstab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, load_experiment, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -354,7 +354,7 @@ def test_uniform_quantizer_bound_run_leaves_numpy_ma_unloaded(tmp_path):
 def _set(cfg, path, value):
     *outer, last = path
     for key in outer:
-        cfg = cfg.setdefault(key, {})
+        cfg = cfg[key] if isinstance(cfg, list) else cfg.setdefault(key, {})
     cfg[last] = value
 
 
@@ -400,6 +400,94 @@ def test_integral_float_counts_are_accepted(tmp_path):
     assert main(["bound", "--config", _write(tmp_path, as_ints, "i.json"), "--out", str(out1)]) == EXIT_OK
     assert main(["bound", "--config", _write(tmp_path, as_floats, "f.json"), "--out", str(out2)]) == EXIT_OK
     assert _read_tree(out1) == _read_tree(out2)
+
+
+# --------------------------------------------------------------------------
+# malformed values
+
+# Values of the wrong kind for their key: a list where a number goes, a string
+# where a bool goes, a fraction where an integer goes, a scalar or a list
+# where an object goes.
+_MALFORMED = [
+    ("simulate", "zoom", ("policy", "alpha"), [0.6], "policy.alpha"),
+    ("entropy", "zoom", ("entropy", "rho"), [0.5], "entropy.rho"),
+    ("bound", "ar1", ("gamma", 0, "c_p"), [0.9], "gamma[0].c_p"),
+    ("simulate", "ar1", ("burn_in_fraction",), "x", "burn_in_fraction"),
+    ("bound", "ar1", ("gamma",), {"p": [1]}, "gamma"),
+    ("bound", "ar1", ("gamma",), [1], "gamma[0]"),
+    ("bound", "ar1", ("falsify",), 5, "falsify"),
+    ("diagnose", "ar1", ("diagnose", "checkpoints"), 5, "diagnose.checkpoints"),
+    ("diagnose", "ar1", ("diagnose", "checkpoints"), ["a"], "diagnose.checkpoints"),
+    ("bound", "ar1", ("bound", "common_random_numbers"), "false", "bound.common_random_numbers"),
+    ("entropy", "zoom", ("entropy", "dump_matrix"), "no", "entropy.dump_matrix"),
+    ("bound", "ar1", ("gamma", 0, "p"), [1.6], "gamma[0].p"),
+    ("entropy", "zoom", ("entropy", "state_partition", "cells_per_axis"), [2.7],
+     "entropy.state_partition.cells_per_axis"),
+    ("simulate", "example1", ("policy", "cells_per_axis"), [5.5, 5.5], "policy.cells_per_axis"),
+    ("diagnose", "ar1", ("diagnose", "checkpoints"), [10.9, 100], "diagnose.checkpoints"),
+    ("simulate", "example2", ("policy", "bits_per_axis"), [6.5, 6.9], "policy.bits_per_axis"),
+    ("bound", "ar1", ("bound",), [1], "bound"),
+]
+
+
+def _base_config(name):
+    return {
+        "ar1": _ar1_bound_config,
+        "zoom": _zoom_entropy_config,
+        "example1": _example1_config,
+        "example2": _tiny_example2_bound_config,
+    }[name]()
+
+
+def _main_without_rollouts(args):
+    with mock.patch.object(cli, "batch_rollout", side_effect=AssertionError("rollout ran")), \
+            mock.patch.object(stabilization_entropy, "run_closed_loops", side_effect=AssertionError):
+        return main(args)
+
+
+@pytest.mark.parametrize(
+    "command, base, path, value, key", _MALFORMED, ids=[f"{c[4]}={c[3]!r}" for c in _MALFORMED]
+)
+def test_malformed_value_exits_2_naming_its_key_before_any_rollout(
+    tmp_path, capsys, command, base, path, value, key
+):
+    cfg = _base_config(base)
+    _set(cfg, path, value)
+    code = _main_without_rollouts([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert f"config error: {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("seed",), -1, "seed must be at least 0, got -1"),
+        (("noise", "std"), float("nan"), "noise.std must be a finite number, got nan"),
+        (("falsify", "box_halfwidth"), float("inf"), "falsify.box_halfwidth must be a finite number"),
+        (("paths",), 0, "paths must be at least 1, got 0"),
+        (("bound", "n_mc"), 0, "bound.n_mc must be at least 1, got 0"),
+        (("falsify", "samples"), -5, "falsify.samples must be at least 1, got -5"),
+        (("falsify", "box_halfwidth"), -1, "bad falsify spec: box halfwidth must be positive"),
+        (("falsify", "cauchy_fraction"), 2, "bad falsify spec: Cauchy fraction must lie in [0, 1]"),
+        (("bound", "n_mcc"), 5, "unknown key(s) 'n_mcc' in bound"),
+        (("gamma", 0, "cp"), 0.4, "unknown key(s) 'cp' in gamma[0]"),
+    ],
+)
+def test_out_of_range_or_unknown_setting_exits_2(tmp_path, capsys, path, value, message):
+    cfg = _ar1_bound_config()
+    _set(cfg, path, value)
+    code = _main_without_rollouts(["bound", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_boolean_false_turns_common_random_numbers_off(tmp_path):
+    cfg = _ar1_bound_config()
+    cfg["bound"]["common_random_numbers"] = False
+    with mock.patch.object(cli, "refined_bound", wraps=cli.refined_bound) as bound:
+        code = main(["bound", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_OK
+    assert bound.call_args.kwargs["common_random_numbers"] is False
 
 
 # --------------------------------------------------------------------------

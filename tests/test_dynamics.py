@@ -30,6 +30,7 @@ from quantstab.dynamics import (
     finite_difference_jacobian,
     log2_abs_det_many,
 )
+from quantstab.model_dsl import Add, Const, Mul, NoiseVar, Pow, StateVar
 
 
 # --------------------------------------------------------------------------
@@ -169,6 +170,31 @@ def test_subset_jacobian_equals_submatrix_for_all_subsets():
         w = rng.normal(size=3)
         expected = a[np.ix_(sub.p0, sub.p0)]
         assert np.array_equal(subset_jacobian(model, sub, x, w), expected)
+
+
+def test_catalog_texts_parse_to_the_former_hand_built_asts():
+    # the catalog as it was built node by node, before it was written in the DSL:
+    # name -> (states, noise dim, expressions); controls = states, B = I
+    x, w = StateVar, NoiseVar
+    former = {
+        "example1": (2, 2, (Add(Mul(Const(2.0), x(1)), w(1)), Add(Mul(Const(0.5), x(2)), w(2)))),
+        "example2": (
+            2,
+            1,
+            (
+                Mul(Add(Pow(x(1), 3), x(1)), Add(Const(1.0), Pow(x(2), 2))),
+                Add(Mul(Const(0.5), x(2)), w(1)),
+            ),
+        ),
+        "scalar_doubling": (1, 1, (Add(Mul(Const(2.0), x(1)), w(1)),)),
+        "stable_ar1": (1, 1, (Add(Mul(Const(0.5), x(1)), w(1)),)),
+    }
+    assert catalog_names() == tuple(former)
+    for name, (n, noise_dim, exprs) in former.items():
+        model = catalog_model(name)
+        assert (model.name, model.n, model.control_dim, model.noise_dim) == (name, n, n, noise_dim)
+        assert model.b.dtype == float and np.array_equal(model.b, np.eye(n))
+        assert model.exprs == exprs
 
 
 def test_symbolic_vs_finite_difference_jacobians():
@@ -444,6 +470,12 @@ _FLOOR_MODEL = SystemModel.from_text(
 # blocks of one, two and three indices: both closed forms and LU
 _FLOOR_BLOCKS = [(1,), (2,), (1, 2), (2, 3), (1, 2, 3)]
 _FLOOR_SAMPLER = default_falsification_sampler(_FLOOR_MODEL, halfwidth=2.0)
+
+
+@pytest.mark.parametrize("halfwidth, cauchy_fraction", [(0.0, 0.1), (-1.0, 0.1), (1.0, -0.1), (1.0, 1.5)])
+def test_falsification_sampler_rejects_bad_settings(halfwidth, cauchy_fraction):
+    with pytest.raises(ValueError):
+        default_falsification_sampler(_FLOOR_MODEL, halfwidth, cauchy_fraction)
 
 
 def _chunks(n, seed, chunk):

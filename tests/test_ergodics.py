@@ -269,6 +269,24 @@ def test_final_checkpoint_matches_empirical_measure():
     assert np.array_equal(curves[-1], measure.weights)
 
 
+def test_frequency_convergence_equals_the_one_hot_cumsum_bitwise():
+    # the former formula: running sums of a (steps x cells) one-hot array
+    model = SystemModel.from_text("states 2\nnoise 2\nx1' = w1\nx2' = w2")
+    noise, init = NoiseSpec.gaussian(2), InitSpec.fixed([0.0, 0.0])
+    traj = rollout(model, null_policy(2, 2), noise, init, 10_000, seed=3)
+    part = Partition(low=[-2.0, -2.0], high=[2.0, 2.0], cells_per_axis=(16, 16))
+    checkpoints = [1, 7, 100, 2500, 9999, 10_000]
+
+    onehot = np.zeros((traj.steps, part.n_cells))
+    onehot[np.arange(traj.steps), part.cell_indices(traj.x[: traj.steps])] = 1.0
+    cumulative = np.cumsum(onehot, axis=0)
+    want = np.array([cumulative[c - 1] / c for c in checkpoints])
+
+    got = frequency_convergence(traj, part, checkpoints)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert 0.0 < got[-1, part.overflow_index] < 1.0  # some rows leave the box
+
+
 def test_checkpoints_validated(ar1):
     traj = rollout(ar1, null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 10, seed=0)
     part = Partition(low=[-1.0], high=[1.0], cells_per_axis=(2,))
