@@ -70,25 +70,6 @@ class BoundReport:
     capacity: Optional[float]
     violation: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "subsets": [
-                {
-                    "p": list(s.p),
-                    "mean": s.mean,
-                    "stderr": s.stderr,
-                    "n_samples": s.n_samples,
-                    "error": s.error,
-                }
-                for s in self.subsets
-            ],
-            "max_bound": self.max_bound,
-            "argmax": list(self.argmax),
-            "classical_bound": self.classical_bound,
-            "capacity": self.capacity,
-            "violation": self.violation,
-        }
-
 
 def _derived_seed(seed: Seed, tag: int) -> tuple[int, ...]:
     base = (int(seed),) if np.isscalar(seed) else tuple(int(v) for v in seed)

@@ -2,15 +2,17 @@
 
 Every subcommand is a pure function of (config, seed) to bytes on disk, so
 reruns are byte-identical and runs are archivable as a single file. Unknown
-config keys are hard errors. Exit codes: 0 success, 2 config error (an
-entropy epsilon too large for the cell masses included), 3 assumption-violation
-findings (bound violation flag, falsified floor, singular Jacobian, every
-entropy scenario diverged).
+config keys are hard errors. Exit codes: 0 success, 2 config error (a grid
+above the cell limit and an entropy epsilon too large for the cell masses
+included), 3 assumption-violation findings (bound violation flag, falsified
+floor, singular Jacobian, no post-burn-in sample to measure, overflow mass
+too large for a bound, every entropy scenario diverged).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -21,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity_bounds import refined_bound
+from .capacity_bounds import MAX_OVERFLOW_MASS, refined_bound
 # gamma_falsify stays importable from this module, unused: perfbench/tracing.py
 # wraps it here
 from .dynamics import (  # noqa: F401
@@ -70,6 +72,10 @@ class ConfigError(ValueError):
     """Bad experiment configuration (unknown key, missing key, invalid value)."""
 
 
+class _Violation(Exception):
+    """A run that cannot go on because an assumption it needs does not hold."""
+
+
 CONFIG_DOC = """\
 configuration file keys (JSON object):
 
@@ -116,9 +122,10 @@ every value has a kind: int, float, bool, str, list or object, as above.
 Floats are finite, and integral floats such as 1e6 count as ints. A per-axis
 list of numbers (low, high, mean, std, target, center, bits_per_axis,
 cells_per_axis) also takes one number for every axis. Counts (horizon, paths,
-n_mc, samples, horizons, scenarios) are at least 1, seeds at least 0.
-Anything else, and any key not listed, is a config error (exit 2) that names
-the key, e.g. gamma[0].p.
+n_mc, samples, horizons, scenarios) are at least 1, seeds at least 0, and
+a grid (a partition or a quantizer) has at most 2^24 cells. Anything else,
+and any key not listed, is a config error (exit 2) that names the key, e.g.
+gamma[0].p.
 
 subcommands need: simulate -> model noise init policy horizon paths seed;
 bound -> simulate keys + partition gamma [bound falsify]; entropy -> simulate
@@ -434,6 +441,19 @@ def _run_paths(exp: Experiment, verbose: bool):
     )
 
 
+def _run_and_measure(exp: Experiment, verbose: bool):
+    """The paths, their pooled post-burn-in measure and the texts of the
+    measure's warnings; no post-burn-in sample at all is a violation."""
+    trajs = _run_paths(exp, verbose)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            measure = empirical_measure(trajs, exp.partition, exp.burn_in)
+        except ValueError as exc:
+            raise _Violation(str(exc)) from None
+    return trajs, measure, [str(w.message) for w in caught]
+
+
 # --------------------------------------------------------------------------
 # Subcommands
 
@@ -491,14 +511,15 @@ def cmd_bound(exp: Experiment, out: Path, verbose: bool) -> int:
                 )
         _write_json(out / "falsification.json", {"subsets": falsification})
 
-    trajs = _run_paths(exp, verbose)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        measure = empirical_measure(trajs, exp.partition, exp.burn_in)
-    for warning in caught:
-        _log(verbose, f"warning: {warning.message}")
+    _, measure, warning_texts = _run_and_measure(exp, verbose)
+    for text in warning_texts:
+        _log(verbose, f"warning: {text}")
 
     try:
+        if measure.overflow_mass >= MAX_OVERFLOW_MASS:
+            raise _Violation(
+                f"overflow mass {measure.overflow_mass:.3f} is too large to trust the estimate"
+            )
         report = refined_bound(
             exp.model,
             exp.gamma,
@@ -509,12 +530,12 @@ def cmd_bound(exp: Experiment, out: Path, verbose: bool) -> int:
             capacity=exp.policy.capacity(),
             common_random_numbers=crn,
         )
-    except SingularMatrixError as exc:
+    except (_Violation, SingularMatrixError) as exc:
         _write_json(out / "bound_report.json", {"error": str(exc)})
         print(f"assumption violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 
-    _write_json(out / "bound_report.json", report.to_json_dict())
+    _write_json(out / "bound_report.json", dataclasses.asdict(report))
     for estimate in report.subsets:
         if estimate.error is not None:
             findings.append(f"subset p={estimate.p}: {estimate.error}")
@@ -612,12 +633,7 @@ def cmd_diagnose(exp: Experiment, out: Path, verbose: bool) -> int:
     section = exp.diagnose or _Section({}, "diagnose")
     checkpoints = section.get("checkpoints", _list(_integer), None)
     section.close()
-    trajs = _run_paths(exp, verbose)
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        measure = empirical_measure(trajs, exp.partition, exp.burn_in)
-    warning_texts = [str(w.message) for w in caught]
+    trajs, measure, warning_texts = _run_and_measure(exp, verbose)
     measure_to_csv(measure, out / "measure.csv")
 
     dispersion = ergodicity_dispersion(trajs, exp.partition, exp.burn_in)
@@ -712,6 +728,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except _Violation as exc:
+        print(f"assumption violation: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 def entry_point() -> None:

@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .policies import cell_coords, cell_numbers
+from .policies import cell_coords, cell_count, cell_numbers
 from .simulation import Trajectory
 
 __all__ = [
@@ -47,6 +47,7 @@ class Partition:
             raise ValueError("partition box is degenerate")
         if any(c < 1 for c in cells):
             raise ValueError("need at least one cell per axis")
+        cell_count(cells)  # raises on a grid too fine to hold per-cell arrays
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
         object.__setattr__(self, "cells_per_axis", cells)
@@ -66,7 +67,7 @@ class Partition:
 
     @property
     def n_boxes(self) -> int:
-        return int(np.prod(self.cells_per_axis))
+        return cell_count(self.cells_per_axis)
 
     @property
     def overflow_index(self) -> int:

@@ -7,9 +7,10 @@ Parsed trees are immutable and safe to share across workers.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -21,10 +22,7 @@ __all__ = [
     "Const",
     "StateVar",
     "NoiseVar",
-    "Add",
-    "Sub",
-    "Mul",
-    "Div",
+    "BinOp",
     "Pow",
     "Neg",
     "ModelSource",
@@ -90,25 +88,8 @@ class NoiseVar(ExprAst):
 
 
 @dataclass(frozen=True)
-class Add(ExprAst):
-    a: ExprAst
-    b: ExprAst
-
-
-@dataclass(frozen=True)
-class Sub(ExprAst):
-    a: ExprAst
-    b: ExprAst
-
-
-@dataclass(frozen=True)
-class Mul(ExprAst):
-    a: ExprAst
-    b: ExprAst
-
-
-@dataclass(frozen=True)
-class Div(ExprAst):
+class BinOp(ExprAst):
+    op: str  # one of + - * /
     a: ExprAst
     b: ExprAst
 
@@ -199,19 +180,17 @@ class _Parser:
         return node
 
     def expr(self) -> ExprAst:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance()
-            rhs = self.term()
-            node = (Add if op.text == "+" else Sub)(node, rhs, pos=op.pos)
-        return node
+        return self.chain("+-", self.term)
 
     def term(self) -> ExprAst:
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
+        return self.chain("*/", self.factor)
+
+    def chain(self, ops: str, operand: Callable[[], ExprAst]) -> ExprAst:
+        """Left-associative run of ``operand`` joined by the operators in ``ops``."""
+        node = operand()
+        while self.peek().kind == "op" and self.peek().text in ops:
             op = self.advance()
-            rhs = self.factor()
-            node = (Mul if op.text == "*" else Div)(node, rhs, pos=op.pos)
+            node = BinOp(op.text, node, operand(), pos=op.pos)
         return node
 
     def factor(self) -> ExprAst:
@@ -411,6 +390,9 @@ def _power_chain(base, exponent: int):
         base = base * base
 
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 def eval_expr(ast: ExprAst, x: Sequence[float], w: Sequence[float] = ()) -> float:
     """Evaluate at a state/noise point. Raises EvalDomainError on division by zero."""
     if isinstance(ast, Const):
@@ -423,13 +405,10 @@ def eval_expr(ast: ExprAst, x: Sequence[float], w: Sequence[float] = ()) -> floa
         if ast.index > len(w):
             raise ValueError(f"noise vector has {len(w)} entries, expression uses w{ast.index}")
         return float(w[ast.index - 1])
-    if isinstance(ast, Add):
-        return eval_expr(ast.a, x, w) + eval_expr(ast.b, x, w)
-    if isinstance(ast, Sub):
-        return eval_expr(ast.a, x, w) - eval_expr(ast.b, x, w)
-    if isinstance(ast, Mul):
-        return eval_expr(ast.a, x, w) * eval_expr(ast.b, x, w)
-    if isinstance(ast, Div):
+    if isinstance(ast, BinOp):
+        if ast.op != "/":
+            return _ARITHMETIC[ast.op](eval_expr(ast.a, x, w), eval_expr(ast.b, x, w))
+        # the denominator first, so its fault is the one reported
         den = eval_expr(ast.b, x, w)
         if den == 0.0:
             raise EvalDomainError("division by zero", ast.pos)
@@ -462,7 +441,7 @@ def _add(a: ExprAst, b: ExprAst) -> ExprAst:
         return a
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value + b.value)
-    return Add(a, b)
+    return BinOp("+", a, b)
 
 
 def _sub(a: ExprAst, b: ExprAst) -> ExprAst:
@@ -472,7 +451,7 @@ def _sub(a: ExprAst, b: ExprAst) -> ExprAst:
         return _neg(b)
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value - b.value)
-    return Sub(a, b)
+    return BinOp("-", a, b)
 
 
 def _mul(a: ExprAst, b: ExprAst) -> ExprAst:
@@ -484,7 +463,7 @@ def _mul(a: ExprAst, b: ExprAst) -> ExprAst:
         return a
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value * b.value)
-    return Mul(a, b)
+    return BinOp("*", a, b)
 
 
 def _div(a: ExprAst, b: ExprAst) -> ExprAst:
@@ -492,7 +471,7 @@ def _div(a: ExprAst, b: ExprAst) -> ExprAst:
         return Const(0.0)
     if _is_const(b, 1.0):
         return a
-    return Div(a, b)
+    return BinOp("/", a, b)
 
 
 def _neg(a: ExprAst) -> ExprAst:
@@ -521,21 +500,15 @@ def differentiate(ast: ExprAst, wrt: int) -> ExprAst:
         return Const(0.0)
     if isinstance(ast, StateVar):
         return Const(1.0 if ast.index == wrt else 0.0)
-    if isinstance(ast, Add):
-        return _add(differentiate(ast.a, wrt), differentiate(ast.b, wrt))
-    if isinstance(ast, Sub):
-        return _sub(differentiate(ast.a, wrt), differentiate(ast.b, wrt))
-    if isinstance(ast, Mul):
-        return _add(
-            _mul(differentiate(ast.a, wrt), ast.b),
-            _mul(ast.a, differentiate(ast.b, wrt)),
-        )
-    if isinstance(ast, Div):
-        num = _sub(
-            _mul(differentiate(ast.a, wrt), ast.b),
-            _mul(ast.a, differentiate(ast.b, wrt)),
-        )
-        return _div(num, _pow(ast.b, 2))
+    if isinstance(ast, BinOp):
+        da, db = differentiate(ast.a, wrt), differentiate(ast.b, wrt)
+        if ast.op in "+-":
+            return (_add if ast.op == "+" else _sub)(da, db)
+        # product rule; the quotient rule is its difference over b^2
+        terms = _mul(da, ast.b), _mul(ast.a, db)
+        if ast.op == "*":
+            return _add(*terms)
+        return _div(_sub(*terms), _pow(ast.b, 2))
     if isinstance(ast, Pow):
         inner = differentiate(ast.base, wrt)
         outer = _mul(Const(float(ast.exponent)), _pow(ast.base, ast.exponent - 1))
@@ -547,9 +520,6 @@ def differentiate(ast: ExprAst, wrt: int) -> ExprAst:
 
 # --------------------------------------------------------------------------
 # Canonical printer
-
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}
-
 
 def _fmt_const(v: float) -> str:
     if v == int(v) and abs(v) < 1e16:
@@ -565,14 +535,9 @@ def _render(node: ExprAst, ctx: int) -> str:
         s, prec = f"x{node.index}", 9
     elif isinstance(node, NoiseVar):
         s, prec = f"w{node.index}", 9
-    elif isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
-        s = f"{_render(node.a, 1)} {op} {_render(node.b, 2)}"
-        prec = 1
-    elif isinstance(node, (Mul, Div)):
-        op = "*" if isinstance(node, Mul) else "/"
-        s = f"{_render(node.a, 2)} {op} {_render(node.b, 3)}"
-        prec = 2
+    elif isinstance(node, BinOp):
+        prec = 1 if node.op in "+-" else 2
+        s = f"{_render(node.a, prec)} {node.op} {_render(node.b, prec + 1)}"
     elif isinstance(node, Neg):
         s = f"-{_render(node.a, 3)}"
         prec = 3
@@ -611,14 +576,9 @@ def _to_python(node: ExprAst) -> str:
         return f"x{node.index - 1}"
     if isinstance(node, NoiseVar):
         return f"w{node.index - 1}"
-    if isinstance(node, Add):
-        return f"({_to_python(node.a)} + {_to_python(node.b)})"
-    if isinstance(node, Sub):
-        return f"({_to_python(node.a)} - {_to_python(node.b)})"
-    if isinstance(node, Mul):
-        return f"({_to_python(node.a)} * {_to_python(node.b)})"
-    if isinstance(node, Div):
-        return f"_quotient({_to_python(node.a)}, {_to_python(node.b)})"
+    if isinstance(node, BinOp):
+        a, b = _to_python(node.a), _to_python(node.b)
+        return f"_quotient({a}, {b})" if node.op == "/" else f"({a} {node.op} {b})"
     if isinstance(node, Pow):
         if node.exponent == 0:
             return "1.0"

@@ -98,6 +98,18 @@ class _Controller:
             return self._policy.advance(self.state, np.array([q]))[0]
 
 
+MAX_CELLS = 2**24  # keeps any per-cell int64 array within 128 MB
+
+
+def cell_count(cells) -> int:
+    """Exact number of cells of a grid with ``cells`` per axis; raises
+    ``ValueError`` above ``MAX_CELLS``."""
+    count = math.prod(cells)
+    if count > MAX_CELLS:
+        raise ValueError(f"grid of {count} cells exceeds the limit of {MAX_CELLS}")
+    return count
+
+
 def cell_numbers(scaled: np.ndarray, cells) -> np.ndarray:
     """Row-major number of the grid cell of each row of ``scaled``.
 
@@ -143,8 +155,7 @@ class NullPolicy(CodingPolicy):
         return np.zeros((len(qs), self.control_dim))
 
 
-def null_policy(m: int, control_dim: int = 1) -> NullPolicy:
-    return NullPolicy(m, control_dim)
+null_policy = NullPolicy
 
 
 # --------------------------------------------------------------------------
@@ -178,8 +189,8 @@ class UniformQuantizerPolicy(CodingPolicy):
         bits = np.broadcast_to(np.asarray(bits_per_axis, int), (model.n,))
         if np.any(bits < 0):
             raise ValueError("bits per axis must be nonnegative integers")
-        self.cells_per_axis = tuple(int(2**b) for b in bits)
-        self.n_cells = int(np.prod(self.cells_per_axis))
+        self.cells_per_axis = tuple(2 ** int(b) for b in bits)
+        self.n_cells = cell_count(self.cells_per_axis)
         if m is None:
             m = self.n_cells + 1
         if m < self.n_cells + 1:
@@ -234,16 +245,7 @@ class UniformQuantizerPolicy(CodingPolicy):
         return self._controls[rows]
 
 
-def uniform_quantizer_policy(
-    model: SystemModel,
-    box_low,
-    box_high,
-    bits_per_axis,
-    target=None,
-    noise_mean=None,
-    m: Optional[int] = None,
-) -> UniformQuantizerPolicy:
-    return UniformQuantizerPolicy(model, box_low, box_high, bits_per_axis, target, noise_mean, m)
+uniform_quantizer_policy = UniformQuantizerPolicy
 
 
 # --------------------------------------------------------------------------
@@ -295,7 +297,7 @@ class ZoomPolicy(CodingPolicy):
         if any(c < 1 for c in self.cells_per_axis):
             raise ValueError("need at least one cell per axis")
         self._cells = np.asarray(self.cells_per_axis, float)  # per-step scaling
-        self.n_cells = int(np.prod(self.cells_per_axis))
+        self.n_cells = cell_count(self.cells_per_axis)
         if self.n_cells > self.m - 1:
             raise ValueError(
                 f"{self.n_cells} cells do not fit an alphabet of {self.m} with overflow reserved"
@@ -367,12 +369,4 @@ class ZoomState:
         return f"ZoomState(center={self.center!r}, halfwidth={self.halfwidth!r})"
 
 
-def zoom_policy(
-    model: SystemModel,
-    m: int,
-    alpha: float,
-    beta: float,
-    initial_halfwidth: float,
-    **kwargs,
-) -> ZoomPolicy:
-    return ZoomPolicy(model, m, alpha, beta, initial_halfwidth, **kwargs)
+zoom_policy = ZoomPolicy

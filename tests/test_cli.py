@@ -481,6 +481,22 @@ def test_out_of_range_or_unknown_setting_exits_2(tmp_path, capsys, path, value, 
     assert f"config error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, path, value, spec",
+    [
+        ("simulate", ("partition", "cells_per_axis"), [2**32, 2**32], "partition"),
+        ("bound", ("policy", "bits_per_axis"), [32, 32], "policy"),
+    ],
+)
+def test_grid_above_the_cell_limit_exits_2(tmp_path, capsys, command, path, value, spec):
+    # 2^64 cells on both grids, which an int64 product counts as 0
+    cfg = _tiny_example2_bound_config()
+    _set(cfg, path, value)
+    code = _main_without_rollouts([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert f"config error: bad {spec} spec: grid of {2**64} cells exceeds" in capsys.readouterr().err
+
+
 def test_boolean_false_turns_common_random_numbers_off(tmp_path):
     cfg = _ar1_bound_config()
     cfg["bound"]["common_random_numbers"] = False
@@ -623,6 +639,35 @@ def test_entropy_every_scenario_diverged_exits_3(tmp_path, capsys):
     assert main(["entropy", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == EXIT_VIOLATION
     err = capsys.readouterr().err
     assert "assumption violation" in err and "T=4" in err
+
+
+def _null_doubling_bound_config():
+    # every path leaves the divergence threshold before the burn-in ends
+    cfg = _ar1_config(horizon=600, paths=2, gamma=[{"p": [1], "c_p": 1.0}])
+    cfg["model"] = {"catalog": "scalar_doubling"}
+    cfg["policy"] = {"kind": "null", "m": 3}
+    cfg["partition"] = {"low": [-1.0], "high": [1.0], "cells_per_axis": [4]}
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["bound", "diagnose"])
+def test_no_post_burn_in_sample_exits_3(tmp_path, capsys, command):
+    config = _write(tmp_path, _null_doubling_bound_config())
+    assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == EXIT_VIOLATION
+    assert capsys.readouterr().err == (
+        "assumption violation: no post-burn-in samples available (all paths truncated early?)\n"
+    )
+
+
+def test_bound_overflow_mass_too_large_exits_3_with_an_error_report(tmp_path, capsys):
+    cfg = json.loads((REPO / "configs" / "example2_bound.json").read_text())
+    cfg.update(horizon=400, paths=4, partition={"low": [-0.1, -0.1], "high": [0.1, 0.1], "cells_per_axis": [8, 8]})
+    del cfg["falsify"]
+    out = tmp_path / "o"
+    assert main(["bound", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_VIOLATION
+    message = "overflow mass 0.601 is too large to trust the estimate"
+    assert capsys.readouterr().err == f"assumption violation: {message}\n"
+    assert json.loads((out / "bound_report.json").read_text()) == {"error": message}
 
 
 def test_entropy_requires_section(tmp_path):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 from unittest import mock
 
@@ -30,7 +31,7 @@ from quantstab.dynamics import (
     finite_difference_jacobian,
     log2_abs_det_many,
 )
-from quantstab.model_dsl import Add, Const, Mul, NoiseVar, Pow, StateVar
+from quantstab.model_dsl import BinOp, Const, NoiseVar, Pow, StateVar
 
 
 # --------------------------------------------------------------------------
@@ -176,18 +177,19 @@ def test_catalog_texts_parse_to_the_former_hand_built_asts():
     # the catalog as it was built node by node, before it was written in the DSL:
     # name -> (states, noise dim, expressions); controls = states, B = I
     x, w = StateVar, NoiseVar
+    add, mul = (partial(BinOp, op) for op in "+*")
     former = {
-        "example1": (2, 2, (Add(Mul(Const(2.0), x(1)), w(1)), Add(Mul(Const(0.5), x(2)), w(2)))),
+        "example1": (2, 2, (add(mul(Const(2.0), x(1)), w(1)), add(mul(Const(0.5), x(2)), w(2)))),
         "example2": (
             2,
             1,
             (
-                Mul(Add(Pow(x(1), 3), x(1)), Add(Const(1.0), Pow(x(2), 2))),
-                Add(Mul(Const(0.5), x(2)), w(1)),
+                mul(add(Pow(x(1), 3), x(1)), add(Const(1.0), Pow(x(2), 2))),
+                add(mul(Const(0.5), x(2)), w(1)),
             ),
         ),
-        "scalar_doubling": (1, 1, (Add(Mul(Const(2.0), x(1)), w(1)),)),
-        "stable_ar1": (1, 1, (Add(Mul(Const(0.5), x(1)), w(1)),)),
+        "scalar_doubling": (1, 1, (add(mul(Const(2.0), x(1)), w(1)),)),
+        "stable_ar1": (1, 1, (add(mul(Const(0.5), x(1)), w(1)),)),
     }
     assert catalog_names() == tuple(former)
     for name, (n, noise_dim, exprs) in former.items():
@@ -195,6 +197,52 @@ def test_catalog_texts_parse_to_the_former_hand_built_asts():
         assert (model.name, model.n, model.control_dim, model.noise_dim) == (name, n, n, noise_dim)
         assert model.b.dtype == float and np.array_equal(model.b, np.eye(n))
         assert model.exprs == exprs
+
+
+_MIXED_MODEL = """
+states 2
+noise 1
+x1' = (x1 - 3*x2) / (1 + x1^2) - x2^-2
+x2' = -x1*w1 + 0.5/x2
+"""
+
+
+def test_compiled_source_is_pinned():
+    # every output's bits follow from this text; the mixed model adds -, /,
+    # negation and a negative power to the catalog's + * ^
+    def head(args):
+        return f"def _f({args}):\n    return ", f"def _jac({args}):\n    return "
+
+    f1, j1 = head("x0, w0")
+    f2, j2 = head("x0, x1, w0")
+    f3, j3 = head("x0, x1, w0, w1")
+    expected = {
+        "example1": (
+            f3 + "(((2.0 * x0) + w0), ((0.5 * x1) + w1))\n",
+            j3 + "(2.0, 0.0, 0.0, 0.5)\n",
+        ),
+        "example2": (
+            f2 + "(((_power_chain(x0, 3) + x0) * (1.0 + _power_chain(x1, 2))), ((0.5 * x1) + w0))\n",
+            j2 + "((((3.0 * _power_chain(x0, 2)) + 1.0) * (1.0 + _power_chain(x1, 2))), "
+            "((_power_chain(x0, 3) + x0) * (2.0 * x1)), 0.0, 0.5)\n",
+        ),
+        "scalar_doubling": (f1 + "(((2.0 * x0) + w0),)\n", j1 + "(2.0,)\n"),
+        "stable_ar1": (f1 + "(((0.5 * x0) + w0),)\n", j1 + "(0.5,)\n"),
+        "mixed": (
+            f2 + "((_quotient((x0 - (3.0 * x1)), (1.0 + _power_chain(x0, 2))) - "
+            "_quotient(1.0, _power_chain(x1, -2))), (((-x0) * w0) + _quotient(0.5, x1)))\n",
+            j2 + "(_quotient(((1.0 + _power_chain(x0, 2)) - ((x0 - (3.0 * x1)) * (2.0 * x0))), "
+            "_power_chain((1.0 + _power_chain(x0, 2)), 2)), "
+            "(_quotient((-3.0 * (1.0 + _power_chain(x0, 2))), _power_chain((1.0 + _power_chain(x0, 2)), 2)) - "
+            "(-2.0 * _quotient(1.0, _power_chain(x1, -3)))), "
+            "(-1.0 * w0), _quotient(-0.5, _power_chain(x1, 2)))\n",
+        ),
+    }
+    models = {name: catalog_model(name) for name in catalog_names()}
+    models["mixed"] = SystemModel.from_text(_MIXED_MODEL)
+    assert list(models) == list(expected)
+    for name, model in models.items():
+        assert (model._f_fn.__source__, model._jac_fn.__source__) == expected[name], name
 
 
 def test_symbolic_vs_finite_difference_jacobians():

@@ -67,6 +67,9 @@ def test_partition_validation():
         Partition(low=[0.0], high=[0.0], cells_per_axis=(1,))
     with pytest.raises(ValueError):
         Partition(low=[0.0], high=[1.0], cells_per_axis=(0,))
+    # 2^64 cells, which an int64 product counts as 0
+    with pytest.raises(ValueError, match="grid of 18446744073709551616 cells exceeds"):
+        Partition(low=[-1.0, -1.0], high=[1.0, 1.0], cells_per_axis=(2**32, 2**32))
 
 
 # --------------------------------------------------------------------------

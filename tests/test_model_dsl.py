@@ -8,17 +8,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quantstab.model_dsl import (
-    Add,
+    BinOp,
     Const,
-    Div,
     DslSyntaxError,
     EvalDomainError,
-    Mul,
     Neg,
     NoiseVar,
     Pow,
     StateVar,
-    Sub,
     UnknownVariableError,
     _power_chain,
     compile_exprs,
@@ -34,14 +31,15 @@ EXAMPLE2_X = "(x1^3 + x1)*(1 + x2^2)"
 
 def test_parse_simple_sum():
     ast = parse_expr("2*x1 + w1", 1, 1)
-    assert ast == Add(Mul(Const(2.0), StateVar(1)), NoiseVar(1))
+    assert ast == BinOp("+", BinOp("*", Const(2.0), StateVar(1)), NoiseVar(1))
 
 
 def test_parse_cubic_times_quadratic():
     ast = parse_expr(EXAMPLE2_X, 2, 0)
-    assert ast == Mul(
-        Add(Pow(StateVar(1), 3), StateVar(1)),
-        Add(Const(1.0), Pow(StateVar(2), 2)),
+    assert ast == BinOp(
+        "*",
+        BinOp("+", Pow(StateVar(1), 3), StateVar(1)),
+        BinOp("+", Const(1.0), Pow(StateVar(2), 2)),
     )
 
 
@@ -120,7 +118,7 @@ def _random_polynomial(rng, n_states, n_noise, depth):
         return Neg(_random_polynomial(rng, n_states, n_noise, depth - 1))
     a = _random_polynomial(rng, n_states, n_noise, depth - 1)
     b = _random_polynomial(rng, n_states, n_noise, depth - 1)
-    return (Add, Sub, Mul)[kind](a, b)
+    return BinOp("+-*"[kind], a, b)
 
 
 def _central_difference(ast, x, w, index, h=1e-5):
@@ -262,12 +260,8 @@ _LEAVES = st.one_of(
 
 
 def _extend(children):
-    pairs = st.tuples(children, children)
     return st.one_of(
-        pairs.map(lambda ab: Add(*ab)),
-        pairs.map(lambda ab: Sub(*ab)),
-        pairs.map(lambda ab: Mul(*ab)),
-        pairs.map(lambda ab: Div(*ab)),
+        st.tuples(st.sampled_from("+-*/"), children, children).map(lambda oab: BinOp(*oab)),
         st.tuples(children, st.integers(-3, 40)).map(lambda be: Pow(*be)),
         children.map(Neg),
     )
@@ -290,8 +284,8 @@ def _same_bits(a: float, b: float) -> bool:
 @example(
     exprs=[
         Pow(StateVar(1), 3),  # numpy ** and Python ** round 0.9027556576068978^3 apart
-        Div(Const(1.0), Div(Const(1.0), StateVar(1))),  # 1 / inf would hide x1 = 0
-        Pow(Add(StateVar(1), NoiseVar(1)), -2),  # zero and underflowing bases
+        BinOp("/", Const(1.0), BinOp("/", Const(1.0), StateVar(1))),  # 1 / inf would hide x1 = 0
+        Pow(BinOp("+", StateVar(1), NoiseVar(1)), -2),  # zero and underflowing bases
         Pow(StateVar(2), 40),  # 1e10^40 is inf, where Python ** raised OverflowError
     ],
     points=np.array(
@@ -307,7 +301,7 @@ def _same_bits(a: float, b: float) -> bool:
 )
 @example(
     # the tuple raises as a whole, while the first expression alone is fine
-    exprs=[Const(0.0), Neg(Neg(Div(Const(0.0), Const(0.0))))],
+    exprs=[Const(0.0), Neg(Neg(BinOp("/", Const(0.0), Const(0.0))))],
     points=np.zeros((6, 3)),
 )
 def test_scalar_array_and_tree_walk_agree_bitwise(exprs, points):

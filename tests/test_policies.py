@@ -17,7 +17,7 @@ from quantstab import (
     uniform_quantizer_policy,
     zoom_policy,
 )
-from quantstab.policies import ZoomState, _cancelling, cell_coords, cell_numbers
+from quantstab.policies import MAX_CELLS, ZoomState, _cancelling, cell_coords, cell_count, cell_numbers
 
 
 # --------------------------------------------------------------------------
@@ -163,6 +163,24 @@ def test_zoom_range_shrinks_in_range_and_grows_on_overflow(doubling):
     q = encoder.encode(1, np.array([100.0]))
     assert q == policy.overflow_symbol
     assert encoder.state.halfwidth == 1.0
+
+
+# --------------------------------------------------------------------------
+# Grid sizes
+
+def test_cell_count_is_exact_up_to_the_limit():
+    assert cell_count((2**12, 2**12)) == MAX_CELLS
+    assert cell_count((3, 5, 7)) == 105
+    with pytest.raises(ValueError, match=f"grid of {MAX_CELLS + 2**12} cells exceeds the limit"):
+        cell_count((2**12, 2**12 + 1))
+
+
+def test_quantizers_reject_grids_above_the_cell_limit(example2):
+    # both grids have 2^64 cells, which an int64 product counts as 0
+    with pytest.raises(ValueError, match="cells exceeds the limit"):
+        uniform_quantizer_policy(example2, -4.0, 4.0, [32, 32])
+    with pytest.raises(ValueError, match="cells exceeds the limit"):
+        zoom_policy(example2, 3, 0.5, 2.0, 1.0, cells_per_axis=[2**32, 2**32])
 
 
 # --------------------------------------------------------------------------

@@ -407,7 +407,7 @@ def _oracle_states(model, x0, w_path, u_seq, horizon):
             nxt = np.asarray(model.f_raw(*x.tolist(), *w_path[t].tolist()), dtype=float)
         except (ZeroDivisionError, OverflowError):
             break
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             nxt = nxt + model.b @ u_seq[t]
         if not np.all(np.isfinite(nxt)):
             break
