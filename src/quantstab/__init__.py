@@ -78,10 +78,7 @@ from .stabilization_entropy import (
     ThresholdConstraintError,
     build_R_epsilon,
     entropy_rate,
-    is_spanning,
     min_cover_cardinality,
-    min_spanning_estimate,
-    satisfies_frequencies,
 )
 
 __version__ = "0.1.0"

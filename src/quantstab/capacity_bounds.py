@@ -25,11 +25,12 @@ import numpy as np
 from .dynamics import (
     GammaDeclaration,
     IndexSubset,
+    NonFiniteMatrixError,
     SingularMatrixError,
     SystemModel,
     log2_abs_det_many,
 )
-from .ergodics import EmpiricalMeasure
+from .ergodics import MAX_OVERFLOW_MASS, EmpiricalMeasure
 from .simulation import NoiseSpec, Seed
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "linear_closed_form",
 ]
 
-MAX_OVERFLOW_MASS = 0.01
 VIOLATION_STDERRS = 2.0
 
 
@@ -99,9 +99,11 @@ def _subset_values(
         return log2_abs_det_many(jacs, subset.p0)
     except SingularMatrixError as exc:
         i = exc.index if exc.index is not None else 0
+        at = f"for p={subset.p} at x={xs[i].tolist()}, w={ws[i].tolist()}"
+        if isinstance(exc, NonFiniteMatrixError):
+            raise NonFiniteMatrixError(f"non-finite subset Jacobian {at}", i) from exc
         raise SingularMatrixError(
-            f"singular subset Jacobian for p={subset.p} at x={xs[i].tolist()}, "
-            f"w={ws[i].tolist()}: declared determinant floor is violated"
+            f"singular subset Jacobian {at}: declared determinant floor is violated"
         ) from exc
 
 
@@ -149,15 +151,17 @@ def refined_bound(
 ) -> BoundReport:
     """Evaluate every declared subset and report the maximum.
 
-    Per-subset failures (a sampled singular Jacobian) are recorded on that
-    subset's entry without aborting the others. Ties in the maximum go to the
-    lexicographically smallest subset so reports are deterministic.
+    Per-subset failures (a sampled singular or non-finite Jacobian) are
+    recorded on that subset's entry without aborting the others. Ties in the
+    maximum go to the lexicographically smallest subset so reports are
+    deterministic.
     """
     full = IndexSubset(p=tuple(range(1, model.n + 1)), n=model.n)
 
     def draw(draw_seed: Seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         xs, ws = _draw_samples(measure, noise, n_mc, draw_seed)
-        return xs, ws, model.jacobian_many(xs, ws)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a subset error
+            return xs, ws, model.jacobian_many(xs, ws)
 
     # with common random numbers every subset, the full state included, reads
     # its block off one Jacobian array

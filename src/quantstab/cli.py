@@ -5,8 +5,8 @@ reruns are byte-identical and runs are archivable as a single file. Unknown
 config keys are hard errors. Exit codes: 0 success, 2 config error (a grid
 above the cell limit and an entropy epsilon too large for the cell masses
 included), 3 assumption-violation findings (bound violation flag, falsified
-floor, singular Jacobian, no post-burn-in sample to measure, overflow mass
-too large for a bound, every entropy scenario diverged).
+floor, singular or non-finite Jacobian, no post-burn-in sample to measure,
+overflow mass too large for a bound, every entropy scenario diverged).
 """
 
 from __future__ import annotations
@@ -643,7 +643,7 @@ def cmd_diagnose(exp: Experiment, out: Path, verbose: bool) -> int:
             name = "overflow" if i == exp.partition.overflow_index else str(i)
             fh.write(f"{name},{value:.17g}\n")
 
-    lead = trajs[0]
+    lead = next(t for t in trajs if t.steps > 0)  # the measure has a sample, so one exists
     if checkpoints is not None:
         checkpoints = [c for c in checkpoints if 1 <= c <= lead.steps]
     else:

@@ -22,6 +22,7 @@ __all__ = [
     "IndexSubset",
     "GammaDeclaration",
     "SingularMatrixError",
+    "NonFiniteMatrixError",
     "FalsificationResult",
     "catalog_model",
     "catalog_names",
@@ -47,6 +48,11 @@ class SingularMatrixError(ArithmeticError):
     def __init__(self, message: str, index: Optional[int] = None):
         self.index = index
         super().__init__(message)
+
+
+class NonFiniteMatrixError(SingularMatrixError, ValueError):
+    """The matrix has inf or nan entries, so |det| is undefined. It is a
+    failed determinant like a singular one, and a ``ValueError`` as well."""
 
 
 # --------------------------------------------------------------------------
@@ -424,7 +430,7 @@ def _abs_dets(mats: np.ndarray, block: np.ndarray) -> np.ndarray:
 def _slogdet_log2(mat: np.ndarray, index: int) -> float:
     """log2 |det| of one matrix whose determinant overflowed double range."""
     if not np.all(np.isfinite(mat)):
-        raise ValueError(f"matrix has non-finite entries at sample {index}")
+        raise NonFiniteMatrixError(f"matrix has non-finite entries at sample {index}", index)
     sign, logabs = np.linalg.slogdet(mat)
     if sign == 0.0:
         raise SingularMatrixError(f"matrix is singular at sample {index}", index=index)
@@ -435,7 +441,7 @@ def log2_abs_det_many(mats: np.ndarray, block: Optional[Sequence[int]] = None) -
     """Base-2 log of |det| of each stacked matrix, or of its principal
     submatrix on the 0-based indices ``block``; raises
     :class:`SingularMatrixError` naming the first slice with |det| below
-    1e-300.
+    1e-300, and :class:`NonFiniteMatrixError` for one with non-finite entries.
 
     Blocks of one or two indices take the closed form on views of the stacked
     matrices, with no copy; per matrix it agrees with ``np.linalg.det`` (LU)

@@ -28,7 +28,8 @@ __all__ = [
     "measure_to_csv",
 ]
 
-OVERFLOW_WARN_MASS = 0.01
+# the 1% overflow rule: a measure above it warns, and a bound refuses one at or above it
+MAX_OVERFLOW_MASS = 0.01
 
 
 @dataclass(frozen=True)
@@ -184,9 +185,9 @@ def empirical_measure(
     weights = counts / total
     if weights[-1] == 1.0:
         warnings.warn("all samples fell in the overflow cell; partition box is too small")
-    elif weights[-1] > OVERFLOW_WARN_MASS:
+    elif weights[-1] > MAX_OVERFLOW_MASS:
         warnings.warn(
-            f"overflow mass {weights[-1]:.3f} exceeds {OVERFLOW_WARN_MASS:.0%}; "
+            f"overflow mass {weights[-1]:.3f} exceeds {MAX_OVERFLOW_MASS:.0%}; "
             "bound estimates over this measure are untrustworthy"
         )
     return EmpiricalMeasure(partition, weights, total, burn_in)

@@ -11,6 +11,9 @@ control sequences by time T.
 Coverage is judged against a finite sampled scenario set, so every cardinality
 reported is an empirical estimate of the true minimum, and the sample counts
 are a tooling choice; reports label the quantity ``s_estimate`` accordingly.
+``satisfaction_matrix`` decides which (candidate, scenario) pairs satisfy the
+frequencies, and ``min_cover_cardinality`` with ``_needed_count`` decides how
+few candidates span.
 """
 
 from __future__ import annotations
@@ -45,12 +48,8 @@ __all__ = [
     "CandidateControls",
     "EntropyPoint",
     "build_R_epsilon",
-    "open_loop_states",
-    "satisfies_frequencies",
     "satisfaction_matrix",
-    "is_spanning",
     "min_cover_cardinality",
-    "min_spanning_estimate",
     "closed_loop_candidates",
     "entropy_rate",
     "entropy_curve_to_csv",
@@ -162,9 +161,6 @@ class ScenarioSet:
     def horizon(self) -> int:
         return self.ws.shape[1]
 
-    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.x0s[i], self.ws[i]
-
 
 @dataclass(frozen=True)
 class CandidateControls:
@@ -175,10 +171,6 @@ class CandidateControls:
     @property
     def count(self) -> int:
         return len(self.sequences)
-
-    @property
-    def horizon(self) -> int:
-        return self.sequences.shape[1]
 
 
 def closed_loop_candidates(
@@ -301,37 +293,6 @@ def _satisfied(
     return np.all(counts[:, :n_s, :n_f] / horizon >= limit, axis=(1, 2))
 
 
-def open_loop_states(
-    model: SystemModel, x0: np.ndarray, w_path: np.ndarray, u_seq: np.ndarray, horizon: int
-) -> np.ndarray:
-    """States x_0 .. x_{T-1} under a fixed control sequence.
-
-    Numeric blow-ups are mapped to inf states, which lie outside every cell.
-    """
-    return _lockstep_states(
-        model,
-        np.asarray(x0, float)[None],
-        np.asarray(w_path, float)[None],
-        np.asarray(u_seq, float)[None],
-        horizon,
-    )[0]
-
-
-def satisfies_frequencies(
-    model: SystemModel,
-    u_seq: np.ndarray,
-    scenario: tuple[np.ndarray, np.ndarray],
-    instance: SpanningInstance,
-) -> bool:
-    """Does this control sequence keep every joint occupancy frequency above
-    1 - r for the given scenario?"""
-    x0, w_path = scenario
-    T = instance.horizon
-    states = open_loop_states(model, x0, w_path, np.asarray(u_seq, float), T)
-    f_idx = _noise_cells(instance.noise_partition, w_path[:T])
-    return bool(_satisfied(states[None], f_idx[None], instance)[0])
-
-
 def satisfaction_matrix(
     model: SystemModel,
     candidates: CandidateControls,
@@ -365,25 +326,12 @@ def satisfaction_matrix(
     return out
 
 
-def is_spanning(
-    model: SystemModel,
-    candidates: CandidateControls,
-    instance: SpanningInstance,
-    scenarios: ScenarioSet,
-) -> tuple[bool, float]:
-    """A scenario is covered when some candidate satisfies its frequencies;
-    spanning means the covered fraction reaches 1 - rho."""
-    if candidates.count == 0:
-        return (False, 0.0)
-    matrix = satisfaction_matrix(model, candidates, instance, scenarios)
-    covered = float(np.mean(np.any(matrix, axis=0)))
-    return (covered >= 1.0 - instance.rho - 1e-12, covered)
-
-
 # --------------------------------------------------------------------------
 # Minimal-cover estimation
 
 def _needed_count(n_scenarios: int, rho: float) -> int:
+    """Scenarios a spanning set must cover: ceil(N (1 - rho)) less a 1e-9
+    rounding slack, and at least 1."""
     return max(1, math.ceil(n_scenarios * (1.0 - rho) - 1e-9))
 
 
@@ -429,23 +377,6 @@ def min_cover_cardinality(
         covered |= masks[best]
         chosen += 1
     return chosen
-
-
-def min_spanning_estimate(
-    model: SystemModel,
-    candidates: CandidateControls,
-    instance: SpanningInstance,
-    scenarios: ScenarioSet,
-    mode: str = "greedy",
-) -> Union[int, float]:
-    """Empirical minimal spanning cardinality over the sampled scenarios.
-
-    ``math.inf`` signals infeasibility: even the full candidate set does not
-    span at this candidate scale.
-    """
-    matrix = satisfaction_matrix(model, candidates, instance, scenarios)
-    needed = _needed_count(scenarios.count, instance.rho)
-    return min_cover_cardinality(matrix, needed, mode=mode)
 
 
 # --------------------------------------------------------------------------

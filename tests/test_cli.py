@@ -670,6 +670,43 @@ def test_bound_overflow_mass_too_large_exits_3_with_an_error_report(tmp_path, ca
     assert json.loads((out / "bound_report.json").read_text()) == {"error": message}
 
 
+def _huge_partition_example2_config(gamma=None):
+    # states drawn from cells of width 1e300 overflow example2's Jacobian
+    cfg = json.loads((REPO / "configs" / "example2_bound.json").read_text())
+    cfg["partition"] = {"low": [-1e300, -1e300], "high": [1e300, 1e300], "cells_per_axis": [2, 2]}
+    del cfg["falsify"]
+    if gamma is not None:
+        cfg["gamma"] = gamma
+    return cfg
+
+
+def _bound_short(tmp_path, cfg):
+    out = tmp_path / "o"
+    args = ["--config", _write(tmp_path, cfg), "--out", str(out), "--paths", "2", "--horizon", "200"]
+    return main(["bound", *args]), json.loads((out / "bound_report.json").read_text())
+
+
+def test_bound_non_finite_jacobian_is_a_subset_error_and_exits_3(tmp_path, capsys):
+    code, report = _bound_short(tmp_path, _huge_partition_example2_config())
+    assert code == EXIT_VIOLATION
+    errors = {tuple(s["p"]): s["error"] for s in report["subsets"]}
+    assert errors[(2,)] is None and report["argmax"] == [2]
+    assert report["classical_bound"] is None  # the full state's Jacobian is not finite
+    err = capsys.readouterr().err.splitlines()
+    for p in [(1,), (1, 2)]:
+        assert errors[p].startswith(f"non-finite subset Jacobian for p={p} at x=")
+        assert f"assumption violation: subset p={p}: {errors[p]}" in err
+
+
+def test_bound_every_subset_non_finite_exits_3_with_an_error_report(tmp_path, capsys):
+    gamma = [{"p": [1], "c_p": 0.9}, {"p": [1, 2], "c_p": 0.4}]
+    code, report = _bound_short(tmp_path, _huge_partition_example2_config(gamma))
+    assert code == EXIT_VIOLATION
+    assert list(report) == ["error"]
+    assert report["error"].startswith("every declared subset failed: non-finite subset Jacobian")
+    assert capsys.readouterr().err.endswith(f"assumption violation: {report['error']}\n")
+
+
 def test_entropy_requires_section(tmp_path):
     assert (
         main(["entropy", "--config", _write(tmp_path, _ar1_config()), "--out", str(tmp_path / "o")])
@@ -694,6 +731,21 @@ def test_diagnose_outputs(tmp_path):
     dispersion = (out / "dispersion.csv").read_text().strip().splitlines()
     assert dispersion[0] == "cell,dispersion"
     assert (out / "measure.csv").exists()
+
+
+def test_diagnose_convergence_follows_the_first_path_with_a_step(tmp_path):
+    cfg = _ar1_config(horizon=50, paths=4, partition={"low": [-1.0], "high": [1.0], "cells_per_axis": [4]})
+    cfg["model"] = {"dsl": "states 1\nnoise 1\nx1' = x1^1000 + 0*w1"}
+    cfg["noise"] = {"family": "uniform", "low": -0.01, "high": 0.01, "dim": 1}
+    cfg["init"] = {"kind": "uniform", "low": [-3.0], "high": [3.0]}
+    out = tmp_path / "out"
+    args = ["diagnose", "--config", _write(tmp_path, cfg), "--seed", "4", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    # path 0 overflows at its first step; others survive all 50
+    divergence = json.loads((out / "diagnose_summary.json").read_text())["divergence"]
+    assert 0 in divergence["first_divergence_steps"] and divergence["diverged"] < 4
+    rows = (out / "convergence.csv").read_text().strip().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["T", "10", "50"]
 
 
 def test_diagnose_reproducible(tmp_path):

@@ -469,8 +469,10 @@ def test_overflowing_closed_form_falls_back_to_lu():
 def test_log2_abs_det_many_rejects_nonfinite_entries():
     for bad in ([[np.nan]], [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0, 0], [0, np.inf, 0], [0, 0, 1.0]]):
         bad = np.array(bad)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite") as err:
             log2_abs_det_many(np.stack([np.eye(len(bad)), bad]))
+        # a failed determinant like a singular one, naming its sample
+        assert isinstance(err.value, SingularMatrixError) and err.value.index == 1
 
 
 # --------------------------------------------------------------------------

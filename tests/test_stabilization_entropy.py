@@ -22,18 +22,15 @@ from quantstab import (
     build_R_epsilon,
     catalog_model,
     entropy_rate,
-    is_spanning,
     min_cover_cardinality,
-    min_spanning_estimate,
     null_policy,
     run_closed_loop,
-    satisfies_frequencies,
     zoom_policy,
 )
 from quantstab import stabilization_entropy
 from quantstab.stabilization_entropy import (
+    _needed_count,
     closed_loop_candidates,
-    open_loop_states,
     satisfaction_matrix,
 )
 
@@ -162,21 +159,34 @@ def _trivial_instance(thresholds, horizon=10):
     return SpanningInstance(horizon, part, None, 0.5, np.asarray(thresholds, float))
 
 
+def _satisfies(model, u_seq, scenario, inst):
+    """Frequency satisfaction of one (candidate, scenario) pair: a 1 x 1 matrix."""
+    x0, w_path = scenario
+    one = ScenarioSet(np.asarray(x0, float)[None], np.asarray(w_path, float)[None])
+    candidate = CandidateControls(np.asarray(u_seq, float)[None])
+    return bool(satisfaction_matrix(model, candidate, inst, one)[0, 0])
+
+
+def _states(model, x0, w_path, u_seq, horizon):
+    """States x_0 .. x_{T-1} of one (start, noise, control) triple."""
+    return stabilization_entropy._lockstep_states(model, x0[None], w_path[None], u_seq[None], horizon)[0]
+
+
 def test_resting_scenario_satisfies_tight_thresholds():
     model = SystemModel.from_text("states 1\nnoise 1\nx1' = x1 + 0*w1")
     # all mass in cell 1 ([0,1)); cell 0 is vacuous
     inst = _trivial_instance([[1.0], [0.02]])
     scenario = (np.array([0.5]), np.zeros((10, 1)))
     u = np.zeros((10, 1))
-    assert satisfies_frequencies(model, u, scenario, inst)
+    assert _satisfies(model, u, scenario, inst)
 
 
 def test_vacuous_thresholds_accept_anything():
     model = SystemModel.from_text("states 1\nnoise 1\nx1' = 2*x1 + w1")
     inst = _trivial_instance([[1.0], [1.0]])
     scenario = (np.array([0.9]), np.random.default_rng(0).normal(size=(10, 1)))
-    assert satisfies_frequencies(model, np.zeros((10, 1)), scenario, inst)
-    assert satisfies_frequencies(model, np.full((10, 1), 3.3), scenario, inst)
+    assert _satisfies(model, np.zeros((10, 1)), scenario, inst)
+    assert _satisfies(model, np.full((10, 1), 3.3), scenario, inst)
 
 
 def test_insufficient_frequency_fails():
@@ -185,9 +195,9 @@ def test_insufficient_frequency_fails():
     inst = _trivial_instance([[1.0], [0.5]], horizon=10)  # need freq >= 0.5 in cell 1
     w = np.array([0.5, 0.5, 0.5, -1, -1, -1, -1, -1, -1, -1])[:, None]
     scenario = (np.array([0.5]), w)  # states: 0.5, 0.5, 0.5, 0.5, -1 ... -> 4/10 in cell 1
-    assert not satisfies_frequencies(model, np.zeros((10, 1)), scenario, inst)
+    assert not _satisfies(model, np.zeros((10, 1)), scenario, inst)
     relaxed = _trivial_instance([[1.0], [0.6]], horizon=10)  # need only 0.4
-    assert satisfies_frequencies(model, np.zeros((10, 1)), scenario, relaxed)
+    assert _satisfies(model, np.zeros((10, 1)), scenario, relaxed)
 
 
 def test_relaxing_thresholds_preserves_satisfaction():
@@ -200,15 +210,15 @@ def test_relaxing_thresholds_preserves_satisfaction():
         tight = _trivial_instance(r, horizon=8)
         loose = _trivial_instance(np.minimum(r + 0.2, 1.0), horizon=8)
         u = np.zeros((8, 1))
-        if satisfies_frequencies(model, u, scenario, tight):
-            assert satisfies_frequencies(model, u, scenario, loose)
+        if _satisfies(model, u, scenario, tight):
+            assert _satisfies(model, u, scenario, loose)
 
 
-def test_open_loop_states_match_manual_recursion(doubling):
+def test_lockstep_states_match_manual_recursion(doubling):
     x0 = np.array([0.25])
     w = np.array([[0.1], [-0.2], [0.3], [0.0]])
     u = np.array([[1.0], [-1.0], [0.5], [0.0]])
-    states = open_loop_states(doubling, x0, w, u, 4)
+    states = _states(doubling, x0, w, u, 4)
     expected = [0.25]
     for t in range(3):
         expected.append(2 * expected[-1] + w[t, 0] + u[t, 0])
@@ -219,7 +229,7 @@ def test_open_loop_blowup_lands_outside_all_cells(example2):
     x0 = np.array([50.0, 0.0])
     w = np.zeros((6, 1))
     u = np.zeros((6, 2))
-    states = open_loop_states(example2, x0, w, u, 6)
+    states = _states(example2, x0, w, u, 6)
     assert np.all(np.isinf(states[-1]))
     part = Partition(low=[-1e300] * 2, high=[1e300] * 2, cells_per_axis=(1, 1))
     assert part.cell_indices(states[-1:])[0] == part.overflow_index
@@ -233,7 +243,12 @@ def test_empty_candidate_set_never_spans():
     inst = _trivial_instance([[1.0], [1.0]], horizon=5)
     scen = ScenarioSet.sample(InitSpec.fixed([0.5]), NoiseSpec.zero(1), 5, 4, seed=0)
     empty = CandidateControls(sequences=np.zeros((0, 5, 1)))
-    assert is_spanning(model, empty, inst, scen) == (False, 0.0)
+    matrix = satisfaction_matrix(model, empty, inst, scen)
+    assert matrix.shape == (0, 4)
+    assert not matrix.any(axis=0).any()
+    needed = _needed_count(scen.count, inst.rho)
+    assert min_cover_cardinality(matrix, needed, mode="greedy") == math.inf
+    assert min_cover_cardinality(matrix, needed, mode="exact") == math.inf
 
 
 def test_single_covering_candidate_spans_fully():
@@ -241,9 +256,23 @@ def test_single_covering_candidate_spans_fully():
     inst = _trivial_instance([[1.0], [1.0]], horizon=5)
     scen = ScenarioSet.sample(InitSpec.fixed([0.5]), NoiseSpec.zero(1), 5, 4, seed=0)
     one = CandidateControls(sequences=np.zeros((1, 5, 1)))
-    spanning, fraction = is_spanning(model, one, inst, scen)
-    assert spanning and fraction == 1.0
-    assert min_spanning_estimate(model, one, inst, scen, mode="exact") == 1
+    matrix = satisfaction_matrix(model, one, inst, scen)
+    assert matrix.any(axis=0).mean() == 1.0
+    needed = _needed_count(scen.count, inst.rho)
+    assert min_cover_cardinality(matrix, needed, mode="greedy") == 1
+    assert min_cover_cardinality(matrix, needed, mode="exact") == 1
+
+
+def test_spanning_needs_the_rounded_up_share_of_scenarios():
+    # N = 4 and rho just below 1/2: ceil(4 * (1 - rho)) is 2 only with the
+    # rounding slack, so one candidate covering 2 of 4 scenarios spans
+    assert _needed_count(4, 0.5 - 1e-10) == 2
+    assert _needed_count(4, 0.5) == 2
+    assert _needed_count(4, 0.25) == 3
+    assert _needed_count(4, 0.99) == 1
+    matrix = np.array([[True, True, False, False]])
+    assert min_cover_cardinality(matrix, _needed_count(4, 0.5 - 1e-10), mode="exact") == 1
+    assert min_cover_cardinality(matrix, _needed_count(4, 0.25), mode="exact") == math.inf
 
 
 def test_lemma_construction_spans_for_stable_null_loop(ar1):
@@ -261,9 +290,9 @@ def test_lemma_construction_spans_for_stable_null_loop(ar1):
 
     r = build_R_epsilon(_state_weights(trajs, template, 0), _noise_weights(scen, template), 0.1)
     inst = SpanningInstance(horizon, template.state_partition, None, 0.5, r)
-    spanning, fraction = is_spanning(ar1, candidates, inst, scen)
-    assert spanning
-    assert fraction > 0.5
+    matrix = satisfaction_matrix(ar1, candidates, inst, scen)
+    assert min_cover_cardinality(matrix, _needed_count(scen.count, inst.rho)) == 1
+    assert matrix.any(axis=0).mean() > 0.5
 
 
 # --------------------------------------------------------------------------
@@ -321,8 +350,8 @@ def test_enlarging_candidate_set_never_reduces_coverage():
     seqs = rng.uniform(-1, 1, (6, 6, 1))
     small = CandidateControls(seqs[:3])
     large = CandidateControls(seqs)
-    _, frac_small = is_spanning(model, small, inst, scen)
-    _, frac_large = is_spanning(model, large, inst, scen)
+    frac_small = satisfaction_matrix(model, small, inst, scen).any(axis=0).mean()
+    frac_large = satisfaction_matrix(model, large, inst, scen).any(axis=0).mean()
     assert frac_large >= frac_small
 
 
@@ -426,7 +455,7 @@ def _oracle_matrix(model, candidates, inst, scen):
     out = np.zeros((candidates.count, scen.count), dtype=bool)
     for i in range(candidates.count):
         for j in range(scen.count):
-            x0, w_path = scen[j]
+            x0, w_path = scen.x0s[j], scen.ws[j]
             states = _oracle_states(model, x0, w_path, candidates.sequences[i], T)
             counts = np.zeros(inst.thresholds.shape)
             for t in range(T):
@@ -520,11 +549,11 @@ def test_lockstep_matrix_matches_scalar_oracle(case):
         assert matrix.shape == (candidates.count, scen.count)
         assert np.array_equal(matrix, _oracle_matrix(model, candidates, inst, scen))
     for i, j in itertools.product(range(candidates.count), range(scen.count)):
-        x0, w_path = scen[j]
+        x0, w_path = scen.x0s[j], scen.ws[j]
         u = candidates.sequences[i]
-        states = open_loop_states(model, x0, w_path, u, horizon)
+        states = _states(model, x0, w_path, u, horizon)
         assert np.array_equal(states, _oracle_states(model, x0, w_path, u, horizon))
-        assert satisfies_frequencies(model, u, scen[j], inst) == matrix[i, j]
+        assert _satisfies(model, u, (x0, w_path), inst) == matrix[i, j]
 
 
 @pytest.mark.parametrize("name", ["example1", "dsl"])
