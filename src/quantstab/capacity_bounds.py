@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .dynamics import (
+    JACOBIAN_BLOCK,
+    BelowFloorError,
     GammaDeclaration,
     IndexSubset,
     NonFiniteMatrixError,
@@ -91,20 +93,56 @@ def _draw_samples(
     return xs, ws
 
 
+def _named(
+    subset: IndexSubset, exc: SingularMatrixError, i: int, xs: np.ndarray, ws: np.ndarray
+) -> SingularMatrixError:
+    """The subset's error for a failed determinant at sample ``i``, naming the point."""
+    at = f"for p={subset.p} at x={xs[i].tolist()}, w={ws[i].tolist()}"
+    if isinstance(exc, NonFiniteMatrixError):
+        return NonFiniteMatrixError(f"non-finite subset Jacobian {at}", i)
+    return SingularMatrixError(
+        f"singular subset Jacobian {at}: declared determinant floor is violated", i
+    )
+
+
 def _subset_values(
-    subset: IndexSubset, xs: np.ndarray, ws: np.ndarray, jacs: np.ndarray
-) -> np.ndarray:
-    """log2 |det| of the subset's block of the full Jacobians ``jacs`` at (xs, ws)."""
-    try:
-        return log2_abs_det_many(jacs, subset.p0)
-    except SingularMatrixError as exc:
-        i = exc.index if exc.index is not None else 0
-        at = f"for p={subset.p} at x={xs[i].tolist()}, w={ws[i].tolist()}"
-        if isinstance(exc, NonFiniteMatrixError):
-            raise NonFiniteMatrixError(f"non-finite subset Jacobian {at}", i) from exc
-        raise SingularMatrixError(
-            f"singular subset Jacobian {at}: declared determinant floor is violated"
-        ) from exc
+    model: SystemModel, subsets: Sequence[IndexSubset], xs: np.ndarray, ws: np.ndarray
+) -> list[Union[np.ndarray, SingularMatrixError]]:
+    """log2 |det| of each subset's Jacobian block at every row of (xs, ws), or
+    the error naming the sample where it failed.
+
+    The Jacobians are evaluated ``JACOBIAN_BLOCK`` rows at a time and every
+    subset reads its block off them, so the full (m, n, n) array never exists.
+    Values and errors are those of ``log2_abs_det_many`` on that array: a
+    subset stops at its first |det| below the floor; one whose only failure
+    so far is a non-finite or ``slogdet``-singular row keeps scanning later
+    blocks for such a determinant, which would be reported first.
+    """
+    m = len(xs)
+    values: list[Optional[np.ndarray]] = [np.empty(m) for _ in subsets]
+    failures: list[Optional[tuple[SingularMatrixError, int]]] = [None] * len(subsets)
+    for start in range(0, m, JACOBIAN_BLOCK):
+        live = [k for k, f in enumerate(failures) if not (f and isinstance(f[0], BelowFloorError))]
+        if not live:
+            break
+        rows = slice(start, start + JACOBIAN_BLOCK)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a subset error
+            jacs = model.jacobian_many(xs[rows], ws[rows])
+        for k in live:
+            try:
+                block_values = log2_abs_det_many(jacs, subsets[k].p0)
+            except SingularMatrixError as exc:
+                if failures[k] is None or isinstance(exc, BelowFloorError):
+                    failures[k] = (exc, start + exc.index)
+                    values[k] = None
+                continue
+            if failures[k] is None:
+                values[k][rows] = block_values
+        del jacs
+    return [
+        values[k] if failures[k] is None else _named(subset, *failures[k], xs, ws)
+        for k, subset in enumerate(subsets)
+    ]
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -122,9 +160,12 @@ def subset_bound(
     n_mc: int,
     seed: Seed = 0,
 ) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of log2 |det| for one subset."""
-    xs, ws = _draw_samples(measure, noise, n_mc, seed)
-    return _mean_stderr(_subset_values(subset, xs, ws, model.jacobian_many(xs, ws)))
+    """Monte Carlo mean and standard error of log2 |det| for one subset: the
+    one-subset case of the block pass in :func:`refined_bound`."""
+    [values] = _subset_values(model, [subset], *_draw_samples(measure, noise, n_mc, seed))
+    if isinstance(values, SingularMatrixError):
+        raise values
+    return _mean_stderr(values)
 
 
 def classical_bound(
@@ -151,33 +192,41 @@ def refined_bound(
 ) -> BoundReport:
     """Evaluate every declared subset and report the maximum.
 
-    Per-subset failures (a sampled singular or non-finite Jacobian) are
-    recorded on that subset's entry without aborting the others. Ties in the
-    maximum go to the lexicographically smallest subset so reports are
-    deterministic.
+    Each draw of (x, w) samples goes through one block pass: its Jacobians
+    are evaluated ``dynamics.JACOBIAN_BLOCK`` rows at a time, the block that
+    floor falsification draws, and every subset of the draw reads its
+    determinants off each block. Memory is about ``(n + noise_dim +
+    subsets) * 8`` bytes per sample. Per-subset failures (a sampled singular
+    or non-finite Jacobian) are recorded on that subset's entry without
+    aborting the others. Ties in the maximum go to the lexicographically
+    smallest subset so reports are deterministic.
     """
     full = IndexSubset(p=tuple(range(1, model.n + 1)), n=model.n)
+    subsets = list(gamma)
 
-    def draw(draw_seed: Seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        xs, ws = _draw_samples(measure, noise, n_mc, draw_seed)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a subset error
-            return xs, ws, model.jacobian_many(xs, ws)
+    def block_pass(evaluated: list[IndexSubset], draw_seed: Seed) -> list[SubsetEstimate]:
+        # the samples are dropped once the pass returns, before the statistics
+        values = _subset_values(model, evaluated, *_draw_samples(measure, noise, n_mc, draw_seed))
+        return [
+            SubsetEstimate(s.p, None, None, n_mc, error=str(v))
+            if isinstance(v, SingularMatrixError)
+            else SubsetEstimate(s.p, *_mean_stderr(v), n_mc)
+            for s, v in zip(evaluated, values)
+        ]
 
-    # with common random numbers every subset, the full state included, reads
-    # its block off one Jacobian array
-    shared = draw(seed) if common_random_numbers else None
-
-    def values(subset: IndexSubset, tag: int) -> np.ndarray:
-        sample = shared if shared is not None else draw(_derived_seed(seed, tag))
-        return _subset_values(subset, *sample)
-
-    estimates: list[SubsetEstimate] = []
-    for i, subset in enumerate(gamma):
-        try:
-            mean, stderr = _mean_stderr(values(subset, i))
-            estimates.append(SubsetEstimate(subset.p, mean, stderr, n_mc))
-        except SingularMatrixError as exc:
-            estimates.append(SubsetEstimate(subset.p, None, None, n_mc, error=str(exc)))
+    if common_random_numbers:
+        # one draw and one pass; a declared full-state subset (matched on p,
+        # as c_p may differ) gives the classical bound without another column
+        extra = [] if any(s.p == full.p for s in subsets) else [full]
+        results = block_pass(subsets + extra, seed)
+    else:
+        # one draw and one pass per subset, and one more for the full state
+        results = [
+            block_pass([s], _derived_seed(seed, tag))[0] for tag, s in enumerate(subsets + [full])
+        ]
+    estimates = tuple(results[: len(subsets)])
+    # the appended full-state entry, or with common random numbers a declared one
+    classical = next(e for e in reversed(results) if e.p == full.p).mean
 
     ok = [e for e in estimates if e.error is None]
     if not ok:
@@ -186,19 +235,9 @@ def refined_bound(
         )
     best = min(ok, key=lambda e: (-e.mean, e.p))
 
-    declared_full = next((e for e in estimates if e.p == full.p), None)
-    if shared is not None and declared_full is not None:
-        # its values are the full state's, read off the same Jacobian array
-        classical = declared_full.mean
-    else:
-        try:
-            classical, _ = _mean_stderr(values(full, len(gamma.subsets)))
-        except SingularMatrixError:
-            classical = None
-
     violation = capacity is not None and best.mean > capacity + VIOLATION_STDERRS * best.stderr
     return BoundReport(
-        subsets=tuple(estimates),
+        subsets=estimates,
         max_bound=best.mean,
         argmax=best.p,
         classical_bound=classical,

@@ -22,6 +22,7 @@ __all__ = [
     "IndexSubset",
     "GammaDeclaration",
     "SingularMatrixError",
+    "BelowFloorError",
     "NonFiniteMatrixError",
     "FalsificationResult",
     "catalog_model",
@@ -36,18 +37,29 @@ __all__ = [
     "falsify_floors",
     "default_falsification_sampler",
     "finite_difference_jacobian",
+    "JACOBIAN_BLOCK",
 ]
 
 _DET_FLOOR = 1e-300
+# rows per Jacobian evaluation in the Monte Carlo bound and in floor
+# falsification: memory grows with the block, not with the sample count
+JACOBIAN_BLOCK = 20_000
 _LOG2 = math.log(2.0)
 
 
 class SingularMatrixError(ArithmeticError):
-    """|det| fell below 1e-300; raised instead of silently returning -inf."""
+    """A determinant failed: |det| fell below 1e-300, or it overflowed and
+    ``slogdet`` found the matrix singular; raised instead of silently
+    returning -inf."""
 
     def __init__(self, message: str, index: Optional[int] = None):
         self.index = index
         super().__init__(message)
+
+
+class BelowFloorError(SingularMatrixError):
+    """|det| fell below 1e-300. In a stack of matrices the first such slice
+    is reported before any other failed determinant."""
 
 
 class NonFiniteMatrixError(SingularMatrixError, ValueError):
@@ -440,8 +452,10 @@ def _slogdet_log2(mat: np.ndarray, index: int) -> float:
 def log2_abs_det_many(mats: np.ndarray, block: Optional[Sequence[int]] = None) -> np.ndarray:
     """Base-2 log of |det| of each stacked matrix, or of its principal
     submatrix on the 0-based indices ``block``; raises
-    :class:`SingularMatrixError` naming the first slice with |det| below
-    1e-300, and :class:`NonFiniteMatrixError` for one with non-finite entries.
+    :class:`BelowFloorError` naming the first slice with |det| below 1e-300.
+    Failing that, it raises for the first slice whose determinant overflowed
+    and cannot be taken by ``slogdet``: :class:`NonFiniteMatrixError` for
+    non-finite entries, :class:`SingularMatrixError` for a singular one.
 
     Blocks of one or two indices take the closed form on views of the stacked
     matrices, with no copy; per matrix it agrees with ``np.linalg.det`` (LU)
@@ -453,7 +467,7 @@ def log2_abs_det_many(mats: np.ndarray, block: Optional[Sequence[int]] = None) -
     small = dets < _DET_FLOOR  # false for nan and inf
     if np.any(small):
         i = int(np.argmax(small))
-        raise SingularMatrixError(f"|det| below 1e-300 at sample {i}", index=i)
+        raise BelowFloorError(f"|det| below 1e-300 at sample {i}", index=i)
     finite = np.isfinite(dets)
     out = np.log2(dets, where=finite, out=np.empty(len(dets)))
     for i in np.nonzero(~finite)[0]:
@@ -527,11 +541,12 @@ def falsify_floors(
     sampler: Optional[Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]] = None,
     n: int = 100_000,
     seed: int = 0,
-    chunk: int = 20_000,
+    chunk: int = JACOBIAN_BLOCK,
 ) -> list[FalsificationResult]:
     """Search one sample set for a point with |det| <= each subset's floor.
 
-    Each chunk of samples is drawn once and its full Jacobians evaluated
+    Each chunk of samples (``JACOBIAN_BLOCK`` rows by default, the block of
+    the Monte Carlo bound) is drawn once and its full Jacobians evaluated
     once; every subset still searching reads its block off them. A subset
     stops at the chunk holding its first counterexample (``n_samples`` counts
     the samples drawn up to then), otherwise it reports the minimum
@@ -581,7 +596,7 @@ def gamma_falsify(
     sampler: Optional[Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]] = None,
     n: int = 100_000,
     seed: int = 0,
-    chunk: int = 20_000,
+    chunk: int = JACOBIAN_BLOCK,
 ) -> FalsificationResult:
     """Search for a sampled point with |det| <= the declared floor: the
     one-subset case of :func:`falsify_floors`.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from quantstab import (
     subset_bound,
 )
 from quantstab import Partition, capacity_bounds
+from quantstab.dynamics import JACOBIAN_BLOCK, NonFiniteMatrixError, log2_abs_det_many
 from conftest import uniform_measure
 
 
@@ -231,6 +233,91 @@ def test_all_subsets_failing_raises(make_uniform_measure):
     gamma = GammaDeclaration((IndexSubset((1,), 1, 0.1),))
     with pytest.raises(SingularMatrixError, match="every declared subset"):
         refined_bound(model, gamma, measure, NOISE1, 100, seed=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_subset_bound_non_finite_jacobian_raises_without_a_warning(example2, make_uniform_measure):
+    # states drawn from cells of width 1e300 overflow example2's Jacobian
+    measure = make_uniform_measure([-1e300, -1e300], [1e300, 1e300], (2, 2))
+    with pytest.raises(NonFiniteMatrixError, match="non-finite subset Jacobian for p=\\(1,\\) at x="):
+        subset_bound(example2, IndexSubset((1,), 2), measure, NOISE1, 1000, seed=0)
+    with pytest.raises(NonFiniteMatrixError):
+        classical_bound(example2, measure, NOISE1, 1000, seed=0)
+
+
+# --------------------------------------------------------------------------
+# The block pass: Jacobians evaluated JACOBIAN_BLOCK rows at a time
+
+def _whole_array_estimates(model, subsets, measure, noise, n_mc, seeds):
+    """(mean, stderr) per subset from one Jacobian array over each subset's whole draw."""
+    out = []
+    for subset, seed in zip(subsets, seeds):
+        xs, ws = capacity_bounds._draw_samples(measure, noise, n_mc, seed)
+        values = log2_abs_det_many(model.jacobian_many(xs, ws), subset.p0)
+        out.append(capacity_bounds._mean_stderr(values))
+    return out
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("crn", [True, False])
+def test_block_pass_matches_one_whole_array_bit_for_bit(example2, make_uniform_measure, crn):
+    n_mc = 2 * JACOBIAN_BLOCK + 5001  # two full blocks and a partial one
+    measure = make_uniform_measure([-2, -2], [2, 2], (4, 4))
+    gamma = GammaDeclaration((IndexSubset((1,), 2, 0.9), IndexSubset((2,), 2, 0.4)))
+    full = IndexSubset((1, 2), 2)
+    evaluated = list(gamma) + [full]
+    seeds = [5] * 3 if crn else [(5, tag) for tag in range(3)]
+    expected = _whole_array_estimates(example2, evaluated, measure, NOISE1, n_mc, seeds)
+    report = refined_bound(example2, gamma, measure, NOISE1, n_mc, seed=5, common_random_numbers=crn)
+    for estimate, (mean, stderr) in zip(report.subsets, expected):
+        assert (_bits(estimate.mean), _bits(estimate.stderr)) == (_bits(mean), _bits(stderr))
+    assert _bits(report.classical_bound) == _bits(expected[-1][0])
+
+
+_SQUARE = SystemModel.from_text("states 1\nnoise 1\nx1' = x1^2 + w1")  # Jacobian 2 x1
+
+
+@pytest.mark.parametrize(
+    "bad, row, kind",
+    [
+        ({5: math.inf, 45_000: 0.0}, 45_000, SingularMatrixError),  # below the floor beats non-finite
+        ({25_000: 0.0, 45_000: 0.0}, 25_000, SingularMatrixError),  # the first below the floor
+        ({5: math.inf, 45_000: math.inf}, 5, NonFiniteMatrixError),
+    ],
+)
+def test_block_pass_reports_the_whole_array_error(bad, row, kind):
+    xs = np.full((45_001, 1), 0.5)
+    ws = np.arange(45_001, dtype=float)[:, None]
+    for i, x in bad.items():
+        xs[i] = x
+    with pytest.raises(SingularMatrixError) as oracle:
+        log2_abs_det_many(_SQUARE.jacobian_many(xs, ws))
+    assert oracle.value.index == row
+    assert isinstance(oracle.value, NonFiniteMatrixError) == (kind is NonFiniteMatrixError)
+
+    [error] = capacity_bounds._subset_values(_SQUARE, [IndexSubset((1,), 1)], xs, ws)
+    assert type(error) is kind and error.index == row
+    assert f"for p=(1,) at x=[{xs[row, 0]}], w=[{float(row)}]" in str(error)
+
+
+def test_block_pass_memory_does_not_grow_with_the_jacobian_array(example2, make_uniform_measure):
+    n_mc = 400_000
+    measure = make_uniform_measure([-2, -2], [2, 2], (4, 4))
+    gamma = GammaDeclaration(
+        (IndexSubset((1,), 2, 0.9), IndexSubset((2,), 2, 0.4), IndexSubset((1, 2), 2, 0.4))
+    )
+    # the samples (n + noise_dim columns) and one value per subset, plus the blocks
+    bound = (example2.n + example2.noise_dim + len(gamma.subsets)) * 8 * n_mc + 4 * 2**20
+    tracemalloc.start()
+    try:
+        refined_bound(example2, gamma, measure, NOISE1, n_mc, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 # --------------------------------------------------------------------------
