@@ -10,15 +10,18 @@ cross-subset differences into per-sample algebraic identities instead of
 noisy estimates; a declared full-state subset then gives the classical bound
 without a second evaluation.
 
-The histogram surrogate for the asymptotic mean introduces a bias that is
-reported as a caveat (overflow-mass warnings), not corrected.
+The histogram surrogate for the asymptotic mean introduces a bias (a
+nonlinear Jacobian is averaged over uniform in-cell states, not over the
+states the paths visit) that is neither reported nor corrected. The
+overflow-mass warnings measure a different quantity: the mass outside the
+partition box.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -80,24 +83,42 @@ def _derived_seed(seed: Seed, tag: int) -> tuple[int, ...]:
 
 def _draw_samples(
     measure: EmpiricalMeasure, noise: NoiseSpec, n_mc: int, seed: Seed
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The ``n_mc`` (x, w) samples of one draw, ``JACOBIAN_BLOCK`` rows at a time.
+
+    Stream layout: the whole draw is one PCG64 stream seeded by
+    ``SeedSequence(seed)`` that holds ``n_mc`` doubles picking the cells, then
+    ``n_mc * dim`` doubles placing the states in them, then the noise, as
+    ``sample_states(rng, n_mc)`` followed by ``noise.sample(rng, n_mc)`` on
+    ``default_rng(SeedSequence(seed))`` reads it. Each part here reads its own
+    generator on that stream, advanced to where the part starts (0, ``n_mc``
+    and ``n_mc * (1 + dim)``; ``PCG64.advance`` acts as if that many draws had
+    occurred, and a double is one draw). So the blocks concatenate to the
+    whole draw bit for bit, and the noise, last, may take any number of draws
+    per row.
+    """
     if n_mc < 1:
         raise ValueError("need at least one Monte Carlo sample")
     if measure.overflow_mass >= MAX_OVERFLOW_MASS:
         raise ValueError(
             f"overflow mass {measure.overflow_mass:.3f} is too large to trust the estimate"
         )
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    xs = measure.sample_states(rng, n_mc)
-    ws = noise.sample(rng, n_mc)
-    return xs, ws
+    cdf = measure.cell_cdf()
+    seq = np.random.SeedSequence(seed)
+    cell_rng, offset_rng, noise_rng = (
+        np.random.Generator(np.random.PCG64(seq).advance(start))
+        for start in (0, n_mc, n_mc * (1 + measure.partition.dim))
+    )
+    for start in range(0, n_mc, JACOBIAN_BLOCK):
+        count = min(JACOBIAN_BLOCK, n_mc - start)
+        yield measure.draw_states(cdf, cell_rng, offset_rng, count), noise.sample(noise_rng, count)
 
 
 def _named(
-    subset: IndexSubset, exc: SingularMatrixError, i: int, xs: np.ndarray, ws: np.ndarray
+    subset: IndexSubset, exc: SingularMatrixError, i: int, x: np.ndarray, w: np.ndarray
 ) -> SingularMatrixError:
-    """The subset's error for a failed determinant at sample ``i``, naming the point."""
-    at = f"for p={subset.p} at x={xs[i].tolist()}, w={ws[i].tolist()}"
+    """The subset's error for a failed determinant at sample ``i`` = (x, w)."""
+    at = f"for p={subset.p} at x={x.tolist()}, w={w.tolist()}"
     if isinstance(exc, NonFiniteMatrixError):
         return NonFiniteMatrixError(f"non-finite subset Jacobian {at}", i)
     return SingularMatrixError(
@@ -105,51 +126,72 @@ def _named(
     )
 
 
-def _subset_values(
-    model: SystemModel, subsets: Sequence[IndexSubset], xs: np.ndarray, ws: np.ndarray
-) -> list[Union[np.ndarray, SingularMatrixError]]:
-    """log2 |det| of each subset's Jacobian block at every row of (xs, ws), or
-    the error naming the sample where it failed.
+Moments = tuple[int, float, float]  # (count, mean, sum of squared deviations)
 
-    The Jacobians are evaluated ``JACOBIAN_BLOCK`` rows at a time and every
-    subset reads its block off them, so the full (m, n, n) array never exists.
-    Values and errors are those of ``log2_abs_det_many`` on that array: a
-    subset stops at its first |det| below the floor; one whose only failure
-    so far is a non-finite or ``slogdet``-singular row keeps scanning later
-    blocks for such a determinant, which would be reported first.
+
+def _fold(moments: Moments, values: np.ndarray) -> Moments:
+    """Merge one block of values into running moments (Chan, Golub & LeVeque,
+    Am. Stat. 37(3), 1983). From ``(0, 0.0, 0.0)`` the first block gives
+    numpy's own figures: the mean ``values.mean()`` and the squared
+    deviations that ``values.std()`` sums."""
+    count = len(values)
+    mean = values.mean()
+    m2 = np.square(values - mean).sum()
+    n_a, mean_a, m2_a = moments
+    total = n_a + count
+    delta = mean - mean_a
+    merged_mean = mean_a + delta * (count / total)
+    return total, merged_mean, m2_a + m2 + delta * delta * (n_a * count / total)
+
+
+def _subset_values(
+    model: SystemModel,
+    subsets: Sequence[IndexSubset],
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+) -> list[Union[Moments, SingularMatrixError]]:
+    """Moments of log2 |det| of each subset's Jacobian block over the sample
+    rows of ``blocks``, or the error naming the sample where it failed.
+
+    Each (xs, ws) block's Jacobians are evaluated once and every subset folds
+    its values off them, so no array of all the rows exists. Errors are those
+    of ``log2_abs_det_many`` on the whole array: a subset stops at its first
+    |det| below the floor; one whose only failure so far is a non-finite or
+    ``slogdet``-singular row keeps scanning later blocks for such a
+    determinant, which would be reported first.
     """
-    m = len(xs)
-    values: list[Optional[np.ndarray]] = [np.empty(m) for _ in subsets]
-    failures: list[Optional[tuple[SingularMatrixError, int]]] = [None] * len(subsets)
-    for start in range(0, m, JACOBIAN_BLOCK):
-        live = [k for k, f in enumerate(failures) if not (f and isinstance(f[0], BelowFloorError))]
-        if not live:
-            break
-        rows = slice(start, start + JACOBIAN_BLOCK)
+    moments: list[Moments] = [(0, 0.0, 0.0)] * len(subsets)
+    failures: list[Optional[tuple]] = [None] * len(subsets)
+    live = list(range(len(subsets)))
+    start = 0
+    for xs, ws in blocks:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a subset error
-            jacs = model.jacobian_many(xs[rows], ws[rows])
+            jacs = model.jacobian_many(xs, ws)
         for k in live:
             try:
-                block_values = log2_abs_det_many(jacs, subsets[k].p0)
+                values = log2_abs_det_many(jacs, subsets[k].p0)
             except SingularMatrixError as exc:
                 if failures[k] is None or isinstance(exc, BelowFloorError):
-                    failures[k] = (exc, start + exc.index)
-                    values[k] = None
+                    i = exc.index
+                    failures[k] = (exc, start + i, xs[i].copy(), ws[i].copy())
                 continue
             if failures[k] is None:
-                values[k][rows] = block_values
+                moments[k] = _fold(moments[k], values)
         del jacs
+        start += len(xs)
+        live = [k for k in live if not (failures[k] and isinstance(failures[k][0], BelowFloorError))]
+        if not live:
+            break
     return [
-        values[k] if failures[k] is None else _named(subset, *failures[k], xs, ws)
+        moments[k] if failures[k] is None else _named(subset, *failures[k])
         for k, subset in enumerate(subsets)
     ]
 
 
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    mean = float(values.mean())
-    if len(values) < 2:
-        return mean, 0.0
-    return mean, float(values.std(ddof=1) / math.sqrt(len(values)))
+def _mean_stderr(moments: Moments) -> tuple[float, float]:
+    count, mean, m2 = moments
+    if count < 2:
+        return float(mean), 0.0
+    return float(mean), float(np.sqrt(m2 / (count - 1)) / math.sqrt(count))
 
 
 def subset_bound(
@@ -162,10 +204,10 @@ def subset_bound(
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of log2 |det| for one subset: the
     one-subset case of the block pass in :func:`refined_bound`."""
-    [values] = _subset_values(model, [subset], *_draw_samples(measure, noise, n_mc, seed))
-    if isinstance(values, SingularMatrixError):
-        raise values
-    return _mean_stderr(values)
+    [moments] = _subset_values(model, [subset], _draw_samples(measure, noise, n_mc, seed))
+    if isinstance(moments, SingularMatrixError):
+        raise moments
+    return _mean_stderr(moments)
 
 
 def classical_bound(
@@ -192,26 +234,26 @@ def refined_bound(
 ) -> BoundReport:
     """Evaluate every declared subset and report the maximum.
 
-    Each draw of (x, w) samples goes through one block pass: its Jacobians
-    are evaluated ``dynamics.JACOBIAN_BLOCK`` rows at a time, the block that
-    floor falsification draws, and every subset of the draw reads its
-    determinants off each block. Memory is about ``(n + noise_dim +
-    subsets) * 8`` bytes per sample. Per-subset failures (a sampled singular
-    or non-finite Jacobian) are recorded on that subset's entry without
-    aborting the others. Ties in the maximum go to the lexicographically
+    Each draw of (x, w) samples is one streaming pass over blocks of
+    ``dynamics.JACOBIAN_BLOCK`` rows, the block that floor falsification
+    draws: each block is drawn, its Jacobians are evaluated once, and every
+    subset of the draw folds its determinants into a running mean and sum of
+    squared deviations. Up to one block the mean and stderr are numpy's; past
+    it the block merge may differ from them in the last bits. Per-subset
+    failures (a sampled singular or non-finite Jacobian) are recorded on that
+    subset's entry without aborting the others. Ties in the maximum go to the lexicographically
     smallest subset so reports are deterministic.
     """
     full = IndexSubset(p=tuple(range(1, model.n + 1)), n=model.n)
     subsets = list(gamma)
 
     def block_pass(evaluated: list[IndexSubset], draw_seed: Seed) -> list[SubsetEstimate]:
-        # the samples are dropped once the pass returns, before the statistics
-        values = _subset_values(model, evaluated, *_draw_samples(measure, noise, n_mc, draw_seed))
+        moments = _subset_values(model, evaluated, _draw_samples(measure, noise, n_mc, draw_seed))
         return [
             SubsetEstimate(s.p, None, None, n_mc, error=str(v))
             if isinstance(v, SingularMatrixError)
             else SubsetEstimate(s.p, *_mean_stderr(v), n_mc)
-            for s, v in zip(evaluated, values)
+            for s, v in zip(evaluated, moments)
         ]
 
     if common_random_numbers:

@@ -133,21 +133,41 @@ class EmpiricalMeasure:
         weights = (self.weights * self.n_samples + other.weights * other.n_samples) / total
         return EmpiricalMeasure(self.partition, weights, total, self.burn_in)
 
-    def sample_states(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw states cell-by-weight, uniform within the cell (overflow excluded)."""
+    def cell_cdf(self) -> np.ndarray:
+        """Cumulative in-box cell weights scaled to end at 1 (overflow
+        excluded): the table ``Generator.choice(p=...)`` builds and searches."""
         in_box = self.weights[:-1]
         total = in_box.sum()
         if total <= 0.0:
             raise ValueError("measure has no in-box mass to sample from")
-        cells = rng.choice(self.partition.n_boxes, size=count, p=in_box / total)
+        cdf = (in_box / total).cumsum()
+        cdf /= cdf[-1]
+        return cdf
+
+    def draw_states(
+        self,
+        cdf: np.ndarray,
+        cell_rng: np.random.Generator,
+        offset_rng: np.random.Generator,
+        count: int,
+    ) -> np.ndarray:
+        """``count`` states: ``count`` doubles of ``cell_rng`` pick cells off
+        ``cdf`` (see :meth:`cell_cdf`) as ``choice`` would, then ``count * dim``
+        doubles of ``offset_rng`` place each state uniformly in its cell."""
+        cells = cdf.searchsorted(cell_rng.random(count), side="right")
         # low + (cell coords + offsets) * width, built in the offsets array:
         # IEEE sums and products commute, so the bits are the same
-        states = rng.uniform(0.0, 1.0, (count, self.partition.dim))
+        states = offset_rng.uniform(0.0, 1.0, (count, self.partition.dim))
         for axis, coords in enumerate(np.unravel_index(cells, self.partition.cells_per_axis)):
             states[:, axis] += coords
         states *= self.partition.width
         states += self.partition.low
         return states
+
+    def sample_states(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Draw states cell-by-weight, uniform within the cell (overflow
+        excluded): :meth:`draw_states` with one generator for both parts."""
+        return self.draw_states(self.cell_cdf(), rng, rng, count)
 
 
 def _as_trajectories(trajectories) -> list[Trajectory]:

@@ -20,7 +20,7 @@ from quantstab import (
     refined_bound,
     subset_bound,
 )
-from quantstab import Partition, capacity_bounds
+from quantstab import EmpiricalMeasure, Partition, capacity_bounds
 from quantstab.dynamics import JACOBIAN_BLOCK, NonFiniteMatrixError, log2_abs_det_many
 from conftest import uniform_measure
 
@@ -187,8 +187,6 @@ def test_overflow_mass_precondition(example1):
     weights = np.zeros(part.n_cells)
     weights[0] = 0.9
     weights[-1] = 0.1
-    from quantstab.ergodics import EmpiricalMeasure
-
     measure = EmpiricalMeasure(part, weights, 100, 0)
     with pytest.raises(ValueError, match="overflow mass"):
         subset_bound(example1, IndexSubset((1,), 2), measure, NOISE2, 100, seed=0)
@@ -246,35 +244,116 @@ def test_subset_bound_non_finite_jacobian_raises_without_a_warning(example2, mak
 
 
 # --------------------------------------------------------------------------
-# The block pass: Jacobians evaluated JACOBIAN_BLOCK rows at a time
+# The streaming pass: drawn, evaluated and reduced JACOBIAN_BLOCK rows at a time
 
-def _whole_array_estimates(model, subsets, measure, noise, n_mc, seeds):
-    """(mean, stderr) per subset from one Jacobian array over each subset's whole draw."""
-    out = []
-    for subset, seed in zip(subsets, seeds):
-        xs, ws = capacity_bounds._draw_samples(measure, noise, n_mc, seed)
-        values = log2_abs_det_many(model.jacobian_many(xs, ws), subset.p0)
-        out.append(capacity_bounds._mean_stderr(values))
-    return out
+_BLOCK_COUNTS = [
+    1, JACOBIAN_BLOCK - 1, JACOBIAN_BLOCK, JACOBIAN_BLOCK + 1, 2 * JACOBIAN_BLOCK + 5001
+]
+
+
+def _whole_draw(measure, noise, n_mc, seed):
+    """One draw on one generator: the states, then the noise."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return measure.sample_states(rng, n_mc), noise.sample(rng, n_mc)
+
+
+@pytest.mark.parametrize("seed", [4, (4, 1)])
+@pytest.mark.parametrize(
+    "noise",
+    [
+        NoiseSpec.uniform(1, -0.25, 0.25),
+        NoiseSpec.gaussian(2, mean=[1.0, -1.0], std=[0.5, 2.0]),
+        NoiseSpec.atoms([[0.0, 1.0], [2.0, -1.0], [5.0, 5.0]], [0.2, 0.5, 0.3]),
+    ],
+    ids=["uniform", "gaussian", "atoms"],
+)
+@pytest.mark.parametrize(
+    "measure",
+    [
+        EmpiricalMeasure(
+            Partition([-1.0], [3.0], (5,)), np.array([0.1, 0.0, 0.4, 0.3, 0.2, 0.0]), 10, 0
+        ),
+        uniform_measure([-2, -1], [2, 1], (4, 3)),
+    ],
+    ids=["1d", "2d"],
+)
+def test_streamed_draw_equals_one_whole_draw_bitwise(measure, noise, seed):
+    for n_mc in _BLOCK_COUNTS:
+        blocks = list(capacity_bounds._draw_samples(measure, noise, n_mc, seed))
+        assert [len(xs) for xs, _ in blocks] == [
+            min(JACOBIAN_BLOCK, n_mc - start) for start in range(0, n_mc, JACOBIAN_BLOCK)
+        ]
+        want_xs, want_ws = _whole_draw(measure, noise, n_mc, seed)
+        assert np.concatenate([xs for xs, _ in blocks]).tobytes() == want_xs.tobytes()
+        assert np.concatenate([ws for _, ws in blocks]).tobytes() == want_ws.tobytes()
+
+
+def _chan_fold(values):
+    """(mean, stderr) of values merged in JACOBIAN_BLOCK-row slices by Chan's update."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, len(values), JACOBIAN_BLOCK):
+        block = values[start: start + JACOBIAN_BLOCK]
+        block_mean = block.mean()
+        block_m2 = ((block - block_mean) ** 2).sum()
+        total = count + len(block)
+        delta = block_mean - mean
+        mean = mean + delta * (len(block) / total)
+        m2 = m2 + block_m2 + delta * delta * (count * len(block) / total)
+        count = total
+    return mean, (np.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0)
+
+
+def _whole_array_values(model, subsets, measure, noise, n_mc, seeds):
+    """log2 |det| per subset from one Jacobian array over each subset's whole draw."""
+    return [
+        log2_abs_det_many(model.jacobian_many(*_whole_draw(measure, noise, n_mc, seed)), subset.p0)
+        for subset, seed in zip(subsets, seeds)
+    ]
 
 
 def _bits(x):
     return np.float64(x).tobytes()
 
 
+def _block_pass_reports(example2, measure, n_mc, crn):
+    """The report of refined_bound and the whole-array values of its draws."""
+    gamma = GammaDeclaration((IndexSubset((1,), 2, 0.9), IndexSubset((2,), 2, 0.4)))
+    evaluated = list(gamma) + [IndexSubset((1, 2), 2)]
+    seeds = [5] * 3 if crn else [(5, tag) for tag in range(3)]
+    values = _whole_array_values(example2, evaluated, measure, NOISE1, n_mc, seeds)
+    report = refined_bound(
+        example2, gamma, measure, NOISE1, n_mc, seed=5, common_random_numbers=crn
+    )
+    return report, values
+
+
 @pytest.mark.parametrize("crn", [True, False])
 def test_block_pass_matches_one_whole_array_bit_for_bit(example2, make_uniform_measure, crn):
     n_mc = 2 * JACOBIAN_BLOCK + 5001  # two full blocks and a partial one
     measure = make_uniform_measure([-2, -2], [2, 2], (4, 4))
-    gamma = GammaDeclaration((IndexSubset((1,), 2, 0.9), IndexSubset((2,), 2, 0.4)))
-    full = IndexSubset((1, 2), 2)
-    evaluated = list(gamma) + [full]
-    seeds = [5] * 3 if crn else [(5, tag) for tag in range(3)]
-    expected = _whole_array_estimates(example2, evaluated, measure, NOISE1, n_mc, seeds)
-    report = refined_bound(example2, gamma, measure, NOISE1, n_mc, seed=5, common_random_numbers=crn)
-    for estimate, (mean, stderr) in zip(report.subsets, expected):
-        assert (_bits(estimate.mean), _bits(estimate.stderr)) == (_bits(mean), _bits(stderr))
-    assert _bits(report.classical_bound) == _bits(expected[-1][0])
+    report, values = _block_pass_reports(example2, measure, n_mc, crn)
+    got = [(e.mean, e.stderr) for e in report.subsets] + [(report.classical_bound, None)]
+    for (mean, stderr), v in zip(got, values):
+        want_mean, want_stderr = _chan_fold(v)
+        assert _bits(mean) == _bits(want_mean)
+        assert mean == pytest.approx(np.mean(v), rel=1e-14, abs=0.0)
+        if stderr is not None:
+            assert _bits(stderr) == _bits(want_stderr)
+            assert stderr == pytest.approx(np.std(v, ddof=1) / math.sqrt(n_mc), rel=1e-14, abs=0.0)
+    # the stable coordinate alone is the constant log2(1/2)
+    constant = {e.p: e for e in report.subsets}[(2,)]
+    assert (constant.mean, constant.stderr) == (-1.0, 0.0)
+
+
+@pytest.mark.parametrize("n_mc", [5000, JACOBIAN_BLOCK])
+def test_one_block_pass_equals_numpy_bit_for_bit(example2, make_uniform_measure, n_mc):
+    measure = make_uniform_measure([-2, -2], [2, 2], (4, 4))
+    report, values = _block_pass_reports(example2, measure, n_mc, crn=True)
+    got = [(e.mean, e.stderr) for e in report.subsets]
+    for (mean, stderr), v in zip(got, values):
+        assert _bits(mean) == _bits(v.mean())
+        assert _bits(stderr) == _bits(v.std(ddof=1) / math.sqrt(n_mc))
+    assert _bits(report.classical_bound) == _bits(values[-1].mean())
 
 
 _SQUARE = SystemModel.from_text("states 1\nnoise 1\nx1' = x1^2 + w1")  # Jacobian 2 x1
@@ -298,7 +377,10 @@ def test_block_pass_reports_the_whole_array_error(bad, row, kind):
     assert oracle.value.index == row
     assert isinstance(oracle.value, NonFiniteMatrixError) == (kind is NonFiniteMatrixError)
 
-    [error] = capacity_bounds._subset_values(_SQUARE, [IndexSubset((1,), 1)], xs, ws)
+    blocks = [
+        (xs[i: i + JACOBIAN_BLOCK], ws[i: i + JACOBIAN_BLOCK]) for i in range(0, len(xs), JACOBIAN_BLOCK)
+    ]
+    [error] = capacity_bounds._subset_values(_SQUARE, [IndexSubset((1,), 1)], blocks)
     assert type(error) is kind and error.index == row
     assert f"for p=(1,) at x=[{xs[row, 0]}], w=[{float(row)}]" in str(error)
 
@@ -318,6 +400,7 @@ def test_block_pass_memory_does_not_grow_with_the_jacobian_array(example2, make_
     finally:
         tracemalloc.stop()
     assert peak < bound
+    assert peak < 4 * 2**20  # O(block): no array of n_mc rows, not even the samples
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from quantstab import cli, stabilization_entropy
 from quantstab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, load_experiment, main
+from quantstab.dynamics import JACOBIAN_BLOCK
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -790,10 +792,24 @@ def test_console_entry_help_via_subprocess():
 # --------------------------------------------------------------------------
 # Benchmark trace contract
 
+def _tiny_mc_bound_config():
+    # the mc-bound workload's own config, with two Monte Carlo blocks
+    cfg = json.loads((REPO / "perfbench" / "configs" / "mc_bound.json").read_text())
+    cfg.update(horizon=400)
+    cfg["bound"]["n_mc"] = JACOBIAN_BLOCK + 1
+    cfg["falsify"]["samples"] = 5000
+    return cfg
+
+
 def test_benchmark_tracer_runs_simulate(tmp_path):
     # perfbench/tracing.py wraps functions by name where the CLI and the
     # entropy module look them up; a renamed or removed one breaks it before
-    # any benchmark run does
+    # any benchmark run does, and so does a trace its parent side
+    # (tracing.layer_metrics) cannot turn into every per-layer metric
+    spec = importlib.util.spec_from_file_location("tracing", REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wanted = {m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]}
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     runs = [
         ("simulate", _ar1_config(horizon=50, paths=2), {"simulation.batch_rollout"}),
@@ -803,13 +819,14 @@ def test_benchmark_tracer_runs_simulate(tmp_path):
             {"stabilization_entropy.satisfaction_matrix", "stabilization_entropy.build_R_epsilon"},
         ),
         ("bound", _tiny_example2_bound_config(), {"capacity_bounds.refined_bound"}),
+        ("bound", _tiny_mc_bound_config(), {"capacity_bounds.refined_bound"}),
     ]
-    for command, cfg, spans in runs:
-        trace = tmp_path / f"{command}_trace.json"
-        config = _write(tmp_path, cfg, f"{command}.json")
+    for k, (command, cfg, spans) in enumerate(runs):
+        trace = tmp_path / f"{k}_trace.json"
+        config = _write(tmp_path, cfg, f"{k}.json")
         result = subprocess.run(
             [sys.executable, str(REPO / "perfbench" / "tracing.py"), str(trace),
-             command, "--config", config, "--out", str(tmp_path / command)],
+             command, "--config", config, "--out", str(tmp_path / str(k))],
             capture_output=True,
             text=True,
             env=env,
@@ -818,3 +835,8 @@ def test_benchmark_tracer_runs_simulate(tmp_path):
         record = json.loads(trace.read_text())
         assert record["failures"] == []
         assert spans <= {span[0] for span in record["spans"]}
+        metrics = tracing.layer_metrics(record, record["spans"][0][1], record["probe"][1])
+        assert wanted - set(metrics) == {"trace.overhead_s"}  # run.py adds it from an untraced run
+        assert all(math.isfinite(v) for v in metrics.values())
+        n_mc = cfg.get("bound", {}).get("n_mc", 0)
+        assert record["counters"].get("dynamics.jacobian_samples", 0) == n_mc
