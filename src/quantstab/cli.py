@@ -511,7 +511,8 @@ def cmd_bound(exp: Experiment, out: Path, verbose: bool) -> int:
                 )
         _write_json(out / "falsification.json", {"subsets": falsification})
 
-    _, measure, warning_texts = _run_and_measure(exp, verbose)
+    # the trajectories are not kept: refined_bound needs only the measure
+    measure, warning_texts = _run_and_measure(exp, verbose)[1:]
     for text in warning_texts:
         _log(verbose, f"warning: {text}")
 

@@ -1,10 +1,10 @@
 """System models and the coordinate-subset machinery behind the capacity bounds.
 
-A :class:`SystemModel` packages the one-step map ``x' = f(x, w) + B u`` with a
-Jacobian provider (exact via the expression DSL, or central finite differences
-for opaque callables). Coordinate subsets select the sub-dynamics whose
-Jacobian determinant enters the refined bound; declared determinant floors can
-be probed (never certified) by randomized sampling.
+A :class:`SystemModel` packages the one-step map ``x' = f(x, w) + B u``,
+compiled from the expression DSL together with its exact Jacobian. Coordinate
+subsets select the sub-dynamics whose Jacobian determinant enters the refined
+bound; declared determinant floors can be probed (never certified) by
+randomized sampling.
 """
 
 from __future__ import annotations
@@ -71,7 +71,8 @@ class NonFiniteMatrixError(SingularMatrixError, ValueError):
 # System model
 
 class SystemModel:
-    """One-step dynamics ``f(x, w)`` plus control matrix B and a Jacobian provider.
+    """One-step dynamics ``f(x, w)`` plus control matrix B, compiled from DSL
+    expressions with their symbolic Jacobian.
 
     Instances are immutable after construction and safe to share across
     parallel workers.
@@ -86,9 +87,8 @@ class SystemModel:
         noise_dim: int,
         b: np.ndarray,
         f_fn: Callable,
-        jac_fn: Optional[Callable],
-        exprs: Optional[tuple[ExprAst, ...]] = None,
-        fd_step: float = 1e-5,
+        jac_fn: Callable,
+        exprs: tuple[ExprAst, ...],
     ):
         self.name = name
         self.n = n
@@ -99,8 +99,6 @@ class SystemModel:
         self._f_fn = f_fn
         self._jac_fn = jac_fn
         self.exprs = exprs
-        self.fd_step = fd_step
-        self.jacobian_kind = "symbolic" if jac_fn is not None else "finite-diff"
 
     @classmethod
     def from_source(cls, source: ModelSource, name: str = "dsl") -> "SystemModel":
@@ -125,36 +123,6 @@ class SystemModel:
     def from_text(cls, text: str, name: str = "dsl") -> "SystemModel":
         return cls.from_source(parse_model(text), name=name)
 
-    @classmethod
-    def from_callable(
-        cls,
-        fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        *,
-        n: int,
-        control_dim: int,
-        noise_dim: int,
-        b: np.ndarray,
-        name: str = "opaque",
-        fd_step: float = 1e-5,
-    ) -> "SystemModel":
-        """Wrap an opaque evaluator; Jacobian falls back to central differences."""
-
-        def f_fn(*args):
-            x = np.array(args[:n], dtype=float)
-            w = np.array(args[n:], dtype=float)
-            return tuple(np.asarray(fn(x, w), dtype=float))
-
-        return cls(
-            name=name,
-            n=n,
-            control_dim=control_dim,
-            noise_dim=noise_dim,
-            b=b,
-            f_fn=f_fn,
-            jac_fn=None,
-            fd_step=fd_step,
-        )
-
     # -- evaluation ---------------------------------------------------------
 
     def f(self, x: Sequence[float], w: Sequence[float] = ()) -> np.ndarray:
@@ -173,29 +141,18 @@ class SystemModel:
         """Vectorized map over rows of ``xs`` (m, n) and ``ws`` (m, noise_dim);
         ``ws`` may also be one row (1, noise_dim) shared by every state row.
 
-        DSL models evaluate column arrays in one call, to the same bits as the
-        scalar evaluation; opaque models are evaluated row by row. A row whose
-        evaluation raises ``ZeroDivisionError`` or ``OverflowError`` comes back
-        as inf; a DSL row that divides by zero or overflows comes back
-        non-finite as well.
+        The compiled expressions evaluate column arrays in one call, to the
+        same bits as the scalar evaluation. A row that divides by zero or
+        overflows comes back non-finite; a constant subexpression that raises
+        fails in every row, so then every entry is inf.
         """
-        if self.exprs is not None:
-            try:
-                cols = self._f_fn(*xs.T, *ws.T)
-            except (ZeroDivisionError, OverflowError):
-                pass  # a constant subexpression failed; it fails in every row
-            else:
-                out = np.empty((xs.shape[0], self.n))
-                for i, col in enumerate(cols):
-                    out[:, i] = col  # constant coordinates broadcast
-                return out
+        try:
+            cols = self._f_fn(*xs.T, *ws.T)
+        except (ZeroDivisionError, OverflowError):
+            return np.full((xs.shape[0], self.n), np.inf)
         out = np.empty((xs.shape[0], self.n))
-        ws = np.broadcast_to(ws, (xs.shape[0], self.noise_dim))
-        for k in range(xs.shape[0]):
-            try:
-                out[k] = self._f_fn(*xs[k].tolist(), *ws[k].tolist())
-            except (ZeroDivisionError, OverflowError):
-                out[k] = np.inf
+        for i, col in enumerate(cols):
+            out[:, i] = col  # constant coordinates broadcast
         return out
 
     def control_effect(self, us: np.ndarray) -> np.ndarray:
@@ -210,23 +167,15 @@ class SystemModel:
 
     def jacobian(self, x: Sequence[float], w: Sequence[float] = ()) -> np.ndarray:
         """Full Jacobian of ``x -> f(x, w)`` at the point, shape (n, n)."""
-        if self._jac_fn is None:
-            return finite_difference_jacobian(self, np.asarray(x, float), np.asarray(w, float), self.fd_step)
         vals = self._jac_fn(*(float(v) for v in x), *(float(v) for v in w))
         return np.array(vals).reshape(self.n, self.n)
 
     def jacobian_many(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
         """Stacked Jacobians over sample rows, shape (m, n, n)."""
-        m = xs.shape[0]
-        if self._jac_fn is None:
-            out = np.empty((m, self.n, self.n))
-            for i in range(m):
-                out[i] = finite_difference_jacobian(self, xs[i], ws[i], self.fd_step)
-            return out
         vals = self._jac_fn(
             *(xs[:, i] for i in range(self.n)), *(ws[:, j] for j in range(self.noise_dim))
         )
-        out = np.empty((m, self.n, self.n))
+        out = np.empty((xs.shape[0], self.n, self.n))
         for k, entry in enumerate(vals):
             out[:, k // self.n, k % self.n] = entry  # constant entries broadcast
         return out
@@ -234,14 +183,15 @@ class SystemModel:
     def __repr__(self) -> str:
         return (
             f"SystemModel({self.name!r}, n={self.n}, controls={self.control_dim}, "
-            f"noise={self.noise_dim}, jacobian={self.jacobian_kind})"
+            f"noise={self.noise_dim})"
         )
 
 
 def finite_difference_jacobian(
     model: SystemModel, x: np.ndarray, w: np.ndarray, step: float = 1e-5
 ) -> np.ndarray:
-    """Central-difference Jacobian of f(., w), column by column."""
+    """Central-difference Jacobian of f(., w), column by column: a reference
+    for the exact Jacobian."""
     n = model.n
     out = np.empty((n, n))
     for j in range(n):
@@ -578,7 +528,8 @@ def falsify_floors(
             dets = _abs_dets(jacs, subset.p0)
             dets[~np.isfinite(dets)] = math.inf
             i = int(np.argmin(dets))
-            if dets[i] < best[k]:
+            # the first chunk records a point even if no |det| in it is finite
+            if dets[i] < best[k] or at[k][0] is None:
                 best[k] = float(dets[i])
                 at[k] = (xs[i].copy(), ws[i].copy())
             if best[k] <= subset.c_p:

@@ -605,7 +605,13 @@ def compile_exprs(
     if len(exprs) == 1:
         body += ","
     src = f"def {name}({', '.join(args)}):\n    return ({body})\n"
-    namespace: dict = {"_power_chain": _power_chain, "_quotient": _quotient}
+    namespace: dict = {
+        "_power_chain": _power_chain,
+        "_quotient": _quotient,
+        # a constant that is not finite prints as the bare name inf or nan
+        "inf": np.inf,
+        "nan": np.nan,
+    }
     exec(compile(src, f"<{name}>", "exec"), namespace)
     fn = namespace[name]
     fn.__source__ = src

@@ -51,10 +51,6 @@ class CodingPolicy:
     def initial_state(self, count: int):
         return None
 
-    def keep_rows(self, state, keep: np.ndarray):
-        """The state of the rows where ``keep`` is True."""
-        return state
-
     def symbols(self, state, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -321,9 +317,6 @@ class ZoomPolicy(CodingPolicy):
     def initial_state(self, count: int) -> "ZoomState":
         return ZoomState(np.tile(self.center0, (count, 1)), np.full(count, self.initial_halfwidth))
 
-    def keep_rows(self, state: "ZoomState", keep: np.ndarray) -> "ZoomState":
-        return ZoomState(state.center[keep], state.halfwidth[keep])
-
     def symbols(self, state: "ZoomState", xs):
         span = 2.0 * state.halfwidth[:, None]
         offset = xs - (state.center - state.halfwidth[:, None])
@@ -332,20 +325,20 @@ class ZoomPolicy(CodingPolicy):
         return np.where(inside, 1 + cell_numbers(scaled, self.cells_per_axis), self.m)
 
     def advance(self, state: "ZoomState", qs):
-        """Shared state update of every row; returns the controls."""
-        us = np.zeros((len(qs), self.model.control_dim))
-        hit = qs <= self.n_cells
-        rows = slice(None) if hit.all() else hit
-        halfwidth = state.halfwidth[rows]
-        state.halfwidth = state.halfwidth * np.where(hit, self.alpha, self.beta)
-        if halfwidth.size:
-            low = state.center[rows] - halfwidth[:, None]
-            width = 2.0 * halfwidth[:, None] / self._cells
-            coords = cell_coords(qs[rows] - 1, self.cells_per_axis)
-            image, u = _cancelling(self, low + (coords + 0.5) * width)
-            state.center[rows] = image + self.model.control_effect(u)
-            us[rows] = u
-        return us
+        """Shared state update of every row; returns the controls.
+
+        Every row's centroid is evaluated, an overflow row's at the top cell,
+        and ``np.where`` keeps an overflow row's center and zero control.
+        """
+        hit = (qs <= self.n_cells)[:, None]
+        halfwidth = state.halfwidth[:, None]
+        low = state.center - halfwidth
+        width = 2.0 * halfwidth / self._cells
+        coords = cell_coords(np.minimum(qs, self.n_cells) - 1, self.cells_per_axis)
+        image, u = _cancelling(self, low + (coords + 0.5) * width)
+        state.center = np.where(hit, image + self.model.control_effect(u), state.center)
+        state.halfwidth = state.halfwidth * np.where(hit[:, 0], self.alpha, self.beta)
+        return np.where(hit, u, 0.0)
 
 
 class ZoomState:

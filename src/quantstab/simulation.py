@@ -219,12 +219,13 @@ def run_closed_loops(
     """Drive P loops along pre-drawn noise, all stepped together.
 
     ``x0s`` is (P, N) and ``w_paths`` (P, T, K). Each step takes one policy
-    call for the symbols and controls of every live path and one vectorized
+    call for the symbols and controls of every path and one vectorized
     transition. A path whose next state is non-finite (a division by zero or
     an overflow in the model included) ends diverged at that step; one that
     leaves ``|x| <= 1e12`` ends diverged at the next, keeping that state.
-    Either way it is not evaluated again. The trajectories' arrays are views
-    of per-batch arrays (``w`` of ``w_paths`` itself).
+    A diverged path is stepped on with the others until every path has
+    diverged, but its trajectory ends where it diverged. The trajectories'
+    arrays are views of per-batch arrays (``w`` of ``w_paths`` itself).
     """
     w_paths = np.asarray(w_paths, dtype=float)
     count, horizon = w_paths.shape[:2]
@@ -233,26 +234,21 @@ def run_closed_loops(
     qs = np.empty((count, horizon), dtype=np.int64)
     us = np.empty((count, horizon, model.control_dim))
     diverged_at = np.full(count, -1)
-    live = np.arange(count)
-    rows = slice(None)  # index of the live paths; a slice until one diverges
     x = xs[:, 0]
     state = policy.initial_state(count)
     with np.errstate(all="ignore"):
         for t in range(horizon):
             q, u = policy.step(state, x)
-            x = model.step_many(x, w_paths[rows, t], u)
-            qs[rows, t] = q
-            us[rows, t] = u
-            xs[rows, t + 1] = x
-            keep = np.abs(x).max(axis=1) <= DIVERGENCE_THRESHOLD
-            if not keep.all():
-                finite = np.isfinite(x[~keep]).all(axis=1)
-                diverged_at[live[~keep]] = np.where(finite, t + 1, t)
-                live = rows = live[keep]
-                if not live.size:
+            x = model.step_many(x, w_paths[:, t], u)
+            qs[:, t] = q
+            us[:, t] = u
+            xs[:, t + 1] = x
+            # one whole-batch reduction per step; a nan state fails it too
+            if not np.abs(x).max() <= DIVERGENCE_THRESHOLD:
+                ended = ~(np.abs(x).max(axis=1) <= DIVERGENCE_THRESHOLD) & (diverged_at < 0)
+                diverged_at[ended] = np.where(np.isfinite(x[ended]).all(axis=1), t + 1, t)
+                if (diverged_at >= 0).all():
                     break
-                x = x[keep]
-                state = policy.keep_rows(state, keep)
     trajs = []
     for k in range(count):
         steps = horizon if diverged_at[k] < 0 else int(diverged_at[k])

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib.util
 import json
@@ -11,8 +12,10 @@ from unittest import mock
 import pytest
 
 from quantstab import cli, stabilization_entropy
+from quantstab.capacity_bounds import refined_bound
 from quantstab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, load_experiment, main
 from quantstab.dynamics import JACOBIAN_BLOCK
+from quantstab.simulation import Trajectory
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -113,6 +116,50 @@ def test_simulate_overflowing_dsl_model_reports_divergence(tmp_path):
     assert summary["diverged"] == 2
     assert summary["divergence_rate"] == 1.0
     assert summary["first_divergence_steps"] == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        "x1' = x1 + 1e999 + w1",  # 1e999 is inf, compiled as the name inf
+        "x1' = x1 + 1/0",  # a constant that raises fails in every row
+    ],
+)
+def test_simulate_non_finite_dsl_constant_diverges_every_path_at_step_0(tmp_path, capsys, model):
+    cfg = _ar1_config(horizon=20, paths=2)
+    cfg["model"] = {"dsl": f"states 1\nnoise 1\n{model}"}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "simulate_summary.json").read_text())
+    assert (summary["diverged"], summary["first_divergence_steps"]) == (2, [0, 0])
+    assert capsys.readouterr().err == ""
+
+
+def _inf_jacobian_bound_config(p):
+    # the Jacobian entry d x1'/d x1 folds to the constant 1e200 * 1e200 = inf
+    cfg = _ar1_config(horizon=50, paths=2, gamma=[{"p": p, "c_p": 0.4}], bound={"n_mc": 100})
+    cfg["model"] = {"dsl": "states 2\nnoise 1\nx1' = 1e200*(1e200*x1)\nx2' = 0.5*x2 + w1"}
+    cfg["init"] = {"kind": "gaussian", "mean": [0.0, 0.0], "std": [1.0, 1.0]}
+    cfg["partition"] = {"low": [-6.0, -6.0], "high": [6.0, 6.0], "cells_per_axis": [4, 4]}
+    cfg["falsify"] = {"samples": 100}
+    return cfg
+
+
+def test_bound_infinite_jacobian_constant_exits_3(tmp_path, capsys):
+    # x1 leaves for inf at step 0, so no path has a post-burn-in sample
+    cfg = _inf_jacobian_bound_config([2])
+    assert main(["bound", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == EXIT_VIOLATION
+    assert capsys.readouterr().err == (
+        "assumption violation: no post-burn-in samples available (all paths truncated early?)\n"
+    )
+
+
+def test_falsify_with_no_finite_determinant_reports_a_sample(tmp_path):
+    out = tmp_path / "o"
+    main(["bound", "--config", _write(tmp_path, _inf_jacobian_bound_config([1])), "--out", str(out)])
+    (result,) = json.loads((out / "falsification.json").read_text())["subsets"]
+    assert (result["falsified"], result["min_abs_det"], result["n_samples"]) == (False, math.inf, 100)
+    assert len(result["at_x"]) == 2 and len(result["at_w"]) == 1
 
 
 def test_bad_dsl_model_is_config_error(tmp_path, capsys):
@@ -264,6 +311,20 @@ def test_bound_surviving_floor_exits_0(tmp_path):
     falsification = json.loads((out / "falsification.json").read_text())
     assert falsification["subsets"][0]["falsified"] is False
     assert falsification["subsets"][0]["min_abs_det"] == 0.5
+
+
+def test_bound_frees_the_trajectories_before_the_monte_carlo_pass(tmp_path, monkeypatch):
+    alive = []
+
+    def counting_bound(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(isinstance(o, Trajectory) for o in gc.get_objects()))
+        return refined_bound(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "refined_bound", counting_bound)
+    cfg = _ar1_config(gamma=[{"p": [1], "c_p": 0.4}], bound={"n_mc": 1000})
+    assert main(["bound", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert alive == [0]
 
 
 def _mc_bound_config(crn=True, gamma=None):

@@ -258,45 +258,21 @@ def test_symbolic_vs_finite_difference_jacobians():
 
 
 def test_f_many_matches_rowwise_f():
-    mat = np.array([[0.5, 0.1], [-0.2, 0.9]])
-    opaque = SystemModel.from_callable(
-        lambda x, w: x @ mat + w[0], n=2, control_dim=2, noise_dim=1, b=np.eye(2)
-    )
-    dsl = SystemModel.from_text("states 2\nnoise 1\nx1' = x1 / (2 + x2) + w1\nx2' = 0.5")
+    model = SystemModel.from_text("states 2\nnoise 1\nx1' = x1 / (2 + x2) + w1\nx2' = 0.5")
     rng = np.random.default_rng(3)
     xs = rng.normal(size=(7, 2))
     ws = rng.normal(size=(7, 1))
-    for model in (opaque, dsl):
-        rowwise = np.array([model.f(x, w) for x, w in zip(xs, ws)])
-        assert np.array_equal(model.f_many(xs, ws), rowwise)
+    rowwise = np.array([model.f(x, w) for x, w in zip(xs, ws)])
+    assert np.array_equal(model.f_many(xs, ws), rowwise)
 
 
-def test_f_many_opaque_rows_that_raise_come_back_inf():
-    def fn(x, w):
-        return np.array([float(x[0]) / float(x[1]), float(x[1]) ** 40 + w[0]])
-
-    model = SystemModel.from_callable(fn, n=2, control_dim=2, noise_dim=1, b=np.eye(2))
-    xs = np.array([[1.0, 2.0], [1.0, 0.0], [1.0, 1e10]])
-    ws = np.zeros((3, 1))
-    out = model.f_many(xs, ws)
-    assert np.array_equal(out[0], model.f(xs[0], ws[0]))
-    assert np.all(np.isinf(out[1:]))
-
-
-def test_opaque_model_uses_finite_difference_provider(example2):
-    wrapped = SystemModel.from_callable(
-        lambda x, w: np.array([(x[0] ** 3 + x[0]) * (1 + x[1] ** 2), 0.5 * x[1] + w[0]]),
-        n=2,
-        control_dim=2,
-        noise_dim=1,
-        b=np.eye(2),
-    )
-    assert wrapped.jacobian_kind == "finite-diff"
-    x = np.array([0.7, -0.3])
-    w = np.array([0.1])
-    assert np.allclose(wrapped.jacobian(x, w), example2.jacobian(x, w), rtol=1e-6, atol=1e-8)
-    many = wrapped.jacobian_many(x[None, :], w[None, :])
-    assert np.allclose(many[0], example2.jacobian(x, w), rtol=1e-6, atol=1e-8)
+@pytest.mark.filterwarnings("error")
+def test_f_many_constant_that_raises_gives_inf_in_every_row():
+    model = SystemModel.from_text("states 1\nnoise 1\nx1' = x1 + 1/0")
+    with pytest.raises(ZeroDivisionError):
+        model.f([1.0], [0.0])
+    out = model.f_many(np.array([[1.0], [0.0], [-2.5]]), np.zeros((3, 1)))
+    assert out.shape == (3, 1) and np.all(out == np.inf)
 
 
 # --------------------------------------------------------------------------
@@ -509,6 +485,16 @@ def test_falsify_requires_declared_floor(example2):
         gamma_falsify(example2, IndexSubset(p=(1,), n=2), n=10, seed=0)
     with pytest.raises(ValueError, match="at least one sample"):
         gamma_falsify(example2, IndexSubset(p=(1,), n=2, c_p=0.5), n=0, seed=0)
+
+
+def test_falsify_reports_a_sample_when_no_determinant_is_finite():
+    # d/dx1 of x1 / (x2 - x2) is nan at every sample
+    model = SystemModel.from_text("states 2\nnoise 1\nx1' = x1 / (x2 - x2)\nx2' = 0.5*x2 + w1")
+    result = gamma_falsify(model, IndexSubset(p=(1,), n=2, c_p=0.5), n=50, seed=0, chunk=20)
+    assert not result.falsified and result.min_abs_det == math.inf and result.n_samples == 50
+    rng = np.random.default_rng(np.random.SeedSequence(0))
+    xs, ws = default_falsification_sampler(model)(rng, 20)
+    assert np.array_equal(result.at_x, xs[0]) and np.array_equal(result.at_w, ws[0])
 
 
 # --------------------------------------------------------------------------

@@ -304,6 +304,15 @@ def _same_bits(a: float, b: float) -> bool:
     exprs=[Const(0.0), Neg(Neg(BinOp("/", Const(0.0), Const(0.0))))],
     points=np.zeros((6, 3)),
 )
+@example(
+    # constants that are not finite compile to the names inf and nan
+    exprs=[
+        BinOp("+", StateVar(1), Const(math.inf)),
+        BinOp("*", Const(-math.inf), StateVar(2)),  # -inf * 0 is nan
+        BinOp("-", NoiseVar(1), Const(math.nan)),
+    ],
+    points=np.array([[0.5, 0.0, 1.0], [-1.0, 2.0, 0.0], [0.0, -0.0, -3.7]] * 2),
+)
 def test_scalar_array_and_tree_walk_agree_bitwise(exprs, points):
     fn = compile_exprs(exprs, 2, 1)
     try:

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -351,24 +350,19 @@ def test_zoom_steps_match_masked_versions_bitwise(case):
             assert _same_bits(ours.halfwidth, theirs.halfwidth)
 
 
-def test_zoom_evaluates_f_only_at_hit_centroids():
-    # f is defined on x >= 0 only; the overflow row must not evaluate it at
-    # the centroid of the bottom cell, -0.5
-    calls = []
-
-    def root(x, w):
-        calls.append(float(x[0]))
-        return np.array([math.sqrt(x[0]) + w[0]])
-
-    model = SystemModel.from_callable(root, n=1, control_dim=1, noise_dim=1, b=np.eye(1))
+def test_zoom_overflow_row_keeps_its_center_and_gets_zero_control():
+    # every row's centroid is evaluated; the overflow row's (the top cell of
+    # [9, 11), at 10.5) divides by zero, and none of it may reach that row
+    model = SystemModel.from_text("states 1\nnoise 1\nx1' = 2*x1 + 1/(x1 - 10.5) + w1")
     policy = zoom_policy(model, 3, 0.5, 3.0, 1.0)
-    state = ZoomState(np.zeros((2, 1)), np.array([1.0, 1.0]))
+    state = ZoomState(np.array([[0.0], [10.0]]), np.array([1.0, 1.0]))
     qs = policy.symbols(state, np.array([[0.5], [5.0]]))
     assert qs.tolist() == [2, policy.overflow_symbol]
-    us = policy.advance(state, qs)
-    assert calls == [0.5]
-    assert us.tolist() == [[-math.sqrt(0.5)], [0.0]]
-    assert state.center.tolist() == [[0.0], [0.0]]
+    with np.errstate(all="ignore"):  # as in the closed loop
+        us = policy.advance(state, qs)
+    image = model.f([0.5], [0.0])[0]
+    assert us.tolist() == [[-image], [0.0]]
+    assert state.center.tolist() == [[0.0], [10.0]]
     assert state.halfwidth.tolist() == [0.5, 3.0]
 
 

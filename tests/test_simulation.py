@@ -382,13 +382,6 @@ def _oracle_closed_loop(model, policy, x0, w_path):
     return xs[: steps + 1], qs[:steps], us[:steps], status, diverged_at
 
 
-def _opaque_model():
-    def fn(x, w):
-        return np.array([1.5 * x[0] - 0.25 * x[1] * x[1] + w[0], 0.5 * x[0] * x[1] - w[0]])
-
-    return SystemModel.from_callable(fn, n=2, control_dim=2, noise_dim=1, b=np.eye(2))
-
-
 _KERNEL_MODELS = {
     "stable_ar1": lambda: catalog_model("stable_ar1"),
     "scalar_doubling": lambda: catalog_model("scalar_doubling"),
@@ -403,7 +396,6 @@ _KERNEL_MODELS = {
         "states 2\nnoise 1\nB = [0.3 -1.7; 1.1 0.6]\n"
         "x1' = 1.5*x1 - 0.2*x2^2 + w1\nx2' = 0.4*x1*x2 - w1"
     ),
-    "opaque": _opaque_model,
 }
 
 
@@ -457,11 +449,28 @@ def _blow_up_batch(name, x0s):
     return model, null_policy(2), np.array(x0s, float)[:, None], ws
 
 
+def _all_diverge_batch():
+    # doubling from 3e11 passes 1e12 at step 2 and from 1e11 at step 4, so the
+    # loop stops before its horizon of 8; path 1 is stepped on for two steps
+    model = catalog_model("scalar_doubling")
+    return model, null_policy(2), np.array([[1e11], [3e11]]), np.zeros((2, 8, 1))
+
+
+def _one_diverges_at_zero_batch():
+    # 1e10^40 is inf at step 0; the zoom update steps that path on, inf and
+    # all, while the others run to the horizon
+    model = _KERNEL_MODELS["power40"]()
+    ws = np.random.default_rng(6).uniform(-0.05, 0.05, (3, 12, 1))
+    return model, zoom_policy(model, 5, 0.6, 3.0, 2.0), np.array([[1e10], [0.5], [-0.3]]), ws
+
+
 @settings(max_examples=50, deadline=None)
 @given(_kernel_cases())
 @example(_wide_zoom_batch())
 @example(_blow_up_batch("reciprocal", [1.0, 0.5, -1.0, 2.0]))  # path 0 reaches 0, then 1/0
 @example(_blow_up_batch("power40", [1e10, 2.0, 0.5, -1.0]))  # inf at step 0, > 1e12 at step 1
+@example(_all_diverge_batch())
+@example(_one_diverges_at_zero_batch())
 def test_lockstep_kernel_matches_scalar_oracle(case):
     _assert_matches_oracle(*case)
 
@@ -473,6 +482,8 @@ def test_lockstep_kernel_edge_batches():
     assert reciprocal[0].diverged_at == 1 and not reciprocal[1].diverged
     power = _assert_matches_oracle(*_blow_up_batch("power40", [1e10, 2.0, 0.5]))
     assert [t.diverged_at for t in power] == [0, 1, None]
+    assert [t.diverged_at for t in _assert_matches_oracle(*_all_diverge_batch())] == [4, 2]
+    assert [t.diverged_at for t in _assert_matches_oracle(*_one_diverges_at_zero_batch())] == [0, None, None]
 
 
 @pytest.mark.parametrize("name", ["skew", "example1"])

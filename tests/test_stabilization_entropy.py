@@ -96,8 +96,8 @@ def test_grid_cell_users_agree_with_scalar_rule(case):
     bits = [c.bit_length() - 1 for c in cells]
     if all(2**b == c for b, c in zip(bits, cells)):  # the quantizer's grids are 2^bits cells
         dim = len(cells)
-        model = SystemModel.from_callable(lambda x, w: x, n=dim, control_dim=dim, noise_dim=1, b=np.eye(dim))
-        policy = UniformQuantizerPolicy(model, low, high, bits)
+        text = f"states {dim}\nnoise 1\n" + "".join(f"x{i}' = x{i}\n" for i in range(1, dim + 1))
+        policy = UniformQuantizerPolicy(SystemModel.from_text(text), low, high, bits)
         q = policy.symbols(None, points)
         assert np.where(q == policy.overflow_symbol, -1, q - 1).tolist() == expected
 
