@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .dynamics import (
-    JACOBIAN_BLOCK,
     BelowFloorError,
     GammaDeclaration,
     IndexSubset,
@@ -34,6 +33,7 @@ from .dynamics import (
     SingularMatrixError,
     SystemModel,
     log2_abs_det_many,
+    sample_pass,
 )
 from .ergodics import MAX_OVERFLOW_MASS, EmpiricalMeasure
 from .simulation import NoiseSpec, Seed
@@ -81,10 +81,10 @@ def _derived_seed(seed: Seed, tag: int) -> tuple[int, ...]:
     return base + (tag,)
 
 
-def _draw_samples(
+def _sampler(
     measure: EmpiricalMeasure, noise: NoiseSpec, n_mc: int, seed: Seed
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The ``n_mc`` (x, w) samples of one draw, ``JACOBIAN_BLOCK`` rows at a time.
+) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
+    """``sample(count)``: the next ``count`` (x, w) rows of one ``n_mc``-row draw.
 
     Stream layout: the whole draw is one PCG64 stream seeded by
     ``SeedSequence(seed)`` that holds ``n_mc`` doubles picking the cells, then
@@ -93,9 +93,9 @@ def _draw_samples(
     ``default_rng(SeedSequence(seed))`` reads it. Each part here reads its own
     generator on that stream, advanced to where the part starts (0, ``n_mc``
     and ``n_mc * (1 + dim)``; ``PCG64.advance`` acts as if that many draws had
-    occurred, and a double is one draw). So the blocks concatenate to the
-    whole draw bit for bit, and the noise, last, may take any number of draws
-    per row.
+    occurred, and a double is one draw). So consecutive calls concatenate to
+    the whole draw bit for bit, and the noise, last, may take any number of
+    draws per row.
     """
     if n_mc < 1:
         raise ValueError("need at least one Monte Carlo sample")
@@ -109,9 +109,9 @@ def _draw_samples(
         np.random.Generator(np.random.PCG64(seq).advance(start))
         for start in (0, n_mc, n_mc * (1 + measure.partition.dim))
     )
-    for start in range(0, n_mc, JACOBIAN_BLOCK):
-        count = min(JACOBIAN_BLOCK, n_mc - start)
-        yield measure.draw_states(cdf, cell_rng, offset_rng, count), noise.sample(noise_rng, count)
+    return lambda count: (
+        measure.draw_states(cdf, cell_rng, offset_rng, count), noise.sample(noise_rng, count)
+    )
 
 
 def _named(
@@ -145,42 +145,31 @@ def _fold(moments: Moments, values: np.ndarray) -> Moments:
 
 
 def _subset_values(
-    model: SystemModel,
-    subsets: Sequence[IndexSubset],
-    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+    model: SystemModel, subsets: Sequence[IndexSubset], sample: Callable, n: int
 ) -> list[Union[Moments, SingularMatrixError]]:
-    """Moments of log2 |det| of each subset's Jacobian block over the sample
-    rows of ``blocks``, or the error naming the sample where it failed.
-
-    Each (xs, ws) block's Jacobians are evaluated once and every subset folds
-    its values off them, so no array of all the rows exists. Errors are those
-    of ``log2_abs_det_many`` on the whole array: a subset stops at its first
-    |det| below the floor; one whose only failure so far is a non-finite or
-    ``slogdet``-singular row keeps scanning later blocks for such a
-    determinant, which would be reported first.
+    """Moments of log2 |det| of each subset's Jacobian block over ``n`` rows
+    of ``sample`` in one ``sample_pass``, or the error naming the sample where
+    it failed: the error of ``log2_abs_det_many`` on the whole array. A subset
+    stops at its first |det| below the floor; one whose only failure so far
+    is a non-finite or ``slogdet``-singular row keeps scanning later blocks
+    for such a determinant, which would be reported first.
     """
     moments: list[Moments] = [(0, 0.0, 0.0)] * len(subsets)
     failures: list[Optional[tuple]] = [None] * len(subsets)
-    live = list(range(len(subsets)))
-    start = 0
-    for xs, ws in blocks:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a subset error
-            jacs = model.jacobian_many(xs, ws)
-        for k in live:
-            try:
-                values = log2_abs_det_many(jacs, subsets[k].p0)
-            except SingularMatrixError as exc:
-                if failures[k] is None or isinstance(exc, BelowFloorError):
-                    i = exc.index
-                    failures[k] = (exc, start + i, xs[i].copy(), ws[i].copy())
-                continue
-            if failures[k] is None:
-                moments[k] = _fold(moments[k], values)
-        del jacs
-        start += len(xs)
-        live = [k for k in live if not (failures[k] and isinstance(failures[k][0], BelowFloorError))]
-        if not live:
-            break
+
+    def fold(k, start, xs, ws, jacs):
+        try:
+            values = log2_abs_det_many(jacs, subsets[k].p0)
+        except SingularMatrixError as exc:
+            if failures[k] is None or isinstance(exc, BelowFloorError):
+                i = exc.index
+                failures[k] = (exc, start + i, xs[i].copy(), ws[i].copy())
+            return isinstance(exc, BelowFloorError)
+        if failures[k] is None:
+            moments[k] = _fold(moments[k], values)
+        return False
+
+    sample_pass(model, sample, n, len(subsets), fold)
     return [
         moments[k] if failures[k] is None else _named(subset, *failures[k])
         for k, subset in enumerate(subsets)
@@ -204,7 +193,7 @@ def subset_bound(
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of log2 |det| for one subset: the
     one-subset case of the block pass in :func:`refined_bound`."""
-    [moments] = _subset_values(model, [subset], _draw_samples(measure, noise, n_mc, seed))
+    [moments] = _subset_values(model, [subset], _sampler(measure, noise, n_mc, seed), n_mc)
     if isinstance(moments, SingularMatrixError):
         raise moments
     return _mean_stderr(moments)
@@ -234,21 +223,21 @@ def refined_bound(
 ) -> BoundReport:
     """Evaluate every declared subset and report the maximum.
 
-    Each draw of (x, w) samples is one streaming pass over blocks of
-    ``dynamics.JACOBIAN_BLOCK`` rows, the block that floor falsification
-    draws: each block is drawn, its Jacobians are evaluated once, and every
-    subset of the draw folds its determinants into a running mean and sum of
-    squared deviations. Up to one block the mean and stderr are numpy's; past
-    it the block merge may differ from them in the last bits. Per-subset
-    failures (a sampled singular or non-finite Jacobian) are recorded on that
-    subset's entry without aborting the others. Ties in the maximum go to the lexicographically
-    smallest subset so reports are deterministic.
+    Each draw of (x, w) samples is one ``dynamics.sample_pass``, the pass of
+    floor falsification: each block is drawn, its Jacobians are evaluated
+    once with numpy's floating-point warnings off, and every subset of the
+    draw folds its determinants into a running mean and sum of squared
+    deviations. Up to one block the mean and stderr are numpy's; past it the
+    block merge may differ from them in the last bits. Per-subset failures (a
+    sampled singular or non-finite Jacobian) are recorded on that subset's
+    entry without aborting the others. Ties in the maximum go to the
+    lexicographically smallest subset so reports are deterministic.
     """
     full = IndexSubset(p=tuple(range(1, model.n + 1)), n=model.n)
     subsets = list(gamma)
 
     def block_pass(evaluated: list[IndexSubset], draw_seed: Seed) -> list[SubsetEstimate]:
-        moments = _subset_values(model, evaluated, _draw_samples(measure, noise, n_mc, draw_seed))
+        moments = _subset_values(model, evaluated, _sampler(measure, noise, n_mc, draw_seed), n_mc)
         return [
             SubsetEstimate(s.p, None, None, n_mc, error=str(v))
             if isinstance(v, SingularMatrixError)

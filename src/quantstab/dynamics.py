@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,14 +36,15 @@ __all__ = [
     "log2_abs_det_many",
     "gamma_falsify",
     "falsify_floors",
+    "sample_pass",
     "default_falsification_sampler",
     "finite_difference_jacobian",
     "JACOBIAN_BLOCK",
 ]
 
 _DET_FLOOR = 1e-300
-# rows per Jacobian evaluation in the Monte Carlo bound and in floor
-# falsification: memory grows with the block, not with the sample count
+# rows per Jacobian evaluation in sample_pass: memory grows with the block,
+# not with the sample count
 JACOBIAN_BLOCK = 20_000
 _LOG2 = math.log(2.0)
 
@@ -454,9 +456,27 @@ class FalsificationResult:
     at_w: np.ndarray
     n_samples: int
 
-    @property
-    def counterexample(self) -> Optional[tuple[np.ndarray, np.ndarray, float]]:
-        return (self.at_x, self.at_w, self.min_abs_det) if self.falsified else None
+
+def sample_pass(
+    model: SystemModel, sample: Callable, n: int, n_live: int, visit: Callable
+) -> None:
+    """Draw ``n`` (x, w) rows as ``sample(count)``, ``JACOBIAN_BLOCK`` at a
+    time, evaluate each block's Jacobians once and call ``visit(k, start, xs,
+    ws, jacs)`` for each live reduction k < ``n_live``; ``start`` is the
+    block's first row. A visit that returns true retires k; nothing is drawn
+    once none is live. numpy's floating-point warnings are off: a zero
+    denominator or an overflow leaves a non-finite entry, which each
+    reduction reports as its own outcome.
+    """
+    live = list(range(n_live))
+    start = 0
+    with np.errstate(all="ignore"):
+        while live and start < n:
+            xs, ws = sample(min(JACOBIAN_BLOCK, n - start))
+            jacs = model.jacobian_many(xs, ws)
+            live = [k for k in live if not visit(k, start, xs, ws, jacs)]
+            start += len(xs)
+            del xs, ws, jacs  # free the block before the next is drawn
 
 
 def default_falsification_sampler(
@@ -491,18 +511,15 @@ def falsify_floors(
     sampler: Optional[Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]] = None,
     n: int = 100_000,
     seed: int = 0,
-    chunk: int = JACOBIAN_BLOCK,
 ) -> list[FalsificationResult]:
     """Search one sample set for a point with |det| <= each subset's floor.
 
-    Each chunk of samples (``JACOBIAN_BLOCK`` rows by default, the block of
-    the Monte Carlo bound) is drawn once and its full Jacobians evaluated
-    once; every subset still searching reads its block off them. A subset
-    stops at the chunk holding its first counterexample (``n_samples`` counts
-    the samples drawn up to then), otherwise it reports the minimum
-    determinant magnitude over all n samples. The pass ends when every subset
-    has stopped or n samples are drawn, so each result is the one a pass for
-    that subset alone would give.
+    One :func:`sample_pass` over the sampler's stream, the pass of the Monte
+    Carlo bound: every subset still searching reads its block off each
+    block's Jacobians. A subset stops at the block holding its first
+    counterexample (``n_samples`` is that block's end), otherwise it reports
+    the minimum determinant magnitude over all n samples. So each result is
+    the one a pass for that subset alone would give.
     """
     subsets = list(subsets)
     if n < 1:
@@ -513,32 +530,23 @@ def falsify_floors(
     if sampler is None:
         sampler = default_falsification_sampler(model)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    found: list = [None] * len(subsets)  # (min |det|, its x, its w)
+    drawn = [0] * len(subsets)
 
-    best = [math.inf] * len(subsets)
-    at: list = [(None, None)] * len(subsets)
-    results: list[Optional[FalsificationResult]] = [None] * len(subsets)
-    live = list(range(len(subsets)))
-    done = 0
-    while done < n and live:
-        count = min(chunk, n - done)
-        xs, ws = sampler(rng, count)
-        jacs = model.jacobian_many(xs, ws)
-        for k in list(live):
-            subset = subsets[k]
-            dets = _abs_dets(jacs, subset.p0)
-            dets[~np.isfinite(dets)] = math.inf
-            i = int(np.argmin(dets))
-            # the first chunk records a point even if no |det| in it is finite
-            if dets[i] < best[k] or at[k][0] is None:
-                best[k] = float(dets[i])
-                at[k] = (xs[i].copy(), ws[i].copy())
-            if best[k] <= subset.c_p:
-                results[k] = FalsificationResult(subset, True, best[k], *at[k], done + count)
-                live.remove(k)
-        done += count
-    for k in live:
-        results[k] = FalsificationResult(subsets[k], False, best[k], *at[k], n)
-    return results
+    def search(k, start, xs, ws, jacs):
+        dets = _abs_dets(jacs, subsets[k].p0)
+        dets[~np.isfinite(dets)] = math.inf
+        i = int(np.argmin(dets))
+        # the first block records a point even if no |det| in it is finite
+        if found[k] is None or dets[i] < found[k][0]:
+            found[k] = (float(dets[i]), xs[i].copy(), ws[i].copy())
+        drawn[k] = start + len(xs)
+        return found[k][0] <= subsets[k].c_p
+
+    sample_pass(model, partial(sampler, rng), n, len(subsets), search)
+    return [
+        FalsificationResult(s, f[0] <= s.c_p, *f, d) for s, f, d in zip(subsets, found, drawn)
+    ]
 
 
 def gamma_falsify(
@@ -547,7 +555,6 @@ def gamma_falsify(
     sampler: Optional[Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]] = None,
     n: int = 100_000,
     seed: int = 0,
-    chunk: int = JACOBIAN_BLOCK,
 ) -> FalsificationResult:
     """Search for a sampled point with |det| <= the declared floor: the
     one-subset case of :func:`falsify_floors`.
@@ -555,4 +562,4 @@ def gamma_falsify(
     Returns the first counterexample found, otherwise the minimum determinant
     magnitude observed over all n samples.
     """
-    return falsify_floors(model, [subset], sampler, n, seed, chunk)[0]
+    return falsify_floors(model, [subset], sampler, n, seed)[0]

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -21,7 +23,7 @@ from quantstab import (
     subset_bound,
 )
 from quantstab import EmpiricalMeasure, Partition, capacity_bounds
-from quantstab.dynamics import JACOBIAN_BLOCK, NonFiniteMatrixError, log2_abs_det_many
+from quantstab.dynamics import JACOBIAN_BLOCK, NonFiniteMatrixError, log2_abs_det_many, sample_pass
 from conftest import uniform_measure
 
 
@@ -278,8 +280,11 @@ def _whole_draw(measure, noise, n_mc, seed):
     ids=["1d", "2d"],
 )
 def test_streamed_draw_equals_one_whole_draw_bitwise(measure, noise, seed):
+    model = SimpleNamespace(jacobian_many=lambda xs, ws: None)  # the pass reads no Jacobian here
     for n_mc in _BLOCK_COUNTS:
-        blocks = list(capacity_bounds._draw_samples(measure, noise, n_mc, seed))
+        blocks = []
+        sample = capacity_bounds._sampler(measure, noise, n_mc, seed)
+        sample_pass(model, sample, n_mc, 1, lambda k, start, xs, ws, jacs: blocks.append((xs, ws)))
         assert [len(xs) for xs, _ in blocks] == [
             min(JACOBIAN_BLOCK, n_mc - start) for start in range(0, n_mc, JACOBIAN_BLOCK)
         ]
@@ -377,12 +382,27 @@ def test_block_pass_reports_the_whole_array_error(bad, row, kind):
     assert oracle.value.index == row
     assert isinstance(oracle.value, NonFiniteMatrixError) == (kind is NonFiniteMatrixError)
 
-    blocks = [
-        (xs[i: i + JACOBIAN_BLOCK], ws[i: i + JACOBIAN_BLOCK]) for i in range(0, len(xs), JACOBIAN_BLOCK)
-    ]
-    [error] = capacity_bounds._subset_values(_SQUARE, [IndexSubset((1,), 1)], blocks)
+    starts = iter(range(0, len(xs), JACOBIAN_BLOCK))
+
+    def sample(count):
+        i = next(starts)
+        return xs[i: i + count], ws[i: i + count]
+
+    [error] = capacity_bounds._subset_values(_SQUARE, [IndexSubset((1,), 1)], sample, len(xs))
     assert type(error) is kind and error.index == row
     assert f"for p=(1,) at x=[{xs[row, 0]}], w=[{float(row)}]" in str(error)
+
+
+def test_zero_denominator_jacobian_is_a_subset_error_without_a_warning():
+    # d/dx1 of 1/(x2 - x2) * x1 divides by zero at every sample
+    model = SystemModel.from_text("states 2\nnoise 1\nx1' = 1/(x2 - x2) * x1\nx2' = 0.5*x2 + w1")
+    gamma = GammaDeclaration((IndexSubset((1,), 2, 0.4), IndexSubset((2,), 2, 0.4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = refined_bound(model, gamma, uniform_measure([-2, -2], [2, 2], (4, 4)), NOISE1, 1000)
+    first, second = report.subsets
+    assert first.error.startswith("non-finite subset Jacobian for p=(1,) at x=")
+    assert (second.mean, second.error, report.argmax) == (-1.0, None, (2,))
 
 
 def test_block_pass_memory_does_not_grow_with_the_jacobian_array(example2, make_uniform_measure):

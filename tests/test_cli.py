@@ -162,6 +162,32 @@ def test_falsify_with_no_finite_determinant_reports_a_sample(tmp_path):
     assert len(result["at_x"]) == 2 and len(result["at_w"]) == 1
 
 
+@pytest.mark.parametrize(
+    "x1",
+    [
+        "x1' = x1/(x2 - x2)",  # numpy: invalid value encountered in divide
+        "x1' = 1/(x2 - x2) * x1",  # numpy: divide by zero encountered in divide
+    ],
+)
+def test_falsify_with_a_zero_denominator_jacobian_prints_no_warning(tmp_path, x1):
+    cfg = _inf_jacobian_bound_config([1])
+    cfg["model"] = {"dsl": f"states 2\nnoise 1\n{x1}\nx2' = 0.5*x2 + w1"}
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "quantstab.cli", "bound", "--config", _write(tmp_path, cfg), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == EXIT_VIOLATION
+    assert result.stderr == (
+        "assumption violation: no post-burn-in samples available (all paths truncated early?)\n"
+    )
+    (found,) = json.loads((out / "falsification.json").read_text())["subsets"]
+    assert (found["falsified"], found["min_abs_det"], found["n_samples"]) == (False, math.inf, 100)
+
+
 def test_bad_dsl_model_is_config_error(tmp_path, capsys):
     cfg = _ar1_config()
     cfg["model"] = {"dsl": "states 1\nx1' = x1 +"}

@@ -1,4 +1,5 @@
 import math
+import weakref
 from fractions import Fraction
 from functools import partial
 
@@ -17,6 +18,7 @@ from quantstab import (
     SystemModel,
     catalog_model,
     catalog_names,
+    dynamics,
     falsify_floors,
     gamma_falsify,
     inverse_permute,
@@ -30,6 +32,7 @@ from quantstab.dynamics import (
     default_falsification_sampler,
     finite_difference_jacobian,
     log2_abs_det_many,
+    sample_pass,
 )
 from quantstab.model_dsl import BinOp, Const, NoiseVar, Pow, StateVar
 
@@ -467,9 +470,8 @@ def test_example2_floor_falsified_when_claim_is_above_true_minimum(example2):
     sub = IndexSubset(p=(1, 2), n=2, c_p=0.6)
     result = gamma_falsify(example2, sub, n=100_000, seed=2024)
     assert result.falsified
-    x, w, det = result.counterexample
-    assert 0.5 <= det <= 0.6
-    assert np.all(np.abs(x) < 1.0)  # the thin-determinant region hugs the origin
+    assert 0.5 <= result.min_abs_det <= 0.6
+    assert np.all(np.abs(result.at_x) < 1.0)  # the thin-determinant region hugs the origin
 
 
 def test_identity_jacobian_model_never_falsified():
@@ -490,7 +492,8 @@ def test_falsify_requires_declared_floor(example2):
 def test_falsify_reports_a_sample_when_no_determinant_is_finite():
     # d/dx1 of x1 / (x2 - x2) is nan at every sample
     model = SystemModel.from_text("states 2\nnoise 1\nx1' = x1 / (x2 - x2)\nx2' = 0.5*x2 + w1")
-    result = gamma_falsify(model, IndexSubset(p=(1,), n=2, c_p=0.5), n=50, seed=0, chunk=20)
+    with mock.patch.object(dynamics, "JACOBIAN_BLOCK", 20):
+        result = gamma_falsify(model, IndexSubset(p=(1,), n=2, c_p=0.5), n=50, seed=0)
     assert not result.falsified and result.min_abs_det == math.inf and result.n_samples == 50
     rng = np.random.default_rng(np.random.SeedSequence(0))
     xs, ws = default_falsification_sampler(model)(rng, 20)
@@ -590,12 +593,14 @@ def test_shared_pass_equals_one_search_per_subset(case):
         subsets.append(IndexSubset(p=block, n=3, c_p=c_p))
         stop_chunks.append(stop_chunk)
 
-    shared = falsify_floors(_FLOOR_MODEL, subsets, _FLOOR_SAMPLER, n=n, seed=seed, chunk=chunk)
+    with mock.patch.object(dynamics, "JACOBIAN_BLOCK", chunk):
+        shared = falsify_floors(_FLOOR_MODEL, subsets, _FLOOR_SAMPLER, n=n, seed=seed)
     assert len(shared) == len(subsets)
     for subset, stop_chunk, result in zip(subsets, stop_chunks, shared):
         want = _fields(_one_subset_search(subset, n, seed, chunk))
         assert _fields(result) == want
-        one = gamma_falsify(_FLOOR_MODEL, subset, _FLOOR_SAMPLER, n=n, seed=seed, chunk=chunk)
+        with mock.patch.object(dynamics, "JACOBIAN_BLOCK", chunk):
+            one = gamma_falsify(_FLOOR_MODEL, subset, _FLOOR_SAMPLER, n=n, seed=seed)
         assert _fields(one) == want
         if stop_chunk is None:
             assert not result.falsified and result.n_samples == n
@@ -605,8 +610,9 @@ def test_shared_pass_equals_one_search_per_subset(case):
 
 def test_shared_pass_differentiates_each_chunk_once(example2):
     surviving = [IndexSubset(p=p, n=2, c_p=1e-3) for p in [(1,), (2,), (1, 2)]]
-    with mock.patch.object(example2, "jacobian_many", wraps=example2.jacobian_many) as jac:
-        results = falsify_floors(example2, surviving, n=50_000, seed=0, chunk=15_000)
+    block = mock.patch.object(dynamics, "JACOBIAN_BLOCK", 15_000)
+    with block, mock.patch.object(example2, "jacobian_many", wraps=example2.jacobian_many) as jac:
+        results = falsify_floors(example2, surviving, n=50_000, seed=0)
     assert jac.call_count == math.ceil(50_000 / 15_000)
     assert [r.n_samples for r in results] == [50_000] * 3
 
@@ -614,15 +620,47 @@ def test_shared_pass_differentiates_each_chunk_once(example2):
     # 0.5: both floors break in chunk 0, the p=[1] floor never
     floors = [IndexSubset(p=(1,), n=2, c_p=1e-3), IndexSubset(p=(2,), n=2, c_p=1.0),
               IndexSubset(p=(1, 2), n=2, c_p=1.0)]
-    with mock.patch.object(example2, "jacobian_many", wraps=example2.jacobian_many) as jac:
-        results = falsify_floors(example2, floors, n=50_000, seed=0, chunk=15_000)
+    with block, mock.patch.object(example2, "jacobian_many", wraps=example2.jacobian_many) as jac:
+        results = falsify_floors(example2, floors, n=50_000, seed=0)
     assert jac.call_count == math.ceil(50_000 / 15_000)
     assert [(r.falsified, r.n_samples) for r in results] == [(False, 50_000), (True, 15_000), (True, 15_000)]
 
     # once every subset has stopped, nothing more is drawn
-    with mock.patch.object(example2, "jacobian_many", wraps=example2.jacobian_many) as jac:
-        falsify_floors(example2, floors[1:], n=50_000, seed=0, chunk=15_000)
+    with block, mock.patch.object(example2, "jacobian_many", wraps=example2.jacobian_many) as jac:
+        falsify_floors(example2, floors[1:], n=50_000, seed=0)
     assert jac.call_count == 1
+
+
+def test_sample_pass_visits_live_reductions_block_by_block(example2):
+    block = 7
+    drawn, visits, last_block = [], [], []
+
+    def sample(count):
+        # the previous block's samples and Jacobians are freed before this draw
+        assert all(ref() is None for ref in last_block)
+        drawn.append(count)
+        return np.zeros((count, 2)), np.zeros((count, 1))
+
+    def visit(k, start, xs, ws, jacs):
+        visits.append((k, start, len(xs), len(ws), len(jacs)))
+        last_block[:] = [weakref.ref(xs), weakref.ref(ws), weakref.ref(jacs)]
+        assert np.geterr() == {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"}
+        return k == 0  # reduction 0 retires after block 0
+
+    errors = np.geterr()
+    with mock.patch.object(dynamics, "JACOBIAN_BLOCK", block):
+        sample_pass(example2, sample, 2 * block + 5, 2, visit)
+        assert drawn == [7, 7, 5]
+        assert visits == [(0, 0, 7, 7, 7), (1, 0, 7, 7, 7), (1, 7, 7, 7, 7), (1, 14, 5, 5, 5)]
+        assert np.geterr() == errors
+
+        # nothing is drawn once the last reduction retires, nor with none live
+        drawn.clear()
+        sample_pass(example2, sample, 2 * block + 5, 3, lambda *block_args: True)
+        assert drawn == [7]
+        drawn.clear()
+        sample_pass(example2, sample, 2 * block + 5, 0, visit)
+        assert drawn == []
 
 
 def test_shared_pass_requires_every_floor(example2):
