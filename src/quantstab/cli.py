@@ -16,7 +16,6 @@ import dataclasses
 import json
 import math
 import sys
-import warnings
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -442,16 +441,13 @@ def _run_paths(exp: Experiment, verbose: bool):
 
 
 def _run_and_measure(exp: Experiment, verbose: bool):
-    """The paths, their pooled post-burn-in measure and the texts of the
-    measure's warnings; no post-burn-in sample at all is a violation."""
+    """The paths and their pooled post-burn-in measure; no post-burn-in sample
+    at all is a violation."""
     trajs = _run_paths(exp, verbose)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            measure = empirical_measure(trajs, exp.partition, exp.burn_in)
-        except ValueError as exc:
-            raise _Violation(str(exc)) from None
-    return trajs, measure, [str(w.message) for w in caught]
+    try:
+        return trajs, empirical_measure(trajs, exp.partition, exp.burn_in)
+    except ValueError as exc:
+        raise _Violation(str(exc)) from None
 
 
 # --------------------------------------------------------------------------
@@ -512,8 +508,8 @@ def cmd_bound(exp: Experiment, out: Path, verbose: bool) -> int:
         _write_json(out / "falsification.json", {"subsets": falsification})
 
     # the trajectories are not kept: refined_bound needs only the measure
-    measure, warning_texts = _run_and_measure(exp, verbose)[1:]
-    for text in warning_texts:
+    measure = _run_and_measure(exp, verbose)[1]
+    for text in measure.warnings:
         _log(verbose, f"warning: {text}")
 
     try:
@@ -634,7 +630,7 @@ def cmd_diagnose(exp: Experiment, out: Path, verbose: bool) -> int:
     section = exp.diagnose or _Section({}, "diagnose")
     checkpoints = section.get("checkpoints", _list(_integer), None)
     section.close()
-    trajs, measure, warning_texts = _run_and_measure(exp, verbose)
+    trajs, measure = _run_and_measure(exp, verbose)
     measure_to_csv(measure, out / "measure.csv")
 
     dispersion = ergodicity_dispersion(trajs, exp.partition, exp.burn_in)
@@ -671,7 +667,7 @@ def cmd_diagnose(exp: Experiment, out: Path, verbose: bool) -> int:
         "n_samples": measure.n_samples,
         "burn_in": exp.burn_in,
         "divergence": summarize_divergence(trajs),
-        "warnings": warning_texts,
+        "warnings": measure.warnings,
     }
     _write_json(out / "diagnose_summary.json", summary)
     _log(verbose, f"overflow mass {measure.overflow_mass:.4f}, max dispersion {summary['max_dispersion']:.4f}")

@@ -1,22 +1,23 @@
 """Empirical stand-ins for the asymptotic mean and frequency-convergence diagnostics.
 
 The limiting state law is approximated by a time-averaged histogram over a box
-partition (plus one overflow cell covering the rest of R^N). Ergodicity is
-diagnosed, never certified: the dispersion of per-path limit frequencies is an
-empirical proxy, and it cannot distinguish path-frequency limits from the mass
-of the abstract asymptotic mean they are standing in for.
+partition (plus one overflow cell covering the rest of R^N). Every such
+histogram, pooled or per path, sums the same per-path counts of post-burn-in
+cell visits (``_visit_counts``). Ergodicity is diagnosed, never certified: the
+dispersion of per-path limit frequencies is an empirical proxy, and it cannot
+distinguish path-frequency limits from the mass of the abstract asymptotic
+mean they are standing in for.
 """
 
 from __future__ import annotations
 
 import csv
-import warnings
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .policies import cell_coords, cell_count, cell_numbers
+from .policies import cell_coords, cell_count, cell_numbers, cell_widths
 from .simulation import Trajectory
 
 __all__ = [
@@ -28,17 +29,18 @@ __all__ = [
     "measure_to_csv",
 ]
 
-# the 1% overflow rule: a measure above it warns, and a bound refuses one at or above it
+# the 1% overflow rule: a measure above it reports a warning, a bound refuses one at or above it
 MAX_OVERFLOW_MASS = 0.01
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity, never array by array
 class Partition:
     """Uniform grid over a box plus one overflow cell covering everything else."""
 
     low: np.ndarray
     high: np.ndarray
     cells_per_axis: tuple[int, ...]
+    width: np.ndarray = field(init=False, repr=False)  # finite and positive per axis
 
     def __post_init__(self):
         low = np.atleast_1d(np.asarray(self.low, float))
@@ -49,18 +51,10 @@ class Partition:
         if any(c < 1 for c in cells):
             raise ValueError("need at least one cell per axis")
         cell_count(cells)  # raises on a grid too fine to hold per-cell arrays
+        object.__setattr__(self, "width", cell_widths(low, high, cells))
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
         object.__setattr__(self, "cells_per_axis", cells)
-
-    def __eq__(self, other) -> bool:
-        """Equal grids; the generated ``__eq__`` would compare the arrays elementwise."""
-        return (
-            isinstance(other, Partition)
-            and self.cells_per_axis == other.cells_per_axis
-            and np.array_equal(self.low, other.low)
-            and np.array_equal(self.high, other.high)
-        )
 
     @property
     def dim(self) -> int:
@@ -78,10 +72,6 @@ class Partition:
     def n_cells(self) -> int:
         """Grid cells plus the overflow cell."""
         return self.n_boxes + 1
-
-    @property
-    def width(self) -> np.ndarray:
-        return (self.high - self.low) / np.asarray(self.cells_per_axis, float)
 
     def cell_indices(self, states: np.ndarray) -> np.ndarray:
         """Map state rows to cell indices; anything outside (or non-finite) is overflow.
@@ -125,13 +115,20 @@ class EmpiricalMeasure:
     def overflow_mass(self) -> float:
         return float(self.weights[-1])
 
-    def merge(self, other: "EmpiricalMeasure") -> "EmpiricalMeasure":
-        """Pool two measures; the sample-count-weighted average of the weights."""
-        if other.partition != self.partition:
-            raise ValueError("cannot merge measures over different partitions")
-        total = self.n_samples + other.n_samples
-        weights = (self.weights * self.n_samples + other.weights * other.n_samples) / total
-        return EmpiricalMeasure(self.partition, weights, total, self.burn_in)
+    @property
+    def warnings(self) -> list[str]:
+        """The 1% overflow rule's findings as texts (Python's ``warnings`` is
+        not used): one if every sample overflowed or the overflow mass exceeds
+        ``MAX_OVERFLOW_MASS``, else none."""
+        mass = self.overflow_mass
+        if mass == 1.0:
+            return ["all samples fell in the overflow cell; partition box is too small"]
+        if mass > MAX_OVERFLOW_MASS:
+            return [
+                f"overflow mass {mass:.3f} exceeds {MAX_OVERFLOW_MASS:.0%}; "
+                "bound estimates over this measure are untrustworthy"
+            ]
+        return []
 
     def cell_cdf(self) -> np.ndarray:
         """Cumulative in-box cell weights scaled to end at 1 (overflow
@@ -170,47 +167,34 @@ class EmpiricalMeasure:
         return self.draw_states(self.cell_cdf(), rng, rng, count)
 
 
-def _as_trajectories(trajectories) -> list[Trajectory]:
-    if isinstance(trajectories, Trajectory):
-        return [trajectories]
-    return list(trajectories)
-
-
-def _path_states(traj: Trajectory, burn_in: int) -> np.ndarray:
-    """Post-burn-in visited states x_burn .. x_{S-1} (the final state is not a
-    visited step and is excluded, so single-path frequencies match
-    :func:`frequency_convergence` at its last checkpoint)."""
-    return traj.x[burn_in: traj.steps]
+def _visit_counts(trajectories: Sequence[Trajectory], partition: Partition, burn_in: int):
+    """Per-cell visit counts of each path's post-burn-in states x_burn ..
+    x_{S-1}, for every path that has one. The final state is not a visited
+    step and is excluded, so one path's frequencies match
+    :func:`frequency_convergence` at its last checkpoint."""
+    for traj in trajectories:
+        states = traj.x[burn_in: traj.steps]
+        if len(states):
+            yield np.bincount(partition.cell_indices(states), minlength=partition.n_cells)
 
 
 def empirical_measure(
-    trajectories: Union[Trajectory, Sequence[Trajectory]],
-    partition: Partition,
-    burn_in: int = 0,
+    trajectories: Sequence[Trajectory], partition: Partition, burn_in: int = 0
 ) -> EmpiricalMeasure:
-    """Pooled histogram of post-burn-in states across paths."""
-    trajs = _as_trajectories(trajectories)
-    if not trajs:
+    """Pooled histogram of post-burn-in states across paths: the summed visit
+    counts over their total. Overflow findings are in the measure's
+    :attr:`~EmpiricalMeasure.warnings`."""
+    if not trajectories:
         raise ValueError("need at least one trajectory")
-    if burn_in < 0 or burn_in >= min(t.horizon for t in trajs):
+    if burn_in < 0 or burn_in >= min(t.horizon for t in trajectories):
         raise ValueError(f"burn-in {burn_in} must be smaller than the horizon")
     counts = np.zeros(partition.n_cells, dtype=np.int64)
-    for traj in trajs:
-        states = _path_states(traj, burn_in)
-        if len(states):
-            counts += np.bincount(partition.cell_indices(states), minlength=partition.n_cells)
+    for path_counts in _visit_counts(trajectories, partition, burn_in):
+        counts += path_counts  # in place: at most two per-cell arrays live at once
     total = int(counts.sum())
     if total == 0:
         raise ValueError("no post-burn-in samples available (all paths truncated early?)")
-    weights = counts / total
-    if weights[-1] == 1.0:
-        warnings.warn("all samples fell in the overflow cell; partition box is too small")
-    elif weights[-1] > MAX_OVERFLOW_MASS:
-        warnings.warn(
-            f"overflow mass {weights[-1]:.3f} exceeds {MAX_OVERFLOW_MASS:.0%}; "
-            "bound estimates over this measure are untrustworthy"
-        )
-    return EmpiricalMeasure(partition, weights, total, burn_in)
+    return EmpiricalMeasure(partition, counts / total, total, burn_in)
 
 
 def frequency_convergence(
@@ -233,20 +217,14 @@ def frequency_convergence(
 def ergodicity_dispersion(
     trajectories: Sequence[Trajectory], partition: Partition, burn_in: int = 0
 ) -> np.ndarray:
-    """Across-path standard deviation of terminal per-cell frequencies.
+    """Across-path standard deviation of terminal per-cell frequencies: each
+    path's post-burn-in visit counts over their total.
 
     Small values are consistent with ergodic behaviour (all paths share one
     frequency limit); large values are evidence against it. A single path
     gives zero by convention.
     """
-    trajs = _as_trajectories(trajectories)
-    freqs = []
-    for traj in trajs:
-        states = _path_states(traj, burn_in)
-        if len(states) == 0:
-            continue
-        counts = np.bincount(partition.cell_indices(states), minlength=partition.n_cells)
-        freqs.append(counts / len(states))
+    freqs = [counts / counts.sum() for counts in _visit_counts(trajectories, partition, burn_in)]
     if not freqs:
         raise ValueError("no path has post-burn-in samples")
     return np.std(np.asarray(freqs), axis=0, ddof=0)

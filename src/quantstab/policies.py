@@ -106,6 +106,16 @@ def cell_count(cells) -> int:
     return count
 
 
+def cell_widths(low: np.ndarray, high: np.ndarray, cells) -> np.ndarray:
+    """Per-axis width ``(high - low) / cells`` of a uniform grid's cells;
+    raises ``ValueError`` unless every width is finite and positive."""
+    with np.errstate(over="ignore"):
+        width = (high - low) / np.asarray(cells, float)
+    if not np.all(np.isfinite(width) & (width > 0.0)):
+        raise ValueError(f"cell widths {width.tolist()} are not all finite and positive")
+    return width
+
+
 def cell_numbers(scaled: np.ndarray, cells) -> np.ndarray:
     """Row-major number of the grid cell of each row of ``scaled``.
 
@@ -194,7 +204,7 @@ class UniformQuantizerPolicy(CodingPolicy):
                 f"alphabet of size {m} cannot address {self.n_cells} cells plus overflow"
             )
         self.m = int(m)
-        self.width = (self.high - self.low) / np.asarray(self.cells_per_axis, float)
+        self.width = cell_widths(self.low, self.high, self.cells_per_axis)
         self.target = (
             np.zeros(model.n) if target is None else np.broadcast_to(np.asarray(target, float), (model.n,)).copy()
         )

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .dynamics import SystemModel
-from .ergodics import Partition
+from .ergodics import Partition, empirical_measure
 from .policies import CodingPolicy
 # run_closed_loop stays importable from this module: perfbench/tracing.py wraps it here
 from .simulation import (  # noqa: F401
@@ -396,20 +396,8 @@ class EntropyPoint:
         return self.s_estimate != math.inf
 
 
-def _state_weights(
-    trajs: Sequence[Trajectory], template: SpanningTemplate, burn_in: int
-) -> np.ndarray:
-    states = [traj.x[burn_in: traj.steps] for traj in trajs]
-    total = sum(len(s) for s in states)
-    if total == 0:
-        raise ValueError("no post-burn-in states to estimate cell masses from")
-    part = template.state_partition
-    counts = np.bincount(part.cell_indices(np.concatenate(states)), minlength=part.n_cells)
-    return counts[:-1] / total
-
-
 def _noise_weights(scenarios: ScenarioSet, template: SpanningTemplate) -> np.ndarray:
-    flat = scenarios.ws.reshape(-1, scenarios.ws.shape[2])
+    flat = scenarios.ws.reshape(scenarios.count * scenarios.horizon, scenarios.ws.shape[2])
     n_f = _noise_cell_count(template.noise_partition)
     counts = np.bincount(_noise_cells(template.noise_partition, flat), minlength=n_f + 1)
     return counts[:n_f] / len(flat)
@@ -450,7 +438,8 @@ def entropy_rate(
             )
         else:
             burn = int(burn_in_fraction * horizon)
-            q_weights = _state_weights(trajs, template, burn)
+            # the in-box masses of the closed loop's empirical measure
+            q_weights = empirical_measure(trajs, template.state_partition, burn).weights[:-1]
             nu_weights = _noise_weights(scen, template)
             r = build_R_epsilon(q_weights, nu_weights, template.epsilon)
         instance = SpanningInstance(

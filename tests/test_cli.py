@@ -586,6 +586,38 @@ def test_grid_above_the_cell_limit_exits_2(tmp_path, capsys, command, path, valu
     assert f"config error: bad {spec} spec: grid of {2**64} cells exceeds" in capsys.readouterr().err
 
 
+def _shipped_config(name):
+    return json.loads((REPO / "configs" / name).read_text())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, name, path, value, spec",
+    [
+        ("diagnose", "ar1_diagnose.json", ("partition",),
+         {"low": [-1e308], "high": [1e308], "cells_per_axis": [4]}, "partition"),
+        ("diagnose", "ar1_diagnose.json", ("partition",),
+         {"low": [0.0], "high": [5e-324], "cells_per_axis": [2]}, "partition"),
+        ("simulate", "example2_bound.json", ("policy",),
+         {"kind": "uniform_quantizer", "box_low": [-1e308, -1e308], "box_high": [1e308, 1e308],
+          "bits_per_axis": [6, 6]}, "policy"),
+        ("entropy", "doubling_zoom_entropy.json", ("entropy", "state_partition"),
+         {"low": [-1e308], "high": [1e308], "cells_per_axis": [4]}, "entropy.state_partition"),
+    ],
+)
+def test_grid_without_a_finite_positive_cell_width_exits_2(
+    tmp_path, capsys, command, name, path, value, spec
+):
+    # (high - low) / cells overflows to inf or underflows to 0
+    cfg = _shipped_config(name)
+    _set(cfg, path, value)
+    code = _main_without_rollouts([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad {spec} spec: cell widths [")
+    assert err.endswith("] are not all finite and positive\n")
+
+
 def test_boolean_false_turns_common_random_numbers_off(tmp_path):
     cfg = _ar1_bound_config()
     cfg["bound"]["common_random_numbers"] = False
@@ -696,6 +728,22 @@ def test_entropy_2d_noise_grid_outputs_match_golden_digests_at_every_split(tmp_p
         config = _write(tmp_path, cfg, f"split{split}.json")
         assert main(["entropy", "--config", config, "--seed", "0", "--out", str(out)]) == EXIT_OK
         assert _digests(out) == _EXAMPLE1_ENTROPY_GOLDEN_SHA256
+
+
+@pytest.mark.parametrize(
+    "noise_partition", [None, {"low": [], "high": [], "cells_per_axis": []}], ids=["whole", "empty-grid"]
+)
+def test_entropy_on_a_noise_free_model(tmp_path, noise_partition):
+    cfg = _zoom_entropy_config(horizons=[4, 6])
+    cfg["model"] = {"dsl": "states 1\nnoise 0\nx1' = 2*x1"}
+    cfg["noise"] = {"family": "gaussian", "dim": 0}
+    if noise_partition is not None:
+        cfg["entropy"]["noise_partition"] = noise_partition
+    out = tmp_path / "out"
+    assert main(["entropy", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+    assert (out / "entropy_curve.csv").read_text() == (
+        "T,s_estimate,rate,capacity\n4,1,0,2\n6,2,0.16666666666666666,2\n"
+    )
 
 
 def test_entropy_epsilon_too_large_is_config_error(tmp_path, capsys):
@@ -820,6 +868,33 @@ def test_diagnose_outputs(tmp_path):
     dispersion = (out / "dispersion.csv").read_text().strip().splitlines()
     assert dispersion[0] == "cell,dispersion"
     assert (out / "measure.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "low, high, warning",
+    [
+        (-1.0, 1.0, "overflow mass 0.3"),
+        (10.0, 11.0, "all samples fell in the overflow cell; partition box is too small"),
+    ],
+)
+def test_diagnose_summary_lists_the_measure_warnings(tmp_path, low, high, warning):
+    cfg = _ar1_config(partition={"low": [low], "high": [high], "cells_per_axis": [4]})
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+    (text,) = json.loads((out / "diagnose_summary.json").read_text())["warnings"]
+    assert text.startswith(warning)
+
+
+def test_bound_logs_the_measure_warning_under_verbose(tmp_path, capsys):
+    cfg = _shipped_config("example2_bound.json")
+    cfg.update(horizon=400, paths=4, partition={"low": [-0.1, -0.1], "high": [0.1, 0.1], "cells_per_axis": [8, 8]})
+    del cfg["falsify"]
+    args = ["bound", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o"), "--verbose"]
+    assert main(args) == EXIT_VIOLATION
+    assert (
+        "warning: overflow mass 0.601 exceeds 1%; bound estimates over this measure are untrustworthy\n"
+        in capsys.readouterr().err
+    )
 
 
 def test_diagnose_convergence_follows_the_first_path_with_a_step(tmp_path):

@@ -72,6 +72,23 @@ def test_partition_validation():
         Partition(low=[-1.0, -1.0], high=[1.0, 1.0], cells_per_axis=(2**32, 2**32))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "low, high, cells",
+    [([-1e308], [1e308], (4,)), ([0.0], [5e-324], (2,)), ([0.0, -1e308], [1.0, 1e308], (2, 2))],
+)
+def test_partition_rejects_a_cell_width_that_is_not_finite_and_positive(low, high, cells):
+    # high - low overflows to inf, or the width underflows to 0
+    with pytest.raises(ValueError, match="not all finite and positive"):
+        Partition(low=low, high=high, cells_per_axis=cells)
+
+
+def test_partitions_compare_by_identity():
+    part = Partition(low=[-1.0, -1.0], high=[1.0, 1.0], cells_per_axis=(2, 2))
+    twin = Partition(low=[-1.0, -1.0], high=[1.0, 1.0], cells_per_axis=(2, 2))
+    assert part == part and part != twin and len({part, twin}) == 2
+
+
 # --------------------------------------------------------------------------
 # Empirical measure
 
@@ -79,7 +96,7 @@ def test_constant_trajectory_is_unit_mass_at_origin_cell():
     model = _frozen_model()
     traj = rollout(model, null_policy(2), NoiseSpec.zero(1), InitSpec.fixed([0.0]), 100, seed=0)
     part = Partition(low=[-1.0], high=[1.0], cells_per_axis=(4,))
-    measure = empirical_measure(traj, part, burn_in=0)
+    measure = empirical_measure([traj], part, burn_in=0)
     origin_cell = part.cell_indices([[0.0]])[0]
     assert measure.weights[origin_cell] == 1.0
     assert measure.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -112,57 +129,31 @@ def test_burn_in_must_be_smaller_than_horizon(ar1):
     traj = rollout(ar1, null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 10, seed=0)
     part = Partition(low=[-1.0], high=[1.0], cells_per_axis=(2,))
     with pytest.raises(ValueError, match="burn-in"):
-        empirical_measure(traj, part, burn_in=10)
+        empirical_measure([traj], part, burn_in=10)
 
 
 def test_all_overflow_warns(ar1):
     traj = rollout(ar1, null_policy(2), NoiseSpec.zero(1), InitSpec.fixed([100.0]), 5, seed=0)
     part = Partition(low=[-1.0], high=[1.0], cells_per_axis=(2,))
-    with pytest.warns(UserWarning, match="partition box is too small"):
-        empirical_measure(traj, part, burn_in=0)
+    measure = empirical_measure([traj], part, burn_in=0)
+    assert measure.warnings == ["all samples fell in the overflow cell; partition box is too small"]
 
 
 def test_large_overflow_mass_warns(ar1):
     trajs = batch_rollout(ar1, null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 1000, 4, 9)
     part = Partition(low=[-0.5], high=[0.5], cells_per_axis=(2,))
-    with pytest.warns(UserWarning, match="untrustworthy"):
-        empirical_measure(trajs, part, burn_in=0)
+    measure = empirical_measure(trajs, part, burn_in=0)
+    assert measure.warnings == [
+        f"overflow mass {measure.overflow_mass:.3f} exceeds 1%; "
+        "bound estimates over this measure are untrustworthy"
+    ]
 
 
-def test_merge_is_sample_count_weighted_average(ar1):
-    trajs = batch_rollout(ar1, null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 500, 6, 2)
-    part = Partition(low=[-4.0], high=[4.0], cells_per_axis=(8,))
-    first = empirical_measure(trajs[:2], part, burn_in=0)
-    second = empirical_measure(trajs[2:], part, burn_in=0)
-    merged = first.merge(second)
-    pooled = empirical_measure(trajs, part, burn_in=0)
-    assert merged.n_samples == pooled.n_samples
-    assert np.allclose(merged.weights, pooled.weights, atol=1e-12)
-    # associativity of pooling
-    third = empirical_measure(trajs[4:], part, burn_in=0)
-    left = empirical_measure(trajs[:2], part, burn_in=0).merge(
-        empirical_measure(trajs[2:4], part, burn_in=0)
-    ).merge(third)
-    assert np.allclose(left.weights, pooled.weights, atol=1e-12)
-
-
-def test_merge_over_equal_but_distinct_2d_partitions(make_uniform_measure):
-    first = make_uniform_measure([-1, -1], [1, 1], (2, 2))
-    second = make_uniform_measure([-1, -1], [1, 1], (2, 2))
-    assert first.partition is not second.partition
-    assert first.partition == second.partition
-    merged = first.merge(second)
-    assert merged.n_samples == 8 and np.array_equal(merged.weights, first.weights)
-
-
-@pytest.mark.parametrize(
-    "other",
-    [([-1, -1], [1, 2], (2, 2)), ([-1, -1], [1, 1], (2, 1)), ([-1, -1], [1, 1], (4,)), ([-1], [1], (4,))],
-)
-def test_merge_rejects_a_different_partition(make_uniform_measure, other):
-    first = make_uniform_measure([-1, -1], [1, 1], (2, 2))
-    with pytest.raises(ValueError, match="different partitions"):
-        first.merge(make_uniform_measure(*other))
+def test_measure_within_the_overflow_rule_has_no_warnings(make_uniform_measure):
+    assert make_uniform_measure([-1, -1], [1, 1], (2, 2)).warnings == []
+    part = Partition(low=[0.0], high=[1.0], cells_per_axis=(1,))
+    assert EmpiricalMeasure(part, [0.99, 0.01], 100, 0).warnings == []
+    assert len(EmpiricalMeasure(part, [0.98, 0.02], 100, 0).warnings) == 1
 
 
 def test_measure_validation_rejects_bad_weights():
@@ -218,7 +209,7 @@ def test_sample_states_in_place_equals_the_expression_bitwise(axes, seed, count)
 def test_measure_csv_round_trip(tmp_path, ar1):
     traj = rollout(ar1, null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 100, seed=1)
     part = Partition(low=[-4.0], high=[4.0], cells_per_axis=(4,))
-    measure = empirical_measure(traj, part, burn_in=0)
+    measure = empirical_measure([traj], part, burn_in=0)
     out = tmp_path / "measure.csv"
     measure_to_csv(measure, out)
     lines = out.read_text().strip().splitlines()
@@ -268,7 +259,7 @@ def test_final_checkpoint_matches_empirical_measure():
     traj = rollout(model, null_policy(2), noise, InitSpec.uniform_box([0], [1]), 500, seed=4)
     part = Partition(low=[0.0], high=[1.0], cells_per_axis=(4,))
     curves = frequency_convergence(traj, part, [traj.steps])
-    measure = empirical_measure(traj, part, burn_in=0)
+    measure = empirical_measure([traj], part, burn_in=0)
     assert np.array_equal(curves[-1], measure.weights)
 
 

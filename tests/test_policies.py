@@ -95,6 +95,14 @@ def test_quantizer_rejects_degenerate_box_and_small_alphabet(doubling):
         uniform_quantizer_policy(doubling, [-1.0], [1.0], [3], m=8)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("low, high, bits", [(-1e308, 1e308, 2), (0.0, 5e-324, 1)])
+def test_quantizer_rejects_a_cell_width_that_is_not_finite_and_positive(doubling, low, high, bits):
+    # high - low overflows to inf, or the width underflows to 0
+    with pytest.raises(ValueError, match="not all finite and positive"):
+        uniform_quantizer_policy(doubling, [low], [high], [bits])
+
+
 def test_twelve_bit_quantizer_stabilizes_example2(example2):
     noise = NoiseSpec.uniform(1, -0.25, 0.25)
     init = InitSpec.uniform_box([-0.5, -0.5], [0.5, 0.5])

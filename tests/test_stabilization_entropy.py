@@ -21,6 +21,7 @@ from quantstab import (
     UniformQuantizerPolicy,
     build_R_epsilon,
     catalog_model,
+    empirical_measure,
     entropy_rate,
     min_cover_cardinality,
     null_policy,
@@ -286,9 +287,10 @@ def test_lemma_construction_spans_for_stable_null_loop(ar1):
     candidates, trajs = closed_loop_candidates(ar1, policy, scen)
     assert candidates.count == 1  # the null policy emits one sequence
     template = SpanningTemplate(Partition(low=[-3.0], high=[3.0], cells_per_axis=(2,)), None, 0.5, 0.1)
-    from quantstab.stabilization_entropy import _state_weights, _noise_weights
+    from quantstab.stabilization_entropy import _noise_weights
 
-    r = build_R_epsilon(_state_weights(trajs, template, 0), _noise_weights(scen, template), 0.1)
+    q_weights = empirical_measure(trajs, template.state_partition, 0).weights[:-1]
+    r = build_R_epsilon(q_weights, _noise_weights(scen, template), 0.1)
     inst = SpanningInstance(horizon, template.state_partition, None, 0.5, r)
     matrix = satisfaction_matrix(ar1, candidates, inst, scen)
     assert min_cover_cardinality(matrix, _needed_count(scen.count, inst.rho)) == 1
