@@ -487,8 +487,8 @@ def default_falsification_sampler(
     The Cauchy rows probe both the neighbourhood of the origin and far tails,
     since a floor claim quantifies over all of R^N x W.
     """
-    if not halfwidth > 0.0:
-        raise ValueError(f"box halfwidth must be positive, got {halfwidth}")
+    if not (halfwidth > 0.0 and math.isfinite(2.0 * halfwidth)):  # the box width rng.uniform takes
+        raise ValueError(f"box halfwidth must be positive and 2 * halfwidth finite, got {halfwidth}")
     if not 0.0 <= cauchy_fraction <= 1.0:
         raise ValueError(f"Cauchy fraction must lie in [0, 1], got {cauchy_fraction}")
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .dynamics import SystemModel
-from .policies import CodingPolicy
+from .policies import CodingPolicy, cell_widths
 
 __all__ = [
     "DIVERGENCE_THRESHOLD",
@@ -71,6 +71,7 @@ class NoiseSpec:
         high = np.broadcast_to(np.asarray(high, float), (dim,)).copy()
         if np.any(high <= low):
             raise ValueError("uniform bounds must satisfy low < high")
+        cell_widths(low, high, 1)  # rng.uniform fails on a width that overflows
         return cls(family="uniform", dim=dim, low=low, high=high)
 
     @classmethod
@@ -126,6 +127,8 @@ class InitSpec:
                 raise ValueError("gaussian std must be positive")
             if c.kind == "uniform" and c.b <= c.a:
                 raise ValueError("uniform bounds must satisfy low < high")
+            if c.kind == "uniform":
+                cell_widths(np.array([c.a]), np.array([c.b]), 1)  # as NoiseSpec.uniform
             if c.kind not in ("gaussian", "uniform", "fixed"):
                 raise ValueError(f"unknown initial-state family {c.kind!r}")
 

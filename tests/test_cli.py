@@ -560,6 +560,7 @@ def test_malformed_value_exits_2_naming_its_key_before_any_rollout(
         (("falsify", "cauchy_fraction"), 2, "bad falsify spec: Cauchy fraction must lie in [0, 1]"),
         (("bound", "n_mcc"), 5, "unknown key(s) 'n_mcc' in bound"),
         (("gamma", 0, "cp"), 0.4, "unknown key(s) 'cp' in gamma[0]"),
+        (("falsify", "box_halfwidth"), 1e308, "bad falsify spec: box halfwidth must be positive"),
     ],
 )
 def test_out_of_range_or_unknown_setting_exits_2(tmp_path, capsys, path, value, message):
@@ -603,6 +604,11 @@ def _shipped_config(name):
           "bits_per_axis": [6, 6]}, "policy"),
         ("entropy", "doubling_zoom_entropy.json", ("entropy", "state_partition"),
          {"low": [-1e308], "high": [1e308], "cells_per_axis": [4]}, "entropy.state_partition"),
+        # uniform draws take the same width rule, with one cell
+        ("diagnose", "ar1_diagnose.json", ("init",),
+         {"kind": "uniform", "low": [-1e308], "high": [1e308]}, "init"),
+        ("diagnose", "ar1_diagnose.json", ("noise",),
+         {"family": "uniform", "low": -1e308, "high": 1e308, "dim": 1}, "noise"),
     ],
 )
 def test_grid_without_a_finite_positive_cell_width_exits_2(
@@ -616,6 +622,38 @@ def test_grid_without_a_finite_positive_cell_width_exits_2(
     err = capsys.readouterr().err
     assert err.startswith(f"config error: bad {spec} spec: cell widths [")
     assert err.endswith("] are not all finite and positive\n")
+
+
+def _dsl_diagnose_config(model_text):
+    cfg = _shipped_config("ar1_diagnose.json")
+    cfg["model"] = {"dsl": model_text}
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "rhs",
+    [
+        "(" * 300 + "0.5*x1" + ")" * 300 + " + w1",  # Python's parser allows 200 parentheses
+        "0.5*x1 + w1" + " + 0*x1" * 250,  # the compiled code parenthesises every sum
+        "0.5*x1 + w1" + " + 0*x1" * 3000,
+        "-" * 2000 + "x1",
+    ],
+    ids=["parentheses-300", "terms-250", "terms-3000", "signs-2000"],
+)
+def test_model_nested_too_deeply_exits_2(tmp_path, capsys, rhs):
+    cfg = _dsl_diagnose_config(f"states 1\nnoise 1\nx1' = {rhs}")
+    code = _main_without_rollouts(["diagnose", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: bad model text: ")
+
+
+def test_model_without_states_exits_2(tmp_path, capsys):
+    cfg = _dsl_diagnose_config("states 0\nnoise 1")
+    cfg["init"] = {"kind": "fixed", "values": []}
+    cfg["partition"] = {"low": [], "high": [], "cells_per_axis": []}
+    code = _main_without_rollouts(["diagnose", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: bad model text: 'states' must be at least 1 (line 1,")
 
 
 def test_boolean_false_turns_common_random_numbers_off(tmp_path):

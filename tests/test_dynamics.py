@@ -1,7 +1,9 @@
+import json
 import math
 import weakref
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 from unittest import mock
 
@@ -246,6 +248,17 @@ def test_compiled_source_is_pinned():
     assert list(models) == list(expected)
     for name, model in models.items():
         assert (model._f_fn.__source__, model._jac_fn.__source__) == expected[name], name
+
+
+def test_compiled_sources_match_the_golden_file():
+    # the catalog and every DSL text of the tests; equal source means equal
+    # trees, so this pins the parser as well as the compiler
+    for entry in json.loads((Path(__file__).parent / "compiled_sources.json").read_text()):
+        if "catalog" in entry:
+            model = catalog_model(entry["catalog"])
+        else:
+            model = SystemModel.from_text(entry["dsl"])
+        assert (model._f_fn.__source__, model._jac_fn.__source__) == (entry["f"], entry["jac"])
 
 
 def test_symbolic_vs_finite_difference_jacobians():

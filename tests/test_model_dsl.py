@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,114 @@ def test_parse_model_duplicate_equation():
 def test_parse_model_unknown_line():
     with pytest.raises(DslSyntaxError, match="unrecognized line"):
         parse_model("states 1\nbogus here\nx1' = x1")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("states 0", 1),
+        ("states 2\nstates 1\nx1' = x1", 2),
+        ("states 1\nnoise 1\nnoise 1\nx1' = x1 + w1", 3),
+        ("states 1\ncontrols 1\nx1' = x1\ncontrols 2", 4),
+        ("states 1\nB = [1]\nB = [2]\nx1' = x1", 3),
+        ("states ٣\nx1' = x1", 1),  # \d would read the Arabic-Indic digit as 3
+    ],
+    ids=["no-states", "states-twice", "noise-twice", "controls-twice", "B-twice", "non-ASCII-digit"],
+)
+def test_parse_model_rejects_a_header_it_would_break_on_or_overwrite(text, line):
+    with pytest.raises(DslSyntaxError) as err:
+        parse_model(text)
+    assert err.value.pos == (line, 1)
+
+
+@pytest.mark.parametrize(
+    "line, column",
+    [
+        ("x1' = 2*x1 + y1", 14),
+        ("   x1'   =    2*x1 + y1", 22),
+        ("\tx1'=2*x1 + y1", 13),
+    ],
+)
+def test_parse_model_columns_count_from_the_start_of_the_line(line, column):
+    with pytest.raises(UnknownVariableError) as err:
+        parse_model(f"states 1\nnoise 1\n{line}")
+    assert err.value.pos == (3, column)
+    assert line[column - 1 : column + 1] == "y1"
+
+
+def test_parse_expr_positions_are_source_columns():
+    # a BinOp or Pow sits at its operator, every other node at its first
+    # character; ^ is one column wide and ** two. The text starts at column 10.
+    ast = parse_expr("  -(x1 ** 2) ^ 3 / w1", 1, 1, line=4, col=10)
+    assert ast == BinOp("/", Neg(Pow(Pow(StateVar(1), 2), 3)), NoiseVar(1))
+    outer = ast.a.a
+    assert (ast.pos, ast.a.pos, ast.b.pos) == ((4, 27), (4, 12), (4, 29))
+    assert (outer.pos, outer.base.pos, outer.base.base.pos) == ((4, 23), (4, 17), (4, 14))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1^(2)", "x1^(-2)", "x1^-(2)", "x1^+2", "x1^2.0", "x1^1e2", "x1^x1", "x1^2^3",
+        "007", "x1^02", "1_0", "0x1", "1j", "x1.real", "x1 // 2", "x1 if x1 else 2", "not x1",
+        "x1 # comment", "(x1\n+ 1)", "x1 % 2", "None", "x1(2)", "٣", "ｘ1",
+    ],
+)
+def test_parse_expr_rejects_what_python_accepts_beyond_the_dsl(text):
+    with pytest.raises(DslSyntaxError):
+        parse_expr(text, 1, 0)
+
+
+@pytest.mark.parametrize("text", ["x1^2", "x1**2", "x1 ^ - 2", "x1 ** -2", "  x1^2 ", "\t(x1)^2"])
+def test_parse_expr_power_forms_agree(text):
+    assert parse_expr(text, 1, 0) == Pow(StateVar(1), -2 if "-" in text else 2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 300 + "x1" + ")" * 300, "-" * 3000 + "x1", "x1" + " + x1" * 3000],
+    ids=["parentheses-300", "signs-3000", "terms-3000"],
+)
+def test_parse_expr_too_deep_is_a_syntax_error(text):
+    with pytest.raises(DslSyntaxError):
+        parse_expr(text, 1, 0)
+
+
+# tokens of the DSL, and foreign ones that Python reads but the DSL does not;
+# joined without separators they also run together, as in 1e31 or 1if
+_DSL_TOKENS = ["x1", "x2", "w1", "x3", "w2", "1", "0.5", ".5", "5.", "1e3", "1E+2", "2",
+               "+", "-", "*", "/", "^", "**", "(", ")", " "]
+_FOREIGN_TOKENS = ["if", "else", "or", "1_0", "0x1", "1j", "x1.real", "#", "//", "@", "007",
+                   "\n", "\t", "None", ",", "٣"]
+_TOKEN_SOUP = st.lists(st.sampled_from(_DSL_TOKENS + _FOREIGN_TOKENS), min_size=1, max_size=12)
+# mostly well-formed text, so that many draws parse
+_WELL_FORMED = st.recursive(
+    st.sampled_from(["x1", "x2", "w1", "1", "0.5", ".5", "5.", "1e3", "1E+2", "2"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", " + ", " - ", " * "]), inner),
+        st.tuples(st.sampled_from(["-", "+", " -"]), inner),
+        st.tuples(st.just("("), inner, st.just(")")),
+        st.tuples(inner, st.sampled_from(["^", "**", "^-", " ** - "]), st.sampled_from(["0", "2", "3"])),
+    ).map("".join),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(st.one_of(_TOKEN_SOUP.map("".join), _WELL_FORMED))
+def test_parse_expr_gives_a_tree_that_prints_back_or_a_syntax_error(text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            tree = parse_expr(text, 2, 1)
+        except DslSyntaxError:  # UnknownVariableError included
+            tree = None
+    assert not caught  # e.g. Python's SyntaxWarning on 1if
+    if tree is None:
+        return
+    printed = print_expr(tree)
+    if "inf" not in printed:  # a literal beyond 1e308 prints as inf, which reads as a name
+        assert parse_expr(printed, 2, 1) == tree
 
 
 def test_compiled_matches_tree_walk():
