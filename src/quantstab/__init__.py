@@ -33,6 +33,7 @@ from .dynamics import (
 from .ergodics import (
     EmpiricalMeasure,
     Partition,
+    VisitTally,
     empirical_measure,
     ergodicity_dispersion,
     frequency_convergence,
@@ -63,6 +64,7 @@ from .simulation import (
     Trajectory,
     audit_causality,
     batch_rollout,
+    closed_loop_blocks,
     replay_consistent,
     rollout,
     run_closed_loop,

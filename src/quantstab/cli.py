@@ -37,7 +37,9 @@ from .dynamics import (  # noqa: F401
     gamma_falsify,
 )
 from .ergodics import (
+    DEFAULT_CHECKPOINTS,
     Partition,
+    VisitTally,
     empirical_measure,
     ergodicity_dispersion,
     frequency_convergence,
@@ -49,6 +51,8 @@ from .simulation import (
     InitSpec,
     NoiseSpec,
     batch_rollout,
+    closed_loop_blocks,
+    path_seed,
     summarize_divergence,
     trajectory_to_csv,
 )
@@ -440,14 +444,19 @@ def _run_paths(exp: Experiment, verbose: bool):
     )
 
 
-def _run_and_measure(exp: Experiment, verbose: bool):
-    """The paths and their pooled post-burn-in measure; no post-burn-in sample
-    at all is a violation."""
-    trajs = _run_paths(exp, verbose)
+def _fold_and_measure(exp: Experiment, verbose: bool, tally: VisitTally):
+    """The paths of :func:`_run_paths`, folded into ``tally`` block by block
+    and never held whole: their pooled post-burn-in measure (no sample at
+    all is a violation) and each path's divergence step, None if none."""
+    _log(verbose, f"simulating {exp.paths} paths of {exp.horizon} steps (seed {exp.seed})")
+    seeds = [path_seed(exp.seed, k) for k in range(exp.paths)]
+    for block in closed_loop_blocks(exp.model, exp.policy, exp.noise, exp.init, exp.horizon, seeds):
+        tally.add(block)
     try:
-        return trajs, empirical_measure(trajs, exp.partition, exp.burn_in)
+        measure = empirical_measure(tally, exp.partition, exp.burn_in)
     except ValueError as exc:
         raise _Violation(str(exc)) from None
+    return measure, [None if d < 0 else d for d in block.diverged_at.tolist()]
 
 
 # --------------------------------------------------------------------------
@@ -457,7 +466,7 @@ def cmd_simulate(exp: Experiment, out: Path, verbose: bool) -> int:
     trajs = _run_paths(exp, verbose)
     for k, traj in enumerate(trajs):
         trajectory_to_csv(traj, out / f"trajectory_{k:04d}.csv")
-    summary = summarize_divergence(trajs)
+    summary = summarize_divergence([traj.diverged_at for traj in trajs])
     summary["seed"] = exp.seed
     summary["horizon"] = exp.horizon
     _write_json(out / "simulate_summary.json", summary)
@@ -507,8 +516,8 @@ def cmd_bound(exp: Experiment, out: Path, verbose: bool) -> int:
                 )
         _write_json(out / "falsification.json", {"subsets": falsification})
 
-    # the trajectories are not kept: refined_bound needs only the measure
-    measure = _run_and_measure(exp, verbose)[1]
+    # refined_bound needs only the measure: the paths fold into one pooled count
+    measure = _fold_and_measure(exp, verbose, VisitTally(exp.partition, exp.burn_in))[0]
     for text in measure.warnings:
         _log(verbose, f"warning: {text}")
 
@@ -630,26 +639,20 @@ def cmd_diagnose(exp: Experiment, out: Path, verbose: bool) -> int:
     section = exp.diagnose or _Section({}, "diagnose")
     checkpoints = section.get("checkpoints", _list(_integer), None)
     section.close()
-    trajs, measure = _run_and_measure(exp, verbose)
+    lead_checkpoints = DEFAULT_CHECKPOINTS if checkpoints is None else checkpoints
+    tally = VisitTally(exp.partition, exp.burn_in, exp.paths, lead_checkpoints)
+    measure, diverged_at = _fold_and_measure(exp, verbose, tally)
     measure_to_csv(measure, out / "measure.csv")
 
-    dispersion = ergodicity_dispersion(trajs, exp.partition, exp.burn_in)
+    dispersion = ergodicity_dispersion(tally, exp.partition, exp.burn_in)
     with open(out / "dispersion.csv", "w") as fh:
         fh.write("cell,dispersion\n")
         for i, value in enumerate(dispersion):
             name = "overflow" if i == exp.partition.overflow_index else str(i)
             fh.write(f"{name},{value:.17g}\n")
 
-    lead = next(t for t in trajs if t.steps > 0)  # the measure has a sample, so one exists
-    if checkpoints is not None:
-        checkpoints = [c for c in checkpoints if 1 <= c <= lead.steps]
-    else:
-        checkpoints = sorted(
-            {10**k for k in range(1, 8) if 10**k <= lead.steps} | {lead.steps}
-        )
-    if not checkpoints:
-        checkpoints = [lead.steps]
-    curves = frequency_convergence(lead, exp.partition, checkpoints)
+    checkpoints = tally.checkpoints(checkpoints)  # the measure has a sample, so a lead path exists
+    curves = frequency_convergence(tally, exp.partition, checkpoints)
     with open(out / "convergence.csv", "w") as fh:
         cells = [
             "overflow" if i == exp.partition.overflow_index else f"cell{i}"
@@ -666,7 +669,7 @@ def cmd_diagnose(exp: Experiment, out: Path, verbose: bool) -> int:
         "max_dispersion": float(np.max(dispersion)),
         "n_samples": measure.n_samples,
         "burn_in": exp.burn_in,
-        "divergence": summarize_divergence(trajs),
+        "divergence": summarize_divergence(diverged_at),
         "warnings": measure.warnings,
     }
     _write_json(out / "diagnose_summary.json", summary)

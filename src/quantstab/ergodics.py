@@ -2,27 +2,28 @@
 
 The limiting state law is approximated by a time-averaged histogram over a box
 partition (plus one overflow cell covering the rest of R^N). Every such
-histogram, pooled or per path, sums the same per-path counts of post-burn-in
-cell visits (``_visit_counts``). Ergodicity is diagnosed, never certified: the
-dispersion of per-path limit frequencies is an empirical proxy, and it cannot
-distinguish path-frequency limits from the mass of the abstract asymptotic
-mean they are standing in for.
+histogram, pooled or per path, sums the same counts of post-burn-in cell
+visits, folded block by block (``VisitTally.add``). Ergodicity is diagnosed,
+never certified: the dispersion of per-path limit frequencies is an empirical
+proxy, and it cannot distinguish path-frequency limits from the mass of the
+abstract asymptotic mean they are standing in for.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .policies import cell_coords, cell_count, cell_numbers, cell_widths
-from .simulation import Trajectory
+from .simulation import LoopBlock, Trajectory
 
 __all__ = [
     "Partition",
     "EmpiricalMeasure",
+    "VisitTally",
     "empirical_measure",
     "frequency_convergence",
     "ergodicity_dispersion",
@@ -31,6 +32,8 @@ __all__ = [
 
 # the 1% overflow rule: a measure above it reports a warning, a bound refuses one at or above it
 MAX_OVERFLOW_MASS = 0.01
+# the convergence checkpoints when none is asked for, with the lead path's last step
+DEFAULT_CHECKPOINTS = tuple(10**k for k in range(1, 8))
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity, never array by array
@@ -167,30 +170,105 @@ class EmpiricalMeasure:
         return self.draw_states(self.cell_cdf(), rng, rng, count)
 
 
-def _visit_counts(trajectories: Sequence[Trajectory], partition: Partition, burn_in: int):
-    """Per-cell visit counts of each path's post-burn-in states x_burn ..
-    x_{S-1}, for every path that has one. The final state is not a visited
-    step and is excluded, so one path's frequencies match
-    :func:`frequency_convergence` at its last checkpoint."""
-    for traj in trajectories:
-        states = traj.x[burn_in: traj.steps]
-        if len(states):
-            yield np.bincount(partition.cell_indices(states), minlength=partition.n_cells)
+class VisitTally:
+    """Cell visits folded block by block: ``counts``, post-burn-in, one row
+    per path if ``paths`` is given, else pooled; unless ``checkpoints`` is
+    None, the lead path's (the first with a step) counts at each checkpoint
+    and ``lead_steps``, its number of steps.
+    """
+
+    def __init__(
+        self,
+        partition: Partition,
+        burn_in: int,
+        paths: Optional[int] = None,
+        checkpoints: Optional[Sequence[int]] = None,
+    ):
+        if burn_in < 0:
+            raise ValueError(f"burn-in {burn_in} must be nonnegative")
+        self.partition = partition
+        self.burn_in = burn_in
+        self.counts = np.zeros((paths or 1, partition.n_cells), dtype=np.int64)
+        self.per_path = paths is not None
+        self.horizon: Optional[int] = None  # smallest horizon folded
+        self.lead: Optional[int] = None
+        self.lead_steps = 0
+        self._checkpoints = None if checkpoints is None else sorted({int(c) for c in checkpoints})
+        self._lead_counts = np.zeros(partition.n_cells, dtype=np.int64)
+        self._at: dict[int, np.ndarray] = {}  # checkpoint -> lead counts there
+
+    def add(self, block: LoopBlock, first: int = 0) -> None:
+        """Fold a block whose paths are this tally's ``first``, ``first`` + 1, ..."""
+        self.horizon = block.horizon if self.horizon is None else min(self.horizon, block.horizon)
+        # the one counting rule: a path's visited states are x_burn .. x_{S-1};
+        # its final state is not a visited step, so one path's frequencies
+        # match frequency_convergence at its last checkpoint
+        steps = block.steps
+        start = max(self.burn_in - block.t0, 0)
+        for path, taken in enumerate(steps.tolist()):  # path by path: small temporaries
+            if start < taken:
+                cells = self.partition.cell_indices(block.x[path, start:taken])
+                np.add.at(self.counts, (first + path if self.per_path else 0, cells), 1)
+        if self._checkpoints is None:
+            return
+        if self.lead is None and block.t0 == 0 and steps.any():
+            self.lead = first + int(np.flatnonzero(steps)[0])
+        row = -1 if self.lead is None else self.lead - first
+        if not 0 <= row < len(steps):
+            return
+        t0, taken = block.t0, int(steps[row])
+        cells = self.partition.cell_indices(block.x[row, :taken])
+        for c in self._checkpoints:
+            if t0 < c <= t0 + taken:
+                self._at[c] = self._lead_counts + np.bincount(
+                    cells[: c - t0], minlength=self.partition.n_cells
+                )
+        self._lead_counts += np.bincount(cells, minlength=self.partition.n_cells)
+        self.lead_steps += taken
+
+    def checkpoints(self, requested: Optional[Sequence[int]] = None) -> list[int]:
+        """The requested checkpoints the lead path reached, else the default
+        ones and its last step; its last step if none is left."""
+        steps = self.lead_steps
+        if requested is None:
+            return sorted({c for c in DEFAULT_CHECKPOINTS if c <= steps} | {steps})
+        return [c for c in requested if 1 <= c <= steps] or [steps]
+
+    def lead_counts(self, checkpoint: int) -> np.ndarray:
+        """The lead path's visit counts over its first ``checkpoint`` steps."""
+        if checkpoint == self.lead_steps:
+            return self._lead_counts
+        if checkpoint not in self._at:
+            raise ValueError(f"checkpoint {checkpoint} was not tallied")
+        return self._at[checkpoint]
+
+
+def _tally(paths, partition: Partition, burn_in: int, per_path: bool = False) -> VisitTally:
+    """``paths`` if it is a tally over ``partition`` and ``burn_in``, else
+    its trajectories folded into one."""
+    if isinstance(paths, VisitTally):
+        if paths.partition is not partition or paths.burn_in != burn_in:
+            raise ValueError("the tally was folded over another partition or burn-in")
+        return paths
+    tally = VisitTally(partition, burn_in, len(paths) if per_path else None)
+    for k, traj in enumerate(paths):
+        tally.add(traj.block(), k)
+    return tally
 
 
 def empirical_measure(
-    trajectories: Sequence[Trajectory], partition: Partition, burn_in: int = 0
+    paths: Union[Sequence[Trajectory], VisitTally], partition: Partition, burn_in: int = 0
 ) -> EmpiricalMeasure:
-    """Pooled histogram of post-burn-in states across paths: the summed visit
-    counts over their total. Overflow findings are in the measure's
+    """Pooled histogram of post-burn-in states across paths, given as
+    trajectories or as a tally of their blocks: the summed visit counts over
+    their total. Overflow findings are in the measure's
     :attr:`~EmpiricalMeasure.warnings`."""
-    if not trajectories:
+    tally = _tally(paths, partition, burn_in)
+    if tally.horizon is None:
         raise ValueError("need at least one trajectory")
-    if burn_in < 0 or burn_in >= min(t.horizon for t in trajectories):
+    if burn_in >= tally.horizon:
         raise ValueError(f"burn-in {burn_in} must be smaller than the horizon")
-    counts = np.zeros(partition.n_cells, dtype=np.int64)
-    for path_counts in _visit_counts(trajectories, partition, burn_in):
-        counts += path_counts  # in place: at most two per-cell arrays live at once
+    counts = tally.counts.sum(axis=0)
     total = int(counts.sum())
     if total == 0:
         raise ValueError("no post-burn-in samples available (all paths truncated early?)")
@@ -198,36 +276,48 @@ def empirical_measure(
 
 
 def frequency_convergence(
-    traj: Trajectory, partition: Partition, checkpoints: Sequence[int]
+    path: Union[Trajectory, VisitTally], partition: Partition, checkpoints: Sequence[int]
 ) -> np.ndarray:
-    """Running per-cell occupancy averages (1/T') sum_{t<T'} 1_cell(x_t).
+    """Running per-cell occupancy averages (1/T') sum_{t<T'} 1_cell(x_t) of
+    one trajectory, or of a tally's lead path at checkpoints it was folded
+    with (and its last step).
 
     Returns an array of shape (len(checkpoints), n_cells).
     """
     checkpoints = [int(c) for c in checkpoints]
-    if any(c < 1 or c > traj.steps for c in checkpoints):
-        raise ValueError(f"checkpoints must lie in [1, {traj.steps}]")
-    indices = partition.cell_indices(traj.x[: traj.steps])
+    if isinstance(path, VisitTally):
+        if path.partition is not partition:
+            raise ValueError("the tally was folded over another partition")
+        tally = path
+    else:
+        tally = VisitTally(partition, 0, checkpoints=checkpoints)
+        tally.add(path.block())
+    if any(c < 1 or c > tally.lead_steps for c in checkpoints):
+        raise ValueError(f"checkpoints must lie in [1, {tally.lead_steps}]")
     out = np.empty((len(checkpoints), partition.n_cells))
     for row, c in enumerate(checkpoints):
-        out[row] = np.bincount(indices[:c], minlength=partition.n_cells) / c
+        out[row] = tally.lead_counts(c) / c
     return out
 
 
 def ergodicity_dispersion(
-    trajectories: Sequence[Trajectory], partition: Partition, burn_in: int = 0
+    paths: Union[Sequence[Trajectory], VisitTally], partition: Partition, burn_in: int = 0
 ) -> np.ndarray:
     """Across-path standard deviation of terminal per-cell frequencies: each
-    path's post-burn-in visit counts over their total.
+    path's post-burn-in visit counts over their total, from trajectories or
+    a per-path tally of their blocks.
 
     Small values are consistent with ergodic behaviour (all paths share one
     frequency limit); large values are evidence against it. A single path
     gives zero by convention.
     """
-    freqs = [counts / counts.sum() for counts in _visit_counts(trajectories, partition, burn_in)]
-    if not freqs:
+    tally = _tally(paths, partition, burn_in, per_path=True)
+    if not tally.per_path:
+        raise ValueError("dispersion needs a tally with one row per path")
+    counts = tally.counts[tally.counts.sum(axis=1) > 0]
+    if not len(counts):
         raise ValueError("no path has post-burn-in samples")
-    return np.std(np.asarray(freqs), axis=0, ddof=0)
+    return np.std(counts / counts.sum(axis=1, keepdims=True), axis=0, ddof=0)
 
 
 def measure_to_csv(measure: EmpiricalMeasure, path) -> None:

@@ -8,6 +8,7 @@ Parsed trees are immutable and safe to share across workers.
 from __future__ import annotations
 
 import ast
+import math
 import operator
 import re
 import warnings
@@ -219,6 +220,13 @@ class ModelSource:
 _HEADER_RE = re.compile(r"^(states|noise|controls)\s+([0-9]+)\s*$")
 _EQ_RE = re.compile(r"^x([1-9][0-9]*)'\s*=\s*(.*)$")
 _B_RE = re.compile(r"^B\s*=\s*\[(.*)\]\s*$")
+def _b_entry(text: str, line: int) -> float:
+    """One B entry: a signed DSL number in ASCII digits whose value is finite."""
+    number = text[1:] if text[:1] in ("+", "-") else text
+    value = float(text) if number.isascii() and _NUMBER_RE.fullmatch(number) else math.nan
+    if not math.isfinite(value):
+        raise DslSyntaxError(f"bad B matrix entry {text!r}: need a finite number", (line, 1))
+    return value
 
 
 def parse_model(text: str) -> ModelSource:
@@ -280,10 +288,9 @@ def parse_model(text: str) -> ModelSource:
         b = np.eye(n, controls)
     else:
         rows = [r.split() for r in b_text[0].split(";")]
-        try:
-            b = np.array([[float(v) for v in row] for row in rows], dtype=float)
-        except ValueError as exc:
-            raise DslSyntaxError(f"bad B matrix entry: {exc}", (b_text[1], 1)) from None
+        if len({len(row) for row in rows}) > 1:
+            raise DslSyntaxError("B rows differ in length", (b_text[1], 1))
+        b = np.array([[_b_entry(v, b_text[1]) for v in row] for row in rows], dtype=float)
         if b.ndim != 2 or b.shape != (n, controls):
             raise DslSyntaxError(
                 f"B must be {n}x{controls}, got {'x'.join(str(s) for s in b.shape)}",

@@ -5,15 +5,18 @@ path collections can be extended without reshuffling existing paths. Rollouts
 that leave ``|x| <= 1e12`` are truncated and flagged rather than propagating
 NaNs, because under-provisioned policies are run on purpose in the
 necessity-bound experiments.
+
+Paths are stepped in time blocks (:func:`closed_loop_blocks`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import SystemModel
 from .policies import CodingPolicy, cell_widths
 
@@ -23,9 +26,11 @@ __all__ = [
     "InitSpec",
     "CoordInit",
     "Trajectory",
+    "LoopBlock",
     "step",
     "rollout",
     "batch_rollout",
+    "closed_loop_blocks",
     "run_closed_loop",
     "run_closed_loops",
     "path_seed",
@@ -190,6 +195,18 @@ class Trajectory:
     def diverged(self) -> bool:
         return self.status == "diverged"
 
+    def block(self) -> "LoopBlock":
+        """The whole path as a one-path block."""
+        return LoopBlock(
+            0,
+            self.horizon,
+            self.x[None],
+            self.w[None],
+            self.q[None],
+            self.u[None],
+            np.array([self.steps if self.diverged else -1]),
+        )
+
 
 def step(model: SystemModel, x, w, u) -> np.ndarray:
     """One exact step of x' = f(x, w) + B u; the one-row case of
@@ -212,6 +229,138 @@ def path_seed(base_seed: int, path: int) -> tuple[int, int]:
     return (int(base_seed), int(path))
 
 
+class LoopBlock(NamedTuple):
+    """Steps t0 .. t0+n-1 of P lockstep paths, views valid until the loop
+    resumes; ``x`` holds x_t0 .. x_{t0+n}."""
+
+    t0: int
+    horizon: int  # requested number of steps
+    x: np.ndarray  # (P, n+1, N)
+    w: np.ndarray  # (P, n, K)
+    q: np.ndarray  # (P, n)
+    u: np.ndarray  # (P, n, N')
+    diverged_at: np.ndarray  # (P,) step each path diverged at so far, -1 if none
+
+    @property
+    def steps(self) -> np.ndarray:
+        """Per path, how many of the block's steps it took before it ended."""
+        end = self.t0 + self.q.shape[1]
+        ends = np.where(self.diverged_at < 0, end, np.minimum(self.diverged_at, end))
+        return np.maximum(ends - self.t0, 0)  # np.clip holds on to memory across calls
+
+
+def _block_steps(paths: int, horizon: int) -> int:
+    """``dynamics.JACOBIAN_BLOCK`` rows over the paths, in [1, horizon]."""
+    return max(1, min(dynamics.JACOBIAN_BLOCK // paths, horizon))
+
+
+def _storage(model: SystemModel, paths: int, steps: int):
+    """Empty states, symbols and controls for ``steps`` steps."""
+    return (
+        np.empty((paths, steps + 1, model.n)),
+        np.empty((paths, steps), dtype=np.int64),
+        np.empty((paths, steps, model.control_dim)),
+    )
+
+
+def _lockstep(model, policy, x0s, horizon, draw, xs, ws, qs, us) -> Iterator[LoopBlock]:
+    """The stepping loop: per step, one policy call and one vectorized
+    transition for all P paths. A path whose next state is non-finite ends
+    diverged at that step; one that leaves ``|x| <= 1e12`` at the next,
+    keeping that state. Diverged paths are stepped on until all have
+    diverged. A block is stepped in ``xs, ws, qs, us`` from their start, or
+    at its own steps if they span the horizon; ``draw(w)`` fills its noise.
+    """
+    count = len(x0s)
+    size = _block_steps(count, horizon)
+    whole = qs.shape[1] == horizon
+    diverged_at = np.full(count, -1)
+    x = np.array(x0s, dtype=float)
+    state = policy.initial_state(count)
+    for t0 in range(0, max(horizon, 1), size):  # one block even at horizon 0: x_0
+        n = min(size, horizon - t0)
+        at = t0 if whole else 0
+        xb, wb, qb, ub = xs[:, at : at + n + 1], ws[:, at : at + n], qs[:, at : at + n], us[:, at : at + n]
+        draw(wb)
+        xb[:, 0] = x
+        with np.errstate(all="ignore"):
+            for i in range(n):
+                q, u = policy.step(state, x)
+                x = model.step_many(x, wb[:, i], u)
+                qb[:, i] = q
+                ub[:, i] = u
+                xb[:, i + 1] = x
+                # one whole-batch reduction per step; a nan state fails it too
+                if not np.abs(x).max() <= DIVERGENCE_THRESHOLD:
+                    ended = ~(np.abs(x).max(axis=1) <= DIVERGENCE_THRESHOLD) & (diverged_at < 0)
+                    t = t0 + i
+                    diverged_at[ended] = np.where(np.isfinite(x[ended]).all(axis=1), t + 1, t)
+                    if (diverged_at >= 0).all():
+                        n = i + 1
+                        break
+        # yielded outside the errstate, so the consumer runs with numpy's own
+        yield LoopBlock(t0, horizon, xb[:, : n + 1], wb[:, :n], qb[:, :n], ub[:, :n], diverged_at)
+        if (diverged_at >= 0).all():
+            return
+
+
+def _seeded_blocks(model, policy, noise, init, horizon, seeds, steps):
+    """:func:`closed_loop_blocks` stepped in arrays of ``steps`` steps, and the arrays."""
+    if noise.dim != model.noise_dim:
+        raise ValueError(f"noise dim {noise.dim} does not match model noise dim {model.noise_dim}")
+    if init.dim != model.n:
+        raise ValueError(f"init dim {init.dim} does not match state dim {model.n}")
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
+    x0s = np.array([init.sample(rng, 1)[0] for rng in rngs])
+
+    def draw(w: np.ndarray) -> None:
+        for row, rng in zip(w, rngs):
+            row[:] = noise.sample(rng, len(row))
+
+    xs, qs, us = _storage(model, len(seeds), steps)
+    ws = np.empty((len(seeds), steps, noise.dim))
+    return _lockstep(model, policy, x0s, horizon, draw, xs, ws, qs, us), (xs, ws, qs, us)
+
+
+def closed_loop_blocks(
+    model: SystemModel,
+    policy: CodingPolicy,
+    noise: NoiseSpec,
+    init: InitSpec,
+    horizon: int,
+    seeds: Sequence[Seed],
+) -> Iterator[LoopBlock]:
+    """One path per seed in blocks of ``max(1, JACOBIAN_BLOCK // P)`` steps
+    in one reused buffer. Each seed's stream draws its initial state, then
+    its noise block by block: the blocks concatenate to :func:`batch_rollout`.
+    """
+    return _seeded_blocks(
+        model, policy, noise, init, horizon, seeds, _block_steps(len(seeds), horizon)
+    )[0]
+
+
+def _trajectories(blocks, xs, ws, qs, us, seeds, horizon) -> list[Trajectory]:
+    """One trajectory per seed, views of the whole-horizon arrays stepped in."""
+    for block in blocks:
+        pass
+    trajs = []
+    for k, diverged_at in enumerate(block.diverged_at.tolist()):
+        steps = horizon if diverged_at < 0 else diverged_at
+        trajs.append(
+            Trajectory(
+                x=xs[k, : steps + 1],
+                w=ws[k, :steps],
+                q=qs[k, :steps],
+                u=us[k, :steps],
+                seed=seeds[k],
+                horizon=horizon,
+                status="ok" if diverged_at < 0 else "diverged",
+                diverged_at=None if diverged_at < 0 else steps,
+            )
+        )
+    return trajs
+
+
 def run_closed_loops(
     model: SystemModel,
     policy: CodingPolicy,
@@ -221,53 +370,16 @@ def run_closed_loops(
 ) -> list[Trajectory]:
     """Drive P loops along pre-drawn noise, all stepped together.
 
-    ``x0s`` is (P, N) and ``w_paths`` (P, T, K). Each step takes one policy
-    call for the symbols and controls of every path and one vectorized
-    transition. A path whose next state is non-finite (a division by zero or
-    an overflow in the model included) ends diverged at that step; one that
-    leaves ``|x| <= 1e12`` ends diverged at the next, keeping that state.
-    A diverged path is stepped on with the others until every path has
-    diverged, but its trajectory ends where it diverged. The trajectories'
-    arrays are views of per-batch arrays (``w`` of ``w_paths`` itself).
+    ``x0s`` is (P, N) and ``w_paths`` (P, T, K), sliced block by block
+    through the loop of :func:`closed_loop_blocks`. A diverged path's
+    trajectory ends where it diverged. The trajectories' arrays are views of
+    per-batch arrays (``w`` of ``w_paths`` itself).
     """
     w_paths = np.asarray(w_paths, dtype=float)
-    count, horizon = w_paths.shape[:2]
-    xs = np.empty((count, horizon + 1, model.n))
-    xs[:, 0] = x0s
-    qs = np.empty((count, horizon), dtype=np.int64)
-    us = np.empty((count, horizon, model.control_dim))
-    diverged_at = np.full(count, -1)
-    x = xs[:, 0]
-    state = policy.initial_state(count)
-    with np.errstate(all="ignore"):
-        for t in range(horizon):
-            q, u = policy.step(state, x)
-            x = model.step_many(x, w_paths[:, t], u)
-            qs[:, t] = q
-            us[:, t] = u
-            xs[:, t + 1] = x
-            # one whole-batch reduction per step; a nan state fails it too
-            if not np.abs(x).max() <= DIVERGENCE_THRESHOLD:
-                ended = ~(np.abs(x).max(axis=1) <= DIVERGENCE_THRESHOLD) & (diverged_at < 0)
-                diverged_at[ended] = np.where(np.isfinite(x[ended]).all(axis=1), t + 1, t)
-                if (diverged_at >= 0).all():
-                    break
-    trajs = []
-    for k in range(count):
-        steps = horizon if diverged_at[k] < 0 else int(diverged_at[k])
-        trajs.append(
-            Trajectory(
-                x=xs[k, : steps + 1],
-                w=w_paths[k, :steps],
-                q=qs[k, :steps],
-                u=us[k, :steps],
-                seed=seeds[k],
-                horizon=horizon,
-                status="ok" if diverged_at[k] < 0 else "diverged",
-                diverged_at=None if diverged_at[k] < 0 else steps,
-            )
-        )
-    return trajs
+    horizon = w_paths.shape[1]
+    xs, qs, us = _storage(model, len(x0s), horizon)
+    blocks = _lockstep(model, policy, x0s, horizon, lambda w: None, xs, w_paths, qs, us)
+    return _trajectories(blocks, xs, w_paths, qs, us, seeds, horizon)
 
 
 def run_closed_loop(
@@ -291,19 +403,10 @@ def _rollouts(
     horizon: int,
     seeds: Sequence[Seed],
 ) -> list[Trajectory]:
-    """Paths fully determined by (config, seed): each seed draws its initial
-    state and then its noise path from its own stream."""
-    if noise.dim != model.noise_dim:
-        raise ValueError(f"noise dim {noise.dim} does not match model noise dim {model.noise_dim}")
-    if init.dim != model.n:
-        raise ValueError(f"init dim {init.dim} does not match state dim {model.n}")
-    x0s = np.empty((len(seeds), model.n))
-    w_paths = np.empty((len(seeds), horizon, noise.dim))
-    for k, seed in enumerate(seeds):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        x0s[k] = init.sample(rng, 1)[0]
-        w_paths[k] = noise.sample(rng, horizon)
-    return run_closed_loops(model, policy, x0s, w_paths, seeds)
+    """Paths fully determined by (config, seed): :func:`closed_loop_blocks`
+    stepped in whole-horizon arrays."""
+    blocks, arrays = _seeded_blocks(model, policy, noise, init, horizon, seeds, horizon)
+    return _trajectories(blocks, *arrays, seeds, horizon)
 
 
 def rollout(
@@ -362,13 +465,15 @@ def audit_causality(policy: CodingPolicy, traj: Trajectory) -> bool:
     return True
 
 
-def summarize_divergence(trajectories: Sequence[Trajectory]) -> dict:
-    diverged = [t.diverged_at for t in trajectories if t.diverged]
+def summarize_divergence(diverged_at: Sequence[Optional[int]]) -> dict:
+    """Divergence counts of paths given by the step each diverged at, None
+    for a path that did not (``Trajectory.diverged_at``)."""
+    diverged = sorted(d for d in diverged_at if d is not None)
     return {
-        "paths": len(trajectories),
+        "paths": len(diverged_at),
         "diverged": len(diverged),
-        "divergence_rate": len(diverged) / len(trajectories),
-        "first_divergence_steps": sorted(d for d in diverged if d is not None),
+        "divergence_rate": len(diverged) / len(diverged_at),
+        "first_divergence_steps": diverged,
     }
 
 

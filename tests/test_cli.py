@@ -6,12 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from quantstab import cli, stabilization_entropy
+from quantstab import cli, dynamics, stabilization_entropy
 from quantstab.capacity_bounds import refined_bound
 from quantstab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, load_experiment, main
 from quantstab.dynamics import JACOBIAN_BLOCK
@@ -530,6 +531,7 @@ def _base_config(name):
 
 def _main_without_rollouts(args):
     with mock.patch.object(cli, "batch_rollout", side_effect=AssertionError("rollout ran")), \
+            mock.patch.object(cli, "closed_loop_blocks", side_effect=AssertionError("rollout ran")), \
             mock.patch.object(stabilization_entropy, "run_closed_loops", side_effect=AssertionError):
         return main(args)
 
@@ -654,6 +656,16 @@ def test_model_without_states_exits_2(tmp_path, capsys):
     code = _main_without_rollouts(["diagnose", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: bad model text: 'states' must be at least 1 (line 1,")
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "1e400", "\u0661"])  # U+0661: Arabic-Indic one
+def test_b_entry_that_is_not_a_finite_dsl_number_exits_2_naming_its_line(tmp_path, capsys, entry):
+    cfg = _dsl_diagnose_config(f"states 1\nnoise 1\nB = [{entry}]\nx1' = 0.5*x1 + w1")
+    code = _main_without_rollouts(["diagnose", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: bad model text: bad B matrix entry {entry!r}: need a finite number (line 3, column 1)\n"
+    )
 
 
 def test_boolean_false_turns_common_random_numbers_off(tmp_path):
@@ -1020,6 +1032,11 @@ def test_benchmark_tracer_runs_simulate(tmp_path):
         ),
         ("bound", _tiny_example2_bound_config(), {"capacity_bounds.refined_bound"}),
         ("bound", _tiny_mc_bound_config(), {"capacity_bounds.refined_bound"}),
+        (
+            "diagnose",
+            _ar1_config(),
+            {"ergodics.empirical_measure", "ergodics.ergodicity_dispersion", "ergodics.frequency_convergence"},
+        ),
     ]
     for k, (command, cfg, spans) in enumerate(runs):
         trace = tmp_path / f"{k}_trace.json"
@@ -1038,5 +1055,36 @@ def test_benchmark_tracer_runs_simulate(tmp_path):
         metrics = tracing.layer_metrics(record, record["spans"][0][1], record["probe"][1])
         assert wanted - set(metrics) == {"trace.overhead_s"}  # run.py adds it from an untraced run
         assert all(math.isfinite(v) for v in metrics.values())
-        n_mc = cfg.get("bound", {}).get("n_mc", 0)
+        # the probe draws n_mc samples (100,000 with no bound section) from the
+        # measure bound and diagnose record
+        n_mc = cfg.get("bound", {}).get("n_mc", 100_000 if command == "diagnose" else 0)
         assert record["counters"].get("dynamics.jacobian_samples", 0) == n_mc
+
+
+# --------------------------------------------------------------------------
+# Memory: bound and diagnose fold the rollout block by block
+
+@pytest.mark.parametrize("command", ["bound", "diagnose"])
+def test_bound_and_diagnose_peak_memory_does_not_grow_with_the_horizon(tmp_path, command):
+    # 4 paths in blocks of 50 steps; 4 x 6,000 more steps would hold ~750 KB
+    # of trajectories, the blocks hold 4 x 50 x (x, w, q, u) x 8 B = 6.4 KB
+    cfg = _ar1_config(paths=4, gamma=[{"p": [1], "c_p": 0.4}], bound={"n_mc": 500})
+    config = _write(tmp_path, cfg)
+    block_bytes = 4 * 50 * 4 * 8
+
+    def peak(horizon):
+        exp = load_experiment(config, {"horizon": horizon})
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert cli._COMMANDS[command](exp, tmp_path / str(horizon), False) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for horizon in (2000, 8000):
+        (tmp_path / str(horizon)).mkdir()
+    with mock.patch.object(dynamics, "JACOBIAN_BLOCK", 200):
+        peak(2000)  # the first run imports and caches what later runs reuse
+        short, long = peak(2000), peak(8000)
+    assert long - short <= block_bytes, (short, long)

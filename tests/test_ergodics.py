@@ -17,7 +17,7 @@ from quantstab import (
     null_policy,
     rollout,
 )
-from quantstab.ergodics import EmpiricalMeasure, measure_to_csv
+from quantstab.ergodics import EmpiricalMeasure, VisitTally, measure_to_csv
 from quantstab.policies import cell_coords
 
 
@@ -318,3 +318,23 @@ def test_single_path_dispersion_is_zero(ar1):
     traj = rollout(ar1, null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 100, seed=0)
     part = Partition(low=[-4.0], high=[4.0], cells_per_axis=(4,))
     assert np.all(ergodicity_dispersion([traj], part) == 0.0)
+
+
+def test_tally_answers_only_for_its_partition_burn_in_and_checkpoints(ar1):
+    traj = rollout(ar1, null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 100, seed=0)
+    part = Partition(low=[-4.0], high=[4.0], cells_per_axis=(4,))
+    other = Partition(low=[-4.0], high=[4.0], cells_per_axis=(4,))
+    tally = VisitTally(part, 10, checkpoints=[50])
+    tally.add(traj.block())
+    assert empirical_measure(tally, part, 10).n_samples == 90
+    for call in (
+        lambda: empirical_measure(tally, other, 10),  # partitions compare by identity
+        lambda: empirical_measure(tally, part, 0),
+        lambda: frequency_convergence(tally, other, [50]),
+        lambda: frequency_convergence(tally, part, [60]),  # not a tallied checkpoint
+        lambda: ergodicity_dispersion(tally, part, 10),  # pooled, not one row per path
+    ):
+        with pytest.raises(ValueError):
+            call()
+    curves = frequency_convergence(tally, part, [50, 100])  # 100: the lead path's last step
+    assert np.array_equal(curves, frequency_convergence(traj, part, [50, 100]))

@@ -1,4 +1,5 @@
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from quantstab import (
     InitSpec,
     NoiseSpec,
+    Partition,
     SystemModel,
     audit_causality,
     batch_rollout,
@@ -20,9 +22,14 @@ from quantstab import (
     uniform_quantizer_policy,
     zoom_policy,
 )
+from quantstab import dynamics, simulation
+from quantstab.ergodics import VisitTally, empirical_measure, ergodicity_dispersion, frequency_convergence
 from quantstab.simulation import (
     CSV_BLOCK_ROWS,
+    DIVERGENCE_THRESHOLD,
+    CoordInit,
     Trajectory,
+    closed_loop_blocks,
     path_seed,
     run_closed_loop,
     run_closed_loops,
@@ -245,10 +252,10 @@ def test_overflow_in_model_ends_diverged():
 def test_divergence_summary(doubling, ar1):
     noise = NoiseSpec.zero(1)
     bad = batch_rollout(doubling, null_policy(2), noise, InitSpec.fixed([1.0]), 100, 3, 0)
-    summary = summarize_divergence(bad)
+    summary = summarize_divergence([t.diverged_at for t in bad])
     assert summary["divergence_rate"] == 1.0
     good = batch_rollout(ar1, null_policy(2), noise, InitSpec.fixed([1.0]), 100, 3, 0)
-    assert summarize_divergence(good)["divergence_rate"] == 0.0
+    assert summarize_divergence([t.diverged_at for t in good])["divergence_rate"] == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -494,3 +501,151 @@ def test_lockstep_kernel_bitwise_at_many_paths(name):
     x0s = rng.uniform(-1.0, 1.0, (256, model.n))
     ws = rng.uniform(-0.1, 0.1, (256, 20, model.noise_dim))
     _assert_matches_oracle(model, zoom_policy(model, 10, 0.6, 3.0, 2.0), x0s, ws)
+
+
+# --------------------------------------------------------------------------
+# Rollout in time blocks: each path's noise is drawn block by block, and the
+# blocks concatenate to the whole-path draw and the one-pass loop
+
+_NOISE_SPECS = [
+    NoiseSpec.gaussian(2, mean=[0.5, -1.0], std=[2.0, 0.25]),
+    NoiseSpec.uniform(1, -0.25, 0.75),
+    NoiseSpec.uniform(3, [-1.0, 0.0, 5.0], [1.0, 1e-3, 6.0]),
+    NoiseSpec.atoms([[-1.0, 2.0], [0.0, 0.0], [3.5, -4.0]], [0.2, 0.5, 0.3]),
+    NoiseSpec.zero(2),
+]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.sampled_from(range(len(_NOISE_SPECS))),
+    st.lists(st.integers(0, 40), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_noise_blocks_concatenate_to_one_draw(spec_index, splits, seed, with_init):
+    noise = _NOISE_SPECS[spec_index]
+    init = InitSpec((CoordInit("gaussian", 1.0, 2.0), CoordInit("fixed", 3.0), CoordInit("uniform", -1.0, 0.5)))
+    whole, blocked = np.random.default_rng(seed), np.random.default_rng(seed)
+    if with_init:
+        assert np.array_equal(init.sample(whole, 1), init.sample(blocked, 1))
+    drawn = np.concatenate([noise.sample(blocked, n) for n in splits])
+    assert np.array_equal(noise.sample(whole, sum(splits)), drawn)
+    # both generators stand at the same point of the stream afterwards
+    assert whole.random() == blocked.random()
+
+
+def _parent_closed_loops(model, policy, x0s, w_paths):
+    """The one-pass lockstep loop the blocked loop replaced, kept as an
+    oracle: every step of every path in whole (P, T) arrays."""
+    count, horizon = w_paths.shape[:2]
+    xs = np.empty((count, horizon + 1, model.n))
+    xs[:, 0] = x0s
+    qs = np.empty((count, horizon), dtype=np.int64)
+    us = np.empty((count, horizon, model.control_dim))
+    diverged_at = np.full(count, -1)
+    x = xs[:, 0]
+    state = policy.initial_state(count)
+    with np.errstate(all="ignore"):
+        for t in range(horizon):
+            q, u = policy.step(state, x)
+            x = model.step_many(x, w_paths[:, t], u)
+            qs[:, t] = q
+            us[:, t] = u
+            xs[:, t + 1] = x
+            if not np.abs(x).max() <= DIVERGENCE_THRESHOLD:
+                ended = ~(np.abs(x).max(axis=1) <= DIVERGENCE_THRESHOLD) & (diverged_at < 0)
+                diverged_at[ended] = np.where(np.isfinite(x[ended]).all(axis=1), t + 1, t)
+                if (diverged_at >= 0).all():
+                    break
+    return xs, qs, us, diverged_at
+
+
+def _assert_matches_parent_loop(trajs, model, policy, x0s, w_paths):
+    xs, qs, us, diverged_at = _parent_closed_loops(model, policy, x0s, w_paths)
+    horizon = w_paths.shape[1]
+    for k, traj in enumerate(trajs):
+        steps = horizon if diverged_at[k] < 0 else diverged_at[k]
+        assert traj.steps == steps and traj.horizon == horizon
+        assert np.array_equal(traj.x, xs[k, : steps + 1], equal_nan=True)
+        assert np.array_equal(traj.w, w_paths[k, :steps])
+        assert np.array_equal(traj.q, qs[k, :steps]) and np.array_equal(traj.u, us[k, :steps])
+        assert traj.status == ("ok" if diverged_at[k] < 0 else "diverged")
+        assert traj.diverged_at == (None if diverged_at[k] < 0 else steps)
+    return diverged_at
+
+
+# hits x1 = 2 after a whole number of steps, then divides 0 by 0: a nan state
+_NAN_AT_TWO = "states 1\nnoise 1\nx1' = x1 + 1 + w1/(x1 - 2)"
+_BLOCK_CASES = {
+    # nan at steps 2, 1 and 7 (1 and 7 mid-block for blocks of 3); one path never ends
+    "nan_mid_block": (_NAN_AT_TWO, [0.0, 1.0, -5.0, 10.0], 12, [2, 1, 7, -1]),
+    # 2e11 doubles past 1e12 at step 2, so it ends at 3 = the end of a block of 3 or 1
+    "leaves_on_last_step": ("scalar_doubling", [2e11, 0.5, 1e11], 12, [3, -1, 4]),
+    # both paths end by step 3, so the loop stops 8 steps before its horizon
+    "all_diverge": ("scalar_doubling", [1e11, 3e11], 12, [4, 2]),
+}
+
+
+def _block_model(text):
+    return catalog_model(text) if "\n" not in text else SystemModel.from_text(text)
+
+
+@pytest.mark.parametrize("block_steps", [1, 3, 20])
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_run_closed_loops_blocks_match_the_parent_loop(case, block_steps):
+    text, starts, horizon, expected = _BLOCK_CASES[case]
+    model = _block_model(text)
+    x0s = np.array(starts)[:, None]
+    w_paths = np.zeros((len(starts), horizon, 1))
+    with mock.patch.object(dynamics, "JACOBIAN_BLOCK", block_steps * len(starts)):
+        assert simulation._block_steps(len(starts), horizon) == min(block_steps, horizon)
+        trajs = run_closed_loops(model, null_policy(2), x0s, w_paths, seeds=range(len(starts)))
+    assert _assert_matches_parent_loop(trajs, model, null_policy(2), x0s, w_paths).tolist() == expected
+
+
+@pytest.mark.parametrize("block_steps", [1, 3, 20])
+@pytest.mark.parametrize(
+    "text, noise, init",
+    [
+        # (w1 - 1)/(w1 - 1) is nan when the atom 1 is drawn, else 1
+        (
+            "states 1\nnoise 1\nx1' = 0.5*x1 + (w1 - 1)/(w1 - 1)",
+            NoiseSpec.atoms([[0.0], [1.0]], [0.85, 0.15]),
+            InitSpec.uniform_box([-2.0], [2.0]),
+        ),
+        # starts up to 3e11 double past 1e12 within a few steps, small ones never
+        ("scalar_doubling", NoiseSpec.gaussian(1), InitSpec.uniform_box([-3e11], [3e11])),
+    ],
+    ids=["nan", "doubling"],
+)
+def test_batch_rollout_blocks_match_the_parent_loop_and_folds(text, noise, init, block_steps):
+    model, policy, horizon, paths = _block_model(text), null_policy(2), 12, 8
+    with mock.patch.object(dynamics, "JACOBIAN_BLOCK", block_steps * paths):
+        trajs = batch_rollout(model, policy, noise, init, horizon, paths, base_seed=4)
+        part = Partition(low=[-3.0], high=[3.0], cells_per_axis=[6])
+        tally = VisitTally(part, 2, paths, checkpoints=[1, 3, 5, 10, 12])
+        for block in closed_loop_blocks(
+            model, policy, noise, init, horizon, [path_seed(4, k) for k in range(paths)]
+        ):
+            tally.add(block)
+    # the parent drew each path's initial state and then its whole noise path
+    x0s, w_paths = np.empty((paths, 1)), np.empty((paths, horizon, 1))
+    for k in range(paths):
+        rng = np.random.default_rng(np.random.SeedSequence(path_seed(4, k)))
+        x0s[k] = init.sample(rng, 1)[0]
+        w_paths[k] = noise.sample(rng, horizon)
+    diverged_at = _assert_matches_parent_loop(trajs, model, policy, x0s, w_paths)
+    assert (diverged_at >= 0).any()
+
+    lead = next(t for t in trajs if t.steps > 0)
+    assert tally.lead_steps == lead.steps
+    assert np.array_equal(
+        empirical_measure(tally, part, 2).weights, empirical_measure(trajs, part, 2).weights
+    )
+    if any(t.steps > 2 for t in trajs):
+        assert np.array_equal(ergodicity_dispersion(tally, part, 2), ergodicity_dispersion(trajs, part, 2))
+    checkpoints = [c for c in [1, 3, 5, 10, 12] if c <= lead.steps] or [lead.steps]
+    assert np.array_equal(
+        frequency_convergence(tally, part, checkpoints), frequency_convergence(lead, part, checkpoints)
+    )
