@@ -227,11 +227,11 @@ def refined_bound(
     floor falsification: each block is drawn, its Jacobians are evaluated
     once with numpy's floating-point warnings off, and every subset of the
     draw folds its determinants into a running mean and sum of squared
-    deviations. Up to one block the mean and stderr are numpy's; past it the
-    block merge may differ from them in the last bits. Per-subset failures (a
-    sampled singular or non-finite Jacobian) are recorded on that subset's
-    entry without aborting the others. Ties in the maximum go to the
-    lexicographically smallest subset so reports are deterministic.
+    deviations. Up to one block (8,192 rows) the mean and stderr are
+    numpy's; past it the block merge may change the last bits. Per-subset
+    failures (a sampled singular or non-finite Jacobian) are recorded on that
+    subset's entry without aborting the others. Ties in the maximum go to
+    the lexicographically smallest subset so reports are deterministic.
     """
     full = IndexSubset(p=tuple(range(1, model.n + 1)), n=model.n)
     subsets = list(gamma)

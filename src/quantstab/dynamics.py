@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,8 +43,10 @@ __all__ = [
 
 _DET_FLOOR = 1e-300
 # rows per Jacobian evaluation in sample_pass: memory grows with the block,
-# not with the sample count
-JACOBIAN_BLOCK = 20_000
+# not with the sample count. At 8,192 rows a float64 column is 64 KiB and an
+# n = 2 Jacobian stack 256 KiB, so the next block can reuse the heap memory
+# the last one freed
+JACOBIAN_BLOCK = 8_192
 _LOG2 = math.log(2.0)
 
 
@@ -445,8 +446,11 @@ def log2_abs_det(mat: np.ndarray) -> float:
 class FalsificationResult:
     """Outcome of sampling |det| of a subset Jacobian against a claimed floor.
 
-    ``falsified=False`` never certifies the floor; it only reports that no
-    sampled point violated it.
+    A falsified floor reports its first counterexample: the lowest sample row
+    with |det| <= ``c_p``, its |det|, (x, w) and ``n_samples`` = that row + 1.
+    A floor that holds reports the minimum |det| over all ``n_samples`` rows
+    at the first row where it occurs. ``falsified=False`` never certifies the
+    floor; it only reports that no sampled point violated it.
     """
 
     subset: IndexSubset
@@ -479,47 +483,57 @@ def sample_pass(
             del xs, ws, jacs  # free the block before the next is drawn
 
 
+_Seed = Union[int, Sequence[int]]
+_Sample = Callable[[int], tuple[np.ndarray, np.ndarray]]  # sample(count) -> (xs, ws)
+
+
 def default_falsification_sampler(
     model: SystemModel, halfwidth: float = 100.0, cauchy_fraction: float = 0.1
-) -> Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]:
-    """Uniform box sampler over [-halfwidth, halfwidth] with a heavy-tail share.
-
-    The Cauchy rows probe both the neighbourhood of the origin and far tails,
-    since a floor claim quantifies over all of R^N x W.
+) -> Callable[[_Seed], _Sample]:
+    """``stream(seed)`` gives ``sample(count)``, the next ``count`` (x, w)
+    rows of a box [-halfwidth, halfwidth] with a Cauchy share that probes the
+    origin and far tails. ``SeedSequence(seed)`` spawns three generators, each
+    read in row order: every row's N + K box coordinates, one uniform per row
+    that makes it a Cauchy row with probability ``cauchy_fraction``, and a
+    Cauchy row's N + K values. So no row depends on the call sizes.
     """
     if not (halfwidth > 0.0 and math.isfinite(2.0 * halfwidth)):  # the box width rng.uniform takes
         raise ValueError(f"box halfwidth must be positive and 2 * halfwidth finite, got {halfwidth}")
     if not 0.0 <= cauchy_fraction <= 1.0:
         raise ValueError(f"Cauchy fraction must lie in [0, 1], got {cauchy_fraction}")
+    dim = model.n + model.noise_dim
 
-    def sample(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-        xs = rng.uniform(-halfwidth, halfwidth, (count, model.n))
-        ws = rng.uniform(-halfwidth, halfwidth, (count, model.noise_dim))
-        k = int(round(count * cauchy_fraction))
-        if k:
-            xs[:k] = rng.standard_cauchy((k, model.n))
-            if model.noise_dim:
-                ws[:k] = rng.standard_cauchy((k, model.noise_dim))
-        return xs, ws
+    def stream(seed: _Seed) -> _Sample:
+        box_rng, pick_rng, cauchy_rng = (
+            np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(3)
+        )
 
-    return sample
+        def sample(count: int) -> tuple[np.ndarray, np.ndarray]:
+            rows = box_rng.uniform(-halfwidth, halfwidth, (count, dim))
+            heavy = pick_rng.random(count) < cauchy_fraction
+            rows[heavy] = cauchy_rng.standard_cauchy((np.count_nonzero(heavy), dim))
+            return rows[:, : model.n], rows[:, model.n :]
+
+        return sample
+
+    return stream
 
 
 def falsify_floors(
     model: SystemModel,
     subsets: Sequence[IndexSubset],
-    sampler: Optional[Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]] = None,
+    sampler: Optional[Callable[[_Seed], _Sample]] = None,
     n: int = 100_000,
-    seed: int = 0,
+    seed: _Seed = 0,
 ) -> list[FalsificationResult]:
-    """Search one sample set for a point with |det| <= each subset's floor.
+    """Search the first ``n`` rows of ``sampler(seed)`` for a point with
+    |det| <= each subset's floor.
 
-    One :func:`sample_pass` over the sampler's stream, the pass of the Monte
-    Carlo bound: every subset still searching reads its block off each
-    block's Jacobians. A subset stops at the block holding its first
-    counterexample (``n_samples`` is that block's end), otherwise it reports
-    the minimum determinant magnitude over all n samples. So each result is
-    the one a pass for that subset alone would give.
+    One :func:`sample_pass`, the pass of the Monte Carlo bound: every subset
+    still searching reads its block off each block's Jacobians, and stops at
+    its first counterexample. The sampler's stream, not the block size,
+    fixes the rows, so each result (see :class:`FalsificationResult`) is the
+    one a search of the whole draw for that subset alone would give.
     """
     subsets = list(subsets)
     if n < 1:
@@ -529,21 +543,22 @@ def falsify_floors(
             raise ValueError(f"subset {subset.p} has no declared floor to falsify")
     if sampler is None:
         sampler = default_falsification_sampler(model)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     found: list = [None] * len(subsets)  # (min |det|, its x, its w)
-    drawn = [0] * len(subsets)
+    drawn = [n] * len(subsets)
 
     def search(k, start, xs, ws, jacs):
         dets = _abs_dets(jacs, subsets[k].p0)
         dets[~np.isfinite(dets)] = math.inf
-        i = int(np.argmin(dets))
+        below = dets <= subsets[k].c_p
+        i = int(np.argmax(below)) if below.any() else int(np.argmin(dets))
         # the first block records a point even if no |det| in it is finite
         if found[k] is None or dets[i] < found[k][0]:
             found[k] = (float(dets[i]), xs[i].copy(), ws[i].copy())
-        drawn[k] = start + len(xs)
-        return found[k][0] <= subsets[k].c_p
+        if below[i]:
+            drawn[k] = start + i + 1
+        return bool(below[i])
 
-    sample_pass(model, partial(sampler, rng), n, len(subsets), search)
+    sample_pass(model, sampler(seed), n, len(subsets), search)
     return [
         FalsificationResult(s, f[0] <= s.c_p, *f, d) for s, f, d in zip(subsets, found, drawn)
     ]
@@ -552,14 +567,15 @@ def falsify_floors(
 def gamma_falsify(
     model: SystemModel,
     subset: IndexSubset,
-    sampler: Optional[Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]] = None,
+    sampler: Optional[Callable[[_Seed], _Sample]] = None,
     n: int = 100_000,
-    seed: int = 0,
+    seed: _Seed = 0,
 ) -> FalsificationResult:
     """Search for a sampled point with |det| <= the declared floor: the
     one-subset case of :func:`falsify_floors`.
 
-    Returns the first counterexample found, otherwise the minimum determinant
-    magnitude observed over all n samples.
+    Returns the first counterexample (the lowest sample row that breaks the
+    floor), otherwise the minimum determinant magnitude observed over all n
+    samples.
     """
     return falsify_floors(model, [subset], sampler, n, seed)[0]

@@ -518,23 +518,35 @@ def _quotient(a, b):
     return q
 
 
-def _to_python(node: ExprAst) -> str:
+def _to_python(node: ExprAst) -> tuple[str, int]:
+    """Python text of a node and its precedence: 1 for ``+ -``, 2 for ``*``,
+    3 for a unary minus (a negative constant too), 4 for a name, number or
+    call. An operand is parenthesised only below its operator's precedence,
+    or at it on the right (Python groups ``+ - *`` from the left). So Python
+    parses the DSL tree back, and a chain nests no parentheses."""
     if isinstance(node, Const):
-        return repr(node.value)
+        text = repr(node.value)
+        return text, 3 if text.startswith("-") else 4
     if isinstance(node, StateVar):
-        return f"x{node.index - 1}"
+        return f"x{node.index - 1}", 4
     if isinstance(node, NoiseVar):
-        return f"w{node.index - 1}"
+        return f"w{node.index - 1}", 4
     if isinstance(node, BinOp):
-        a, b = _to_python(node.a), _to_python(node.b)
-        return f"_quotient({a}, {b})" if node.op == "/" else f"({a} {node.op} {b})"
+        (a, a_prec), (b, b_prec) = _to_python(node.a), _to_python(node.b)
+        if node.op == "/":
+            return f"_quotient({a}, {b})", 4
+        prec = 1 if node.op in "+-" else 2
+        a = a if a_prec >= prec else f"({a})"
+        b = b if b_prec > prec else f"({b})"
+        return f"{a} {node.op} {b}", prec
     if isinstance(node, Pow):
         if node.exponent == 0:
-            return "1.0"
-        power = f"_power_chain({_to_python(node.base)}, {node.exponent})"
-        return power if node.exponent > 0 else f"_quotient(1.0, {power})"
+            return "1.0", 4
+        power = f"_power_chain({_to_python(node.base)[0]}, {node.exponent})"
+        return (power if node.exponent > 0 else f"_quotient(1.0, {power})"), 4
     if isinstance(node, Neg):
-        return f"(-{_to_python(node.a)})"
+        a, a_prec = _to_python(node.a)
+        return (f"-{a}" if a_prec >= 3 else f"-({a})"), 3
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -551,7 +563,7 @@ def compile_exprs(
     """
     args = [f"x{i}" for i in range(n_states)] + [f"w{j}" for j in range(n_noise)]
     try:
-        body = ", ".join(_to_python(e) for e in exprs)
+        body = ", ".join(_to_python(e)[0] for e in exprs)
         if len(exprs) == 1:
             body += ","
         src = f"def {name}({', '.join(args)}):\n    return ({body})\n"

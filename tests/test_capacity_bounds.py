@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 import warnings
@@ -17,12 +18,13 @@ from quantstab import (
     batch_rollout,
     classical_bound,
     empirical_measure,
+    falsify_floors,
     linear_closed_form,
     null_policy,
     refined_bound,
     subset_bound,
 )
-from quantstab import EmpiricalMeasure, Partition, capacity_bounds
+from quantstab import EmpiricalMeasure, Partition, capacity_bounds, dynamics
 from quantstab.dynamics import JACOBIAN_BLOCK, NonFiniteMatrixError, log2_abs_det_many, sample_pass
 from conftest import uniform_measure
 
@@ -359,6 +361,76 @@ def test_one_block_pass_equals_numpy_bit_for_bit(example2, make_uniform_measure,
         assert _bits(mean) == _bits(v.mean())
         assert _bits(stderr) == _bits(v.std(ddof=1) / math.sqrt(n_mc))
     assert _bits(report.classical_bound) == _bits(values[-1].mean())
+
+
+_SHIPPED_BLOCK = 8_192
+# |det| of p=[1] is |w1|, 0 at the atom w1 = 0; the p=[2] entry 0.5 + w2 / w2^2
+# is nan at the atom w2 = 0; p=[3] is 2 everywhere. At seed 10 the first
+# w2 = 0 row is 6,597 and the first w1 = 0 row 8,825: p=[2] fails non-finite
+# in the first shipped block, p=[1] and p=[1, 2] below the floor in the
+# second, p=[1, 2] after a non-finite row in an earlier block
+_ATOM_MODEL = SystemModel.from_text(
+    "states 3\nnoise 2\nx1' = x1*w1\nx2' = 0.5*x2 + x2/w2\nx3' = 2*x3"
+)
+_ATOM_NOISE = NoiseSpec.atoms([[0.0, 1.0], [1.0, 0.0], [2.0, 4.0]], [1e-4, 1e-4, 1 - 2e-4])
+
+
+def _block_size_report(model, noise, seed, block):
+    n = model.n
+    gamma = GammaDeclaration(
+        tuple(IndexSubset(p, n, 0.4) for p in [(1,), (2,), (1, 2), (3,)] if max(p) <= n)
+    )
+    measure = uniform_measure([-2] * n, [2] * n, (4,) * n)
+    with mock.patch.object(dynamics, "JACOBIAN_BLOCK", block):
+        return refined_bound(model, gamma, measure, noise, _SHIPPED_BLOCK + 1809, seed=seed)
+
+
+@pytest.mark.parametrize("block", [1, 7, 20_000])
+def test_refined_bound_errors_do_not_depend_on_the_block_size(example2, block):
+    reports = []
+    for model, noise, seed in [(example2, NOISE1, 5), (_ATOM_MODEL, _ATOM_NOISE, 10)]:
+        shipped = _block_size_report(model, noise, seed, _SHIPPED_BLOCK)
+        report = _block_size_report(model, noise, seed, block)
+        assert [(e.p, e.error, e.n_samples) for e in report.subsets] == [
+            (e.p, e.error, e.n_samples) for e in shipped.subsets
+        ]
+        for e, want in zip(report.subsets, shipped.subsets):
+            if e.error is None:  # the block merge may move the last bits
+                assert e.mean == pytest.approx(want.mean, rel=1e-13, abs=1e-15)
+        reports.append(report)
+    # example2's stable coordinate alone is the constant log2(1/2), whatever the blocks
+    assert [(e.p, e.mean, e.stderr) for e in reports[0].subsets][1] == ((2,), -1.0, 0.0)
+    errors = [e.error for e in reports[1].subsets]
+    assert "w=[0.0, 1.0]: declared determinant floor is violated" in errors[0]
+    assert errors[1].startswith("non-finite subset Jacobian for p=(2,)") and "w=[1.0, 0.0]" in errors[1]
+    assert errors[2] == errors[0].replace("p=(1,)", "p=(1, 2)")
+    assert (reports[1].subsets[3].mean, errors[3]) == (1.0, None)
+
+
+def test_sample_pass_peak_memory_does_not_grow_with_the_sample_count(example2):
+    # blocks of 8,192 rows hold xs, ws, the Jacobians and one value column:
+    # (2 + 1 + 4 + 1) x 8 B x 8,192 = 512 KiB; 16 blocks must peak like 4
+    measure = uniform_measure([-2, -2], [2, 2], (4, 4))
+    gamma = GammaDeclaration((IndexSubset((1,), 2, 0.9), IndexSubset((2,), 2, 0.4), IndexSubset((1, 2), 2, 0.4)))
+    block_bytes = (example2.n + example2.noise_dim + example2.n**2 + 1) * 8 * JACOBIAN_BLOCK
+    passes = {
+        "falsify_floors": lambda n: falsify_floors(example2, gamma.subsets, n=n, seed=0),
+        "refined_bound": lambda n: refined_bound(example2, gamma, measure, NOISE1, n, seed=0),
+    }
+    for name, run in passes.items():
+        run(JACOBIAN_BLOCK)  # imports and caches what later runs reuse
+
+        def peak(blocks):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run(blocks * JACOBIAN_BLOCK)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(4), peak(16)
+        assert abs(long - short) <= block_bytes, (name, short, long)
 
 
 _SQUARE = SystemModel.from_text("states 1\nnoise 1\nx1' = x1^2 + w1")  # Jacobian 2 x1

@@ -357,7 +357,7 @@ def test_bound_frees_the_trajectories_before_the_monte_carlo_pass(tmp_path, monk
 def _mc_bound_config(crn=True, gamma=None):
     # the mc-bound benchmark's example2 setting cut down: 4 paths of 400
     # steps, 20,000 Monte Carlo samples and 50,000 falsification samples,
-    # which are three chunks of at most 20,000
+    # which are three and seven blocks of at most 8,192
     cfg = json.loads((REPO / "configs" / "example2_bound.json").read_text())
     cfg.update(horizon=400, paths=4)
     cfg["bound"] = {"n_mc": 20_000, "common_random_numbers": crn}
@@ -372,11 +372,12 @@ def _mc_bound_config(crn=True, gamma=None):
 _BREAKING_FLOORS = [{"p": [1], "c_p": 1.0}, {"p": [2], "c_p": 0.5}, {"p": [1, 2], "c_p": 0.55}]
 
 # SHA-256 of the `bound` outputs of _mc_bound_config at seed 0, taken with
-# NumPy 2.4.6 on Linux x86-64 from the code that ran one falsification search
-# per subset and evaluated the classical bound apart from a declared
-# full-state subset. The same caveat about NumPy's streams applies as for the
-# `simulate` digests above.
-_FALSIFICATION_SHA256 = "3280a20ae02789827056f8bd6f6755bb8a213fb47ab453465deb547528f021de"
+# NumPy 2.4.6 on Linux x86-64 from the code that draws the falsification
+# samples from three spawned generators (box, Cauchy pick, Cauchy values) and
+# reports a broken floor's first counterexample, in 8,192-row blocks. The
+# same caveat about NumPy's streams applies as for the `simulate` digests
+# above.
+_FALSIFICATION_SHA256 = "d057f20976a37842cb93da50f6c10f9c5efa625c90641e485900b484837fb53c"
 _CRN_REPORT_SHA256 = "90dcb58e9ecec4dd6917df5569932369c33e717d8f26ee021ed95a28ab8e52d4"
 _MC_BOUND_GOLDEN_SHA256 = {
     "crn": (
@@ -386,7 +387,7 @@ _MC_BOUND_GOLDEN_SHA256 = {
     "independent": (
         EXIT_OK,
         {
-            "bound_report.json": "07e925123c163199aa79c9f2f07321e82c906459efb7778abb82c9bceaa47a50",
+            "bound_report.json": "5cf82b9aaa9fb7f03a50256e7a83383694c17127491c27ba4b8b0776f20a488f",
             "falsification.json": _FALSIFICATION_SHA256,
         },
     ),
@@ -394,7 +395,7 @@ _MC_BOUND_GOLDEN_SHA256 = {
         EXIT_VIOLATION,
         {
             "bound_report.json": _CRN_REPORT_SHA256,
-            "falsification.json": "839217fce954d85e2fdf4672f546a950b1a02defe7cf37cf04aafa6f19dd1a08",
+            "falsification.json": "e66ed877e91b9437014eccc479f4444ad1678dc32ba18b8c43154302e66e2430",
         },
     ),
 }
@@ -636,11 +637,11 @@ def _dsl_diagnose_config(model_text):
     "rhs",
     [
         "(" * 300 + "0.5*x1" + ")" * 300 + " + w1",  # Python's parser allows 200 parentheses
-        "0.5*x1 + w1" + " + 0*x1" * 250,  # the compiled code parenthesises every sum
+        "*".join(["x1"] * 300) + " + w1",  # its product-rule Jacobian nests 300 parentheses
         "0.5*x1 + w1" + " + 0*x1" * 3000,
         "-" * 2000 + "x1",
     ],
-    ids=["parentheses-300", "terms-250", "terms-3000", "signs-2000"],
+    ids=["parentheses-300", "product-300", "terms-3000", "signs-2000"],
 )
 def test_model_nested_too_deeply_exits_2(tmp_path, capsys, rhs):
     cfg = _dsl_diagnose_config(f"states 1\nnoise 1\nx1' = {rhs}")

@@ -223,24 +223,24 @@ def test_compiled_source_is_pinned():
     f3, j3 = head("x0, x1, w0, w1")
     expected = {
         "example1": (
-            f3 + "(((2.0 * x0) + w0), ((0.5 * x1) + w1))\n",
+            f3 + "(2.0 * x0 + w0, 0.5 * x1 + w1)\n",
             j3 + "(2.0, 0.0, 0.0, 0.5)\n",
         ),
         "example2": (
-            f2 + "(((_power_chain(x0, 3) + x0) * (1.0 + _power_chain(x1, 2))), ((0.5 * x1) + w0))\n",
-            j2 + "((((3.0 * _power_chain(x0, 2)) + 1.0) * (1.0 + _power_chain(x1, 2))), "
-            "((_power_chain(x0, 3) + x0) * (2.0 * x1)), 0.0, 0.5)\n",
+            f2 + "((_power_chain(x0, 3) + x0) * (1.0 + _power_chain(x1, 2)), 0.5 * x1 + w0)\n",
+            j2 + "((3.0 * _power_chain(x0, 2) + 1.0) * (1.0 + _power_chain(x1, 2)), "
+            "(_power_chain(x0, 3) + x0) * (2.0 * x1), 0.0, 0.5)\n",
         ),
-        "scalar_doubling": (f1 + "(((2.0 * x0) + w0),)\n", j1 + "(2.0,)\n"),
-        "stable_ar1": (f1 + "(((0.5 * x0) + w0),)\n", j1 + "(0.5,)\n"),
+        "scalar_doubling": (f1 + "(2.0 * x0 + w0,)\n", j1 + "(2.0,)\n"),
+        "stable_ar1": (f1 + "(0.5 * x0 + w0,)\n", j1 + "(0.5,)\n"),
         "mixed": (
-            f2 + "((_quotient((x0 - (3.0 * x1)), (1.0 + _power_chain(x0, 2))) - "
-            "_quotient(1.0, _power_chain(x1, -2))), (((-x0) * w0) + _quotient(0.5, x1)))\n",
-            j2 + "(_quotient(((1.0 + _power_chain(x0, 2)) - ((x0 - (3.0 * x1)) * (2.0 * x0))), "
-            "_power_chain((1.0 + _power_chain(x0, 2)), 2)), "
-            "(_quotient((-3.0 * (1.0 + _power_chain(x0, 2))), _power_chain((1.0 + _power_chain(x0, 2)), 2)) - "
-            "(-2.0 * _quotient(1.0, _power_chain(x1, -3)))), "
-            "(-1.0 * w0), _quotient(-0.5, _power_chain(x1, 2)))\n",
+            f2 + "(_quotient(x0 - 3.0 * x1, 1.0 + _power_chain(x0, 2)) - "
+            "_quotient(1.0, _power_chain(x1, -2)), -x0 * w0 + _quotient(0.5, x1))\n",
+            j2 + "(_quotient(1.0 + _power_chain(x0, 2) - (x0 - 3.0 * x1) * (2.0 * x0), "
+            "_power_chain(1.0 + _power_chain(x0, 2), 2)), "
+            "_quotient(-3.0 * (1.0 + _power_chain(x0, 2)), _power_chain(1.0 + _power_chain(x0, 2), 2)) - "
+            "-2.0 * _quotient(1.0, _power_chain(x1, -3)), "
+            "-1.0 * w0, _quotient(-0.5, _power_chain(x1, 2)))\n",
         ),
     }
     models = {name: catalog_model(name) for name in catalog_names()}
@@ -455,7 +455,7 @@ def test_overflowing_closed_form_falls_back_to_lu():
         "states 2\nnoise 1\nx1' = 1e200*x1 + 1e200*x2 + w1\nx2' = 1e200*x1 + 1e200*x2"
     )
     result = gamma_falsify(model, IndexSubset(p=(1, 2), n=2, c_p=0.5), n=10, seed=0)
-    assert result.falsified and result.min_abs_det == 0.0 and result.n_samples == 10
+    assert result.falsified and result.min_abs_det == 0.0 and result.n_samples == 1  # row 0 breaks it
 
 
 def test_log2_abs_det_many_rejects_nonfinite_entries():
@@ -508,8 +508,7 @@ def test_falsify_reports_a_sample_when_no_determinant_is_finite():
     with mock.patch.object(dynamics, "JACOBIAN_BLOCK", 20):
         result = gamma_falsify(model, IndexSubset(p=(1,), n=2, c_p=0.5), n=50, seed=0)
     assert not result.falsified and result.min_abs_det == math.inf and result.n_samples == 50
-    rng = np.random.default_rng(np.random.SeedSequence(0))
-    xs, ws = default_falsification_sampler(model)(rng, 20)
+    xs, ws = default_falsification_sampler(model)(0)(1)
     assert np.array_equal(result.at_x, xs[0]) and np.array_equal(result.at_w, ws[0])
 
 
@@ -530,27 +529,42 @@ def test_falsification_sampler_rejects_bad_settings(halfwidth, cauchy_fraction):
         default_falsification_sampler(_FLOOR_MODEL, halfwidth, cauchy_fraction)
 
 
-def _chunks(n, seed, chunk):
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    for done in range(0, n, chunk):
-        count = min(chunk, n - done)
-        xs, ws = _FLOOR_SAMPLER(rng, count)
-        yield done + count, xs, ws, _FLOOR_MODEL.jacobian_many(xs, ws)
+@pytest.mark.parametrize("cauchy_fraction", [0.0, 0.1, 1.0])
+def test_falsification_stream_is_one_draw_whatever_the_block_sizes(cauchy_fraction):
+    sampler = default_falsification_sampler(_FLOOR_MODEL, 2.0, cauchy_fraction)
+    xs, ws = sampler((3, 1))(1000)
+    assert xs.shape == (1000, 3) and ws.shape == (1000, 1)
+    sample = sampler((3, 1))
+    parts = [sample(count) for count in (1, 7, 0, 500, 492)]
+    assert np.concatenate([x for x, _ in parts]).tobytes() == xs.tobytes()
+    assert np.concatenate([w for _, w in parts]).tobytes() == ws.tobytes()
+    # box rows stay in the box; Cauchy rows leave it, about the declared share
+    outside = np.any(np.abs(np.hstack([xs, ws])) > 2.0, axis=1)
+    assert not outside.any() if cauchy_fraction == 0.0 else 0.5 * cauchy_fraction < outside.mean()
 
 
-def _one_subset_search(subset, n, seed, chunk):
-    """The former per-subset search, kept as the oracle: its own draws, its
-    own Jacobians and its own first-counterexample stop."""
-    best, best_x, best_w = math.inf, None, None
-    for drawn, xs, ws, jacs in _chunks(n, seed, chunk):
-        dets = _abs_dets(jacs, subset.p0)
-        dets[~np.isfinite(dets)] = math.inf
-        i = int(np.argmin(dets))
-        if dets[i] < best:
-            best, best_x, best_w = float(dets[i]), xs[i].copy(), ws[i].copy()
-        if best <= subset.c_p:
-            return FalsificationResult(subset, True, best, best_x, best_w, drawn)
-    return FalsificationResult(subset, False, best, best_x, best_w, n)
+def _whole_draw(n, seed):
+    xs, ws = _FLOOR_SAMPLER(seed)(n)
+    with np.errstate(all="ignore"):
+        return xs, ws, _FLOOR_MODEL.jacobian_many(xs, ws)
+
+
+def _whole_draw_dets(jacs, block):
+    dets = _abs_dets(jacs, np.asarray(block) - 1)
+    dets[~np.isfinite(dets)] = math.inf
+    return dets
+
+
+def _one_subset_search(subset, xs, ws, jacs):
+    """The search of one whole draw for one subset, kept as the oracle: the
+    first row with |det| <= c_p, otherwise the first row of the minimum."""
+    dets = _whole_draw_dets(jacs, subset.p)
+    below = np.flatnonzero(dets <= subset.c_p)
+    if len(below):
+        i = int(below[0])
+        return FalsificationResult(subset, True, float(dets[i]), xs[i], ws[i], i + 1)
+    i = int(np.argmin(dets))
+    return FalsificationResult(subset, False, float(dets[i]), xs[i], ws[i], len(dets))
 
 
 def _fields(result):
@@ -575,14 +589,10 @@ def _floor_cases(draw):
     return n, chunk, seed, list(zip(blocks, stops))
 
 
-def _floor_at(block, stop, n, seed, chunk):
+def _floor_at(dets, stop, chunk):
     """A floor the search first breaks in chunk 0 ("first"), in a later chunk
     where the running minimum drops ("later"), or never; and that chunk."""
-    minima, best = [], math.inf
-    for _, _, _, jacs in _chunks(n, seed, chunk):
-        sub = jacs[:, np.asarray(block) - 1][:, :, np.asarray(block) - 1]
-        best = min(best, float(np.min(np.abs(np.linalg.det(sub)))))
-        minima.append(best)
+    minima = [float(np.min(dets[: start + chunk])) for start in range(0, len(dets), chunk)]
     drops = [j for j in range(1, len(minima)) if minima[j] < minima[j - 1] * (1 - 1e-9)]
     if stop == "first":
         return max(minima[0] * (1 + 1e-9), 1e-300), 0
@@ -600,9 +610,10 @@ def _floor_at(block, stop, n, seed, chunk):
 @example((50, 200, 3, [((2,), "first"), ((1, 2, 3), "never")]))
 def test_shared_pass_equals_one_search_per_subset(case):
     n, chunk, seed, specs = case
+    xs, ws, jacs = _whole_draw(n, seed)
     subsets, stop_chunks = [], []
     for block, stop in specs:
-        c_p, stop_chunk = _floor_at(block, stop, n, seed, chunk)
+        c_p, stop_chunk = _floor_at(_whole_draw_dets(jacs, block), stop, chunk)
         subsets.append(IndexSubset(p=block, n=3, c_p=c_p))
         stop_chunks.append(stop_chunk)
 
@@ -610,7 +621,7 @@ def test_shared_pass_equals_one_search_per_subset(case):
         shared = falsify_floors(_FLOOR_MODEL, subsets, _FLOOR_SAMPLER, n=n, seed=seed)
     assert len(shared) == len(subsets)
     for subset, stop_chunk, result in zip(subsets, stop_chunks, shared):
-        want = _fields(_one_subset_search(subset, n, seed, chunk))
+        want = _fields(_one_subset_search(subset, xs, ws, jacs))
         assert _fields(result) == want
         with mock.patch.object(dynamics, "JACOBIAN_BLOCK", chunk):
             one = gamma_falsify(_FLOOR_MODEL, subset, _FLOOR_SAMPLER, n=n, seed=seed)
@@ -618,7 +629,44 @@ def test_shared_pass_equals_one_search_per_subset(case):
         if stop_chunk is None:
             assert not result.falsified and result.n_samples == n
         else:
-            assert result.falsified and result.n_samples == min((stop_chunk + 1) * chunk, n)
+            # the first counterexample lies in the chunk whose minimum broke the floor
+            assert result.falsified and (result.n_samples - 1) // chunk == stop_chunk
+
+
+_SHIPPED_BLOCK = 8_192
+_BLOCK_N = 3 * _SHIPPED_BLOCK - 1  # three shipped blocks, the last one short
+_BLOCK_SEED = 7
+
+
+def _floors_by_block(jacs):
+    """Per subset a floor that holds, and three floors whose first
+    counterexample lies in the first, the middle and the last shipped block:
+    each at a row where a subset's running minimum of |det| drops."""
+    floors, breaks = [], {}
+    for block in _FLOOR_BLOCKS:
+        dets = _whole_draw_dets(jacs, block)
+        floors.append(IndexSubset(p=block, n=3, c_p=float(dets.min()) / 2))
+        running = np.minimum.accumulate(dets)
+        for row in np.flatnonzero(running[1:] < running[:-1]) + 1:
+            breaks.setdefault(int(row) // _SHIPPED_BLOCK, (block, float(dets[row])))
+    assert sorted(breaks) == [0, 1, 2]
+    return floors + [IndexSubset(p=block, n=3, c_p=c_p) for block, c_p in breaks.values()]
+
+
+@pytest.mark.parametrize("block", [1, 7, _SHIPPED_BLOCK, 20_000])
+def test_falsification_does_not_depend_on_the_block_size(block):
+    draw = _whole_draw(_BLOCK_N, _BLOCK_SEED)
+    floors = _floors_by_block(draw[2])
+    want = [_fields(_one_subset_search(subset, *draw)) for subset in floors]
+    assert [w[1] for w in want] == [False] * 5 + [True] * 3
+    assert sorted((w[-1] - 1) // _SHIPPED_BLOCK for w in want[5:]) == [0, 1, 2]
+    with mock.patch.object(dynamics, "JACOBIAN_BLOCK", block):
+        shared = falsify_floors(_FLOOR_MODEL, floors, _FLOOR_SAMPLER, n=_BLOCK_N, seed=_BLOCK_SEED)
+        assert [_fields(r) for r in shared] == want
+        if block > 1:  # a pass of one-row blocks takes seconds per subset
+            for subset, fields in zip(floors, want):
+                one = gamma_falsify(_FLOOR_MODEL, subset, _FLOOR_SAMPLER, n=_BLOCK_N, seed=_BLOCK_SEED)
+                assert _fields(one) == fields
 
 
 def test_shared_pass_differentiates_each_chunk_once(example2):
@@ -630,13 +678,14 @@ def test_shared_pass_differentiates_each_chunk_once(example2):
     assert [r.n_samples for r in results] == [50_000] * 3
 
     # |det| of the p=[2] block is 0.5 everywhere and of p=[1, 2] at least
-    # 0.5: both floors break in chunk 0, the p=[1] floor never
+    # 0.5: both floors break in chunk 0, p=[2] at row 0, the p=[1] floor never
     floors = [IndexSubset(p=(1,), n=2, c_p=1e-3), IndexSubset(p=(2,), n=2, c_p=1.0),
               IndexSubset(p=(1, 2), n=2, c_p=1.0)]
     with block, mock.patch.object(example2, "jacobian_many", wraps=example2.jacobian_many) as jac:
         results = falsify_floors(example2, floors, n=50_000, seed=0)
     assert jac.call_count == math.ceil(50_000 / 15_000)
-    assert [(r.falsified, r.n_samples) for r in results] == [(False, 50_000), (True, 15_000), (True, 15_000)]
+    assert [(r.falsified, r.n_samples) for r in results[:2]] == [(False, 50_000), (True, 1)]
+    assert results[2].falsified and results[2].n_samples <= 15_000
 
     # once every subset has stopped, nothing more is drawn
     with block, mock.patch.object(example2, "jacobian_many", wraps=example2.jacobian_many) as jac:

@@ -452,6 +452,27 @@ def test_scalar_array_and_tree_walk_agree_bitwise(exprs, points):
         assert raised.all(axis=0).any()
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["*".join(["x1"] * 150), " + ".join(["x1"] + ["0*x1"] * 199)],
+    ids=["product-150", "sum-200"],
+)
+def test_long_operator_chains_compile_and_agree_bitwise(text):
+    # a chain of one operator compiles without parentheses, so these models
+    # (and the product's nested product-rule Jacobian) stay within Python's
+    # 200-parenthesis limit
+    src = parse_model(f"states 1\nnoise 1\nx1' = {text} + w1")
+    exprs = [src.exprs[0], differentiate(src.exprs[0], 1)]
+    fn = compile_exprs(exprs, 1, 1)
+    points = np.array([[0.9, 0.1], [-1.05, 0.0], [1.01, -2.0], [0.0, 3.0], [-0.0, -0.5]])
+    cols = [np.broadcast_to(c, (len(points),)) for c in fn(*points.T)]
+    for k, row in enumerate(points.tolist()):
+        scalar = fn(*row)
+        for i, expr in enumerate(exprs):
+            walked = eval_expr(expr, row[:1], row[1:])
+            assert _same_bits(scalar[i], walked) and _same_bits(float(cols[i][k]), walked)
+
+
 def test_power_chain_leaves_the_base_alone_and_matches_the_scalar_chain():
     base = np.array([0.9027556576068978, -1.7, 1e-200, 3.3, -0.0, 1e10])
     kept = base.copy()
