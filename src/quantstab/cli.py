@@ -55,6 +55,7 @@ from .simulation import (
     path_seed,
     summarize_divergence,
     trajectory_to_csv,
+    write_csv,
 )
 from .stabilization_entropy import (
     NoCandidatesError,
@@ -125,10 +126,10 @@ every value has a kind: int, float, bool, str, list or object, as above.
 Floats are finite, and integral floats such as 1e6 count as ints. A per-axis
 list of numbers (low, high, mean, std, target, center, bits_per_axis,
 cells_per_axis) also takes one number for every axis. Counts (horizon, paths,
-n_mc, samples, horizons, scenarios) are at least 1, seeds at least 0, and
-a grid (a partition or a quantizer) has at most 2^24 cells. Anything else,
-and any key not listed, is a config error (exit 2) that names the key, e.g.
-gamma[0].p.
+n_mc, samples, horizons, scenarios) are at least 1, seeds at least 0, other
+integers at most 2^63 - 1 and bits_per_axis at most 63, and a grid (a
+partition or a quantizer) has at most 2^24 cells. Anything else, and any key
+not listed, is a config error (exit 2) that names the key, e.g. gamma[0].p.
 
 subcommands need: simulate -> model noise init policy horizon paths seed;
 bound -> simulate keys + partition gamma [bound falsify]; entropy -> simulate
@@ -168,18 +169,20 @@ class _Section:
             raise ConfigError(f"unknown key(s) {unknown} in {self.path or 'config'}")
 
 
-def _integer(value, key: str, low: Optional[int] = None) -> int:
-    """An int, or a float with no fractional part (1e6), of at least ``low``."""
+def _integer(value, key: str, low: Optional[int] = None, high: Optional[int] = 2**63 - 1) -> int:
+    """An int, or an integral float (1e6), in [``low``, ``high``]; ``high`` defaults to int64's top."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ConfigError(f"{key} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ConfigError(f"{key} must be at most {high}, got {value}")
     return value
 
 
-_seed = partial(_integer, low=0)
+_seed = partial(_integer, low=0, high=None)
 _count = partial(_integer, low=1)  # horizons, paths and sample counts
 
 
@@ -217,6 +220,7 @@ def _list(kind, lone: bool = False):
 
 _numbers = _list(_number, lone=True)
 _integers = _list(_integer, lone=True)
+_bits = _list(partial(_integer, high=63), lone=True)  # 2**b is computed before the grid limit
 
 
 def _object(value, key: str) -> _Section:
@@ -313,7 +317,7 @@ def _build_policy(section: _Section, model: SystemModel, noise: NoiseSpec) -> Co
             model,
             section.get("box_low", _numbers),
             section.get("box_high", _numbers),
-            section.get("bits_per_axis", _integers),
+            section.get("bits_per_axis", _bits),
         )
         options = {
             "target": section.get("target", _numbers, None),
@@ -601,12 +605,8 @@ def cmd_entropy(exp: Experiment, out: Path, verbose: bool) -> int:
         return EXIT_VIOLATION
     entropy_curve_to_csv(points, out / "entropy_curve.csv")
     for horizon, matrix in matrices.items():
-        np.savetxt(
-            out / f"satisfaction_T{horizon}.csv",
-            matrix.astype(int),
-            fmt="%d",
-            delimiter=",",
-        )
+        rows = map(tuple, matrix.tolist())
+        write_csv(out / f"satisfaction_T{horizon}.csv", None, "d" * matrix.shape[1], [rows], "\n")
     # limsup proxy: max rate over the two largest horizons actually computed
     finite = [p for p in points if p.feasible]
     largest = sorted(points, key=lambda p: p.horizon)[-2:]
@@ -645,24 +645,14 @@ def cmd_diagnose(exp: Experiment, out: Path, verbose: bool) -> int:
     measure_to_csv(measure, out / "measure.csv")
 
     dispersion = ergodicity_dispersion(tally, exp.partition, exp.burn_in)
-    with open(out / "dispersion.csv", "w") as fh:
-        fh.write("cell,dispersion\n")
-        for i, value in enumerate(dispersion):
-            name = "overflow" if i == exp.partition.overflow_index else str(i)
-            fh.write(f"{name},{value:.17g}\n")
+    rows = zip(exp.partition.cell_labels(), dispersion)
+    write_csv(out / "dispersion.csv", ["cell", "dispersion"], "sg", [rows], "\n")
 
     checkpoints = tally.checkpoints(checkpoints)  # the measure has a sample, so a lead path exists
     curves = frequency_convergence(tally, exp.partition, checkpoints)
-    with open(out / "convergence.csv", "w") as fh:
-        cells = [
-            "overflow" if i == exp.partition.overflow_index else f"cell{i}"
-            for i in range(exp.partition.n_cells)
-        ]
-        fh.write("T," + ",".join(cells) + "\n")
-        for row, checkpoint in enumerate(checkpoints):
-            fh.write(
-                f"{checkpoint}," + ",".join(format(v, ".17g") for v in curves[row]) + "\n"
-            )
+    header = ["T", *exp.partition.cell_labels("cell")]
+    rows = ((checkpoint, *curve) for checkpoint, curve in zip(checkpoints, curves))
+    write_csv(out / "convergence.csv", header, "d" + "g" * exp.partition.n_cells, [rows], "\n")
 
     summary = {
         "overflow_mass": measure.overflow_mass,

@@ -11,14 +11,13 @@ abstract asymptotic mean they are standing in for.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .policies import cell_coords, cell_count, cell_numbers, cell_widths
-from .simulation import LoopBlock, Trajectory
+from .simulation import LoopBlock, Trajectory, write_csv
 
 __all__ = [
     "Partition",
@@ -89,6 +88,10 @@ class Partition:
         # outside rows are scaled from the low corner itself: 0, never inf or nan
         scaled = (np.where(in_box[:, None], states, self.low) - self.low) / self.width
         return np.where(in_box, cell_numbers(scaled, self.cells_per_axis), self.overflow_index)
+
+    def cell_labels(self, prefix: str = "") -> list[str]:
+        """One label per cell: ``prefix`` and the cell number, ``overflow`` last."""
+        return [f"{prefix}{i}" for i in range(self.n_boxes)] + ["overflow"]
 
     def cell_bounds(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         if index == self.overflow_index:
@@ -321,7 +324,8 @@ def ergodicity_dispersion(
 
 
 def measure_to_csv(measure: EmpiricalMeasure, path) -> None:
-    """Cell bounds and weights, one row per cell, overflow last."""
+    """One :func:`~quantstab.simulation.write_csv` row of bounds and weight
+    per cell, overflow last, with CRLF line ends."""
     part = measure.partition
     header = (
         ["cell"]
@@ -329,15 +333,9 @@ def measure_to_csv(measure: EmpiricalMeasure, path) -> None:
         + [f"high{i}" for i in range(1, part.dim + 1)]
         + ["weight"]
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(part.n_cells):
-            lo, hi = part.cell_bounds(i)
-            name = "overflow" if i == part.overflow_index else str(i)
-            writer.writerow(
-                [name]
-                + [format(v, ".17g") for v in lo]
-                + [format(v, ".17g") for v in hi]
-                + [format(measure.weights[i], ".17g")]
-            )
+    bounds = map(part.cell_bounds, range(part.n_cells))
+    rows = (
+        (label, *lo, *hi, weight)
+        for label, (lo, hi), weight in zip(part.cell_labels(), bounds, measure.weights)
+    )
+    write_csv(path, header, "s" + "g" * (2 * part.dim + 1), [rows], "\r\n")

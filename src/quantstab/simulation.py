@@ -12,6 +12,7 @@ Paths are stepped in time blocks (:func:`closed_loop_blocks`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -38,10 +39,11 @@ __all__ = [
     "audit_causality",
     "summarize_divergence",
     "trajectory_to_csv",
+    "write_csv",
 ]
 
 DIVERGENCE_THRESHOLD = 1e12
-CSV_BLOCK_ROWS = 256  # rows formatted per write in trajectory_to_csv
+CSV_BLOCK_ROWS = 256  # rows formatted per write in write_csv
 
 Seed = Union[int, Sequence[int]]
 
@@ -480,12 +482,24 @@ def summarize_divergence(diverged_at: Sequence[Optional[int]]) -> dict:
 # --------------------------------------------------------------------------
 # Export
 
+def write_csv(path, header: Optional[Sequence[str]], kinds: str, blocks, end: str) -> None:
+    """Write the ``header`` line (none if None), then the row tuples of each
+    of ``blocks``, ``CSV_BLOCK_ROWS`` at a time, one ``%``-template a row and
+    every line ended by ``end``: one unquoted column per letter of ``kinds``,
+    ``d`` as ``%d``, ``g`` as ``%.17g`` (bit-exact; ``inf``, ``nan``, ``-0``), ``s`` a label."""
+    template = ",".join({"d": "%d", "g": "%.17g", "s": "%s"}[k] for k in kinds) + end
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            fh.write(",".join(header) + end)
+        for rows in map(iter, blocks):
+            while lines := [template % row for row in islice(rows, CSV_BLOCK_ROWS)]:
+                fh.write("".join(lines))
+
+
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write one row per step as ``t,x1..xN,w1..wK,q,u1..uN'`` (17 sig. digits),
-    comma-separated with CRLF line ends, formatted in blocks of rows."""
-    n = traj.x.shape[1]
-    k = traj.w.shape[1]
-    m = traj.u.shape[1]
+    """One :func:`write_csv` row per step, ``t,x1..xN,w1..wK,q,u1..uN'``, with
+    CRLF line ends."""
+    n, k, m = traj.x.shape[1], traj.w.shape[1], traj.u.shape[1]
     header = (
         ["t"]
         + [f"x{i}" for i in range(1, n + 1)]
@@ -493,12 +507,12 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
         + ["q"]
         + [f"u{i}" for i in range(1, m + 1)]
     )
-    template = ",".join(["%d"] + ["%.17g"] * (n + k) + ["%d"] + ["%.17g"] * m) + "\r\n"
     steps = traj.steps
     arrays = (traj.x[:steps], traj.w, traj.q[:, None], traj.u)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        # one block of Python values at a time: whole columns would cost ~32 bytes a value
-        for start in range(0, steps, CSV_BLOCK_ROWS):
-            columns = [col for a in arrays for col in a[start : start + CSV_BLOCK_ROWS].T.tolist()]
-            fh.write("".join([template % row for row in zip(range(start, steps), *columns)]))
+
+    def block(start: int):  # Python values of one block: whole columns cost ~32 bytes a value
+        columns = [col for a in arrays for col in a[start : start + CSV_BLOCK_ROWS].T.tolist()]
+        return zip(range(start, steps), *columns)
+
+    blocks = map(block, range(0, steps, CSV_BLOCK_ROWS))
+    write_csv(path, header, "d" + "g" * (n + k) + "d" + "g" * m, blocks, "\r\n")

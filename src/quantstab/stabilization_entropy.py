@@ -18,7 +18,6 @@ few candidates span.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,6 +36,7 @@ from .simulation import (  # noqa: F401
     Trajectory,
     run_closed_loop,
     run_closed_loops,
+    write_csv,
 )
 
 __all__ = [
@@ -473,11 +473,8 @@ def entropy_rate(
 
 
 def entropy_curve_to_csv(points: Sequence[EntropyPoint], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["T", "s_estimate", "rate", "capacity"])
-        for pt in points:
-            s = str(int(pt.s_estimate)) if pt.s_estimate != math.inf else "inf"
-            writer.writerow(
-                [str(pt.horizon), s, format(pt.rate, ".17g"), format(pt.capacity, ".17g")]
-            )
+    """One :func:`~quantstab.simulation.write_csv` row per point,
+    ``T,s_estimate,rate,capacity``, with CRLF line ends."""
+    rows = [(p.horizon, str(int(p.s_estimate)) if p.feasible else "inf", p.rate, p.capacity)
+            for p in points]
+    write_csv(path, ["T", "s_estimate", "rate", "capacity"], "dsgg", [rows], "\r\n")

@@ -10,6 +10,7 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from quantstab import cli, dynamics, stabilization_entropy
@@ -17,6 +18,7 @@ from quantstab.capacity_bounds import refined_bound
 from quantstab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, load_experiment, main
 from quantstab.dynamics import JACOBIAN_BLOCK
 from quantstab.simulation import Trajectory
+from quantstab.stabilization_entropy import EntropyPoint
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -498,7 +500,9 @@ def test_integral_float_counts_are_accepted(tmp_path):
 
 # Values of the wrong kind for their key: a list where a number goes, a string
 # where a bool goes, a fraction where an integer goes, a scalar or a list
-# where an object goes.
+# where an object goes; and integers out of range: a count or an alphabet size
+# above int64, whose symbols and steps are int64, and a bits_per_axis entry
+# whose power of 2 would be computed before the grid limit refuses it.
 _MALFORMED = [
     ("simulate", "zoom", ("policy", "alpha"), [0.6], "policy.alpha"),
     ("entropy", "zoom", ("entropy", "rho"), [0.5], "entropy.rho"),
@@ -518,6 +522,23 @@ _MALFORMED = [
     ("diagnose", "ar1", ("diagnose", "checkpoints"), [10.9, 100], "diagnose.checkpoints"),
     ("simulate", "example2", ("policy", "bits_per_axis"), [6.5, 6.9], "policy.bits_per_axis"),
     ("bound", "ar1", ("bound",), [1], "bound"),
+    ("simulate", "example2", ("policy", "bits_per_axis"), 1e30, "policy.bits_per_axis"),
+    ("simulate", "example2", ("policy", "bits_per_axis"), [6, 2**63], "policy.bits_per_axis"),
+    ("simulate", "example2", ("policy", "bits_per_axis"), 1e12, "policy.bits_per_axis"),
+    ("simulate", "example2", ("policy", "m"), 1e30, "policy.m"),
+    ("simulate", "zoom", ("policy",), {"kind": "zoom", "m": 1e30, "alpha": 0.6, "beta": 2.0,
+                                       "initial_halfwidth": 2.0, "cells_per_axis": [3]}, "policy.m"),
+    ("simulate", "zoom", ("policy",), {"kind": "zoom", "m": 2**63, "alpha": 0.6, "beta": 2.0,
+                                       "initial_halfwidth": 2.0, "cells_per_axis": [3]}, "policy.m"),
+    ("simulate", "ar1", ("policy", "m"), 2**63, "policy.m"),
+    ("entropy", "zoom", ("entropy", "scenarios"), 1e30, "entropy.scenarios"),
+    ("entropy", "zoom", ("entropy", "horizons"), [4, 1e30], "entropy.horizons"),
+    ("simulate", "ar1", ("horizon",), 1e30, "horizon"),
+    ("simulate", "ar1", ("horizon",), 2**63, "horizon"),
+    ("bound", "ar1", ("paths",), 1e30, "paths"),
+    ("bound", "ar1", ("bound", "n_mc"), 2**63, "bound.n_mc"),
+    ("bound", "ar1", ("falsify", "samples"), 1e30, "falsify.samples"),
+    ("diagnose", "ar1", ("diagnose", "checkpoints"), [10, 2**63], "diagnose.checkpoints"),
 ]
 
 
@@ -724,6 +745,27 @@ def test_entropy_matrix_dump(tmp_path):
     out = tmp_path / "out"
     assert main(["entropy", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
     assert (out / "satisfaction_T4.csv").exists()
+
+
+def test_entropy_matrix_dumps_match_savetxt(tmp_path):
+    matrices = {
+        4: np.zeros((0, 6), bool),  # no candidate: an empty file
+        6: np.random.default_rng(3).random((5, 6)) < 0.5,
+        8: np.ones((1, 1), bool),
+    }
+
+    def entropy_rate(*args, matrix_sink, **kwargs):
+        matrix_sink.update(matrices)
+        return [EntropyPoint(T, 1, 0.0, 1.0, 1, 1.0) for T in matrices]
+
+    out, oracle = tmp_path / "out", tmp_path / "oracle.csv"
+    config = _write(tmp_path, _zoom_entropy_config(dump_matrix=True))
+    with mock.patch.object(cli, "entropy_rate", side_effect=entropy_rate):
+        assert main(["entropy", "--config", config, "--out", str(out)]) == EXIT_OK
+    for horizon, matrix in matrices.items():
+        np.savetxt(oracle, matrix.astype(int), fmt="%d", delimiter=",")
+        assert (out / f"satisfaction_T{horizon}.csv").read_bytes() == oracle.read_bytes()
+    assert (out / "satisfaction_T4.csv").read_bytes() == b""
 
 
 # SHA-256 of every `entropy` output file, taken with NumPy 2.4.6 on Linux
@@ -961,6 +1003,70 @@ def test_diagnose_convergence_follows_the_first_path_with_a_step(tmp_path):
     assert 0 in divergence["first_divergence_steps"] and divergence["diverged"] < 4
     rows = (out / "convergence.csv").read_text().strip().splitlines()
     assert [row.split(",")[0] for row in rows] == ["T", "10", "50"]
+
+
+def _dispersion_oracle(path, partition, dispersion):
+    with open(path, "w") as fh:
+        fh.write("cell,dispersion\n")
+        for i, value in enumerate(dispersion):
+            name = "overflow" if i == partition.overflow_index else str(i)
+            fh.write(f"{name},{value:.17g}\n")
+
+
+def _convergence_oracle(path, partition, checkpoints, curves):
+    with open(path, "w") as fh:
+        cells = ["overflow" if i == partition.overflow_index else f"cell{i}" for i in range(partition.n_cells)]
+        fh.write("T," + ",".join(cells) + "\n")
+        for row, checkpoint in enumerate(checkpoints):
+            fh.write(f"{checkpoint}," + ",".join(format(v, ".17g") for v in curves[row]) + "\n")
+
+
+_EDGE_VALUES = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, -2.5e-310, 0.1, 1e300, 0.0])
+
+
+def test_diagnose_csvs_match_their_oracles_on_edge_values(tmp_path):
+    seen = {}
+
+    def dispersion(tally, partition, burn_in):
+        seen["partition"] = partition
+        return _EDGE_VALUES
+
+    def convergence(tally, partition, checkpoints):
+        seen["checkpoints"] = checkpoints
+        seen["curves"] = np.array([np.roll(_EDGE_VALUES, k) for k in range(len(checkpoints))])
+        return seen["curves"]
+
+    cfg = _ar1_config(diagnose={"checkpoints": [10, 100, 400]})  # 8 cells and overflow
+    out, oracle = tmp_path / "out", tmp_path / "oracle.csv"
+    with mock.patch.object(cli, "ergodicity_dispersion", side_effect=dispersion), \
+            mock.patch.object(cli, "frequency_convergence", side_effect=convergence):
+        assert main(["diagnose", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+    _dispersion_oracle(oracle, seen["partition"], _EDGE_VALUES)
+    assert (out / "dispersion.csv").read_bytes() == oracle.read_bytes()
+    _convergence_oracle(oracle, seen["partition"], seen["checkpoints"], seen["curves"])
+    assert (out / "convergence.csv").read_bytes() == oracle.read_bytes()
+    assert seen["checkpoints"] == [10, 100, 400]
+
+
+# SHA-256 of every `diagnose` output file for configs/ar1_diagnose.json at
+# seed 0, 4 paths, horizon 2,000, taken with NumPy 2.4.6 on Linux x86-64 from
+# the code that wrote measure.csv with csv.writer and dispersion.csv and
+# convergence.csv with f-strings. The same caveat about NumPy's noise stream
+# applies as for the `simulate` digests above.
+_AR1_DIAGNOSE_GOLDEN_SHA256 = {
+    "convergence.csv": "91553a7707ea7e5005a67e216d0c8dbfb652e376085bf760bdaff2ea0f73fd06",
+    "diagnose_summary.json": "b14ae22fe5cab3cf6edd0a7cc285fc9a6ebc8be043948994bda133d9ad8ad54d",
+    "dispersion.csv": "5655feed58f7ed024fa52aece78d9f2a43d8e67a428e2c0498f263b7d76805b3",
+    "measure.csv": "c4b447193ea429f82779644fbe6931b20282059c6b7d36580f2197e114c9ecc8",
+}
+
+
+def test_diagnose_outputs_match_golden_digests(tmp_path):
+    cfg = str(REPO / "configs" / "ar1_diagnose.json")
+    out = tmp_path / "out"
+    args = ["diagnose", "--config", cfg, "--seed", "0", "--paths", "4", "--horizon", "2000", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    assert _digests(out) == _AR1_DIAGNOSE_GOLDEN_SHA256
 
 
 def test_diagnose_reproducible(tmp_path):

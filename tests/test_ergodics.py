@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -218,6 +219,43 @@ def test_measure_csv_round_trip(tmp_path, ar1):
     assert lines[-1].startswith("overflow,")
     weights = [float(line.split(",")[-1]) for line in lines[1:]]
     assert np.allclose(weights, measure.weights)
+
+
+def _measure_csv_oracle(measure, path):
+    """The export as one csv.writer row per cell, one format call per value."""
+    part = measure.partition
+    header = ["cell"] + [f"low{i}" for i in range(1, part.dim + 1)]
+    header += [f"high{i}" for i in range(1, part.dim + 1)] + ["weight"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(part.n_cells):
+            lo, hi = part.cell_bounds(i)
+            name = "overflow" if i == part.overflow_index else str(i)
+            writer.writerow(
+                [name]
+                + [format(v, ".17g") for v in lo]
+                + [format(v, ".17g") for v in hi]
+                + [format(measure.weights[i], ".17g")]
+            )
+
+
+@pytest.mark.parametrize(
+    "low, high, cells, weights",
+    [
+        # subnormal bounds and weight, a -0.0 weight; the overflow cell's bounds are -inf and inf
+        ([0.0], [1e-320], (2,), [-0.0, 5e-324, 1.0]),
+        ([-1e307, -3.0], [1e307, 0.1], (2, 3), [0.25, 0.25, 0.25, 0.0, -0.0, 0.125, 0.125]),
+    ],
+)
+def test_measure_csv_matches_csv_writer_oracle(tmp_path, low, high, cells, weights):
+    measure = EmpiricalMeasure(Partition(low, high, cells), weights, 10, 0)
+    ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    measure_to_csv(measure, ours)
+    _measure_csv_oracle(measure, oracle)
+    data = ours.read_bytes()
+    assert data == oracle.read_bytes()
+    assert data.count(b"\r\n") == data.count(b"\n") == len(weights) + 1
 
 
 # --------------------------------------------------------------------------

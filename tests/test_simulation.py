@@ -35,6 +35,7 @@ from quantstab.simulation import (
     run_closed_loops,
     summarize_divergence,
     trajectory_to_csv,
+    write_csv,
 )
 
 
@@ -325,10 +326,50 @@ def _csv_trajectories(draw):
     )
 
 
+def _edge_trajectory(steps, status="ok"):
+    """Every float inf, -inf, nan, -0.0 or a subnormal, in turn; q at the int64 top."""
+    edges = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, -2.5e-310])
+    return Trajectory(
+        x=np.resize(edges, (steps + 1, 2)),
+        w=np.resize(edges[::-1], (steps, 1)),
+        q=np.full(steps, 2**63 - 1),
+        u=np.resize(edges, (steps, 3)),
+        seed=0,
+        horizon=max(steps, 5),
+        status=status,
+        diverged_at=0 if status == "diverged" else None,
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(_csv_trajectories())
 def test_trajectory_csv_matches_csv_writer_oracle(tmp_path_factory, traj):
     _assert_csv_matches_oracle(traj, tmp_path_factory.mktemp("csv"))
+
+
+# built in the test, not pinned as hypothesis examples: a Trajectory held from
+# collection on would be seen by test_cli's count of live trajectories
+@pytest.mark.parametrize("steps, status", [(7, "ok"), (0, "diverged")])  # diverged at step 0: the header alone
+def test_trajectory_csv_edge_values_match_csv_writer_oracle(tmp_path, steps, status):
+    _assert_csv_matches_oracle(_edge_trajectory(steps, status), tmp_path)
+
+
+def test_write_csv_formats_each_kind_and_ends_every_line(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [(3, 0.1, "a"), (-(2**63), -0.0, "overflow"), (2**63 - 1, 5e-324, "inf")]
+    write_csv(path, ["n", "v", "label"], "dgs", [rows[:1], [], iter(rows[1:])], "\r\n")
+    assert path.read_bytes() == (
+        b"n,v,label\r\n3,0.10000000000000001,a\r\n"
+        b"-9223372036854775808,-0,overflow\r\n9223372036854775807,4.9406564584124654e-324,inf\r\n"
+    )
+    # no header; more rows than CSV_BLOCK_ROWS in one block; inf and nan as Python spells them
+    values = [np.inf, -np.inf, np.nan] * CSV_BLOCK_ROWS
+    write_csv(path, None, "g", [((v,) for v in values)], "\n")
+    assert path.read_text() == "".join(f"{v}\n" for v in values)
+    write_csv(path, None, "", [[()] * 2], "\n")  # rows without a column
+    assert path.read_bytes() == b"\n\n"
+    write_csv(path, ["t"], "d", [], "\n")
+    assert path.read_bytes() == b"t\n"
 
 
 def test_trajectory_csv_blocks_and_truncated_paths(tmp_path, doubling):

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 from unittest import mock
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from quantstab import (
     CandidateControls,
+    EntropyPoint,
     InitSpec,
     NoiseSpec,
     Partition,
@@ -32,6 +34,7 @@ from quantstab import stabilization_entropy
 from quantstab.stabilization_entropy import (
     _needed_count,
     closed_loop_candidates,
+    entropy_curve_to_csv,
     satisfaction_matrix,
 )
 
@@ -570,3 +573,34 @@ def test_lockstep_states_bitwise_at_full_block(name):
     states = stabilization_entropy._lockstep_states(model, x0s, ws, us, horizon)
     for p in range(pairs):
         assert np.array_equal(states[p], _oracle_states(model, x0s[p], ws[p], us[p], horizon))
+
+
+# --------------------------------------------------------------------------
+# Entropy curve export
+
+def _entropy_curve_oracle(points, path):
+    """The export as one csv.writer row per point, one format call per value."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["T", "s_estimate", "rate", "capacity"])
+        for pt in points:
+            s = str(int(pt.s_estimate)) if pt.s_estimate != math.inf else "inf"
+            writer.writerow(
+                [str(pt.horizon), s, format(pt.rate, ".17g"), format(pt.capacity, ".17g")]
+            )
+
+
+def test_entropy_curve_csv_matches_csv_writer_oracle(tmp_path):
+    points = [
+        EntropyPoint(4, 3, math.log2(3) / 4, 2.0, 9, 1.0),
+        EntropyPoint(6, math.inf, math.inf, 5e-324, 0, 0.0),  # infeasible
+        EntropyPoint(8, 1, -0.0, -np.inf, 1, 0.5),
+        EntropyPoint(10, 2**62, math.nan, 0.1, 2**62, 0.25),
+    ]
+    ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    for rows in (points, []):
+        entropy_curve_to_csv(rows, ours)
+        _entropy_curve_oracle(rows, oracle)
+        assert ours.read_bytes() == oracle.read_bytes()
+    entropy_curve_to_csv(points, ours)
+    assert ours.read_bytes().split(b"\r\n")[2] == b"6,inf,inf,4.9406564584124654e-324"

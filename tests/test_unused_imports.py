@@ -102,3 +102,70 @@ def test_checker_finds_an_unreferenced_private_definition():
 def test_every_private_definition_is_referenced():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert _unreferenced_privates(sources) == []
+
+
+# --------------------------------------------------------------------------
+# One writer per output format: every CSV goes through simulation.write_csv
+# and every JSON through cli._write_json, so no other code writes a file.
+
+def _writes(call: ast.Call) -> bool:
+    """Whether an ``open`` call's mode may write: ``open(path, mode)`` or
+    ``path.open(mode)``; a mode that is not a literal counts as writing."""
+    index = 1 if isinstance(call.func, ast.Name) else 0
+    mode = call.args[index] if len(call.args) > index else None
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), mode)
+    if mode is None:
+        return False
+    literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+    return not literal or bool(set(mode.value) & set("wax+"))
+
+
+def _file_writes(source: str) -> list[str]:
+    """``function: what`` for each ``import csv``, ``savetxt``, ``write_text``
+    or ``write_bytes`` call and write-mode ``open`` in ``source``; the
+    function is ``<module>`` outside any."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import) and any(a.name == "csv" for a in child.names) or (
+                isinstance(child, ast.ImportFrom) and child.module == "csv"
+            ):
+                found.append(f"{where}: import csv")
+            elif isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in ("savetxt", "write_text", "write_bytes") or (
+                    called == "open" and _writes(child)
+                ):
+                    found.append(f"{where}: {called}")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_finds_every_file_write():
+    source = (
+        "import csv\nimport numpy as np\nfrom pathlib import Path\n"
+        "def read(p):\n    return open(p).read() + open(p, 'r').read() + Path(p).open('rb').read()\n"
+        "def dump(p, a, mode):\n    np.savetxt(p, a)\n    open(p, mode=mode)\n"
+        "    def inner():\n        Path(p).open('a')\n    return inner\n"
+        "Path('x').write_text('')\nopen('y', 'r+')\n"
+    )
+    assert _file_writes(source) == [
+        "<module>: import csv",
+        "dump: savetxt",
+        "dump: open",
+        "inner: open",
+        "<module>: write_text",
+        "<module>: open",
+    ]
+
+
+def test_every_output_file_is_written_by_its_format_writer():
+    found = [
+        f"{path.name}:{write}" for path in sorted(SRC.glob("*.py")) for write in _file_writes(path.read_text())
+    ]
+    assert found == ["cli.py:_write_json: open", "simulation.py:write_csv: open"]
