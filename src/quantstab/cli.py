@@ -50,9 +50,9 @@ from .simulation import (
     CoordInit,
     InitSpec,
     NoiseSpec,
+    PathSeeds,
     batch_rollout,
     closed_loop_blocks,
-    path_seed,
     summarize_divergence,
     trajectory_to_csv,
     write_csv,
@@ -319,11 +319,7 @@ def _build_policy(section: _Section, model: SystemModel, noise: NoiseSpec) -> Co
             section.get("box_high", _numbers),
             section.get("bits_per_axis", _bits),
         )
-        options = {
-            "target": section.get("target", _numbers, None),
-            "noise_mean": noise.mean,
-            "m": section.get("m", _integer, None),
-        }
+        options = {"m": section.get("m", _integer, None)}
     elif kind == "zoom":
         build = zoom_policy
         args = (
@@ -336,11 +332,11 @@ def _build_policy(section: _Section, model: SystemModel, noise: NoiseSpec) -> Co
         options = {
             "cells_per_axis": section.get("cells_per_axis", _integers, None),
             "center": section.get("center", _numbers, None),
-            "target": section.get("target", _numbers, None),
-            "noise_mean": noise.mean,
         }
     else:
         raise ConfigError(f"unknown policy kind {kind!r}")
+    if build is not null_policy:  # the options both grid quantizers share
+        options.update(target=section.get("target", _numbers, None), noise_mean=noise.mean)
     section.close()
     return _construct("policy spec", build, *args, **options)
 
@@ -441,20 +437,21 @@ def _log(verbose: bool, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _run_paths(exp: Experiment, verbose: bool):
+def _simulate(exp: Experiment, verbose: bool, run, *args):
+    """``run(model, policy, noise, init, horizon, *args)``, which allocates its arrays
+    before any per-path work: memory it cannot allocate is a config error naming paths."""
     _log(verbose, f"simulating {exp.paths} paths of {exp.horizon} steps (seed {exp.seed})")
-    return batch_rollout(
-        exp.model, exp.policy, exp.noise, exp.init, exp.horizon, exp.paths, exp.seed
-    )
+    try:
+        return run(exp.model, exp.policy, exp.noise, exp.init, exp.horizon, *args)
+    except MemoryError as exc:
+        raise ConfigError(f"bad paths: {exc}") from None
 
 
 def _fold_and_measure(exp: Experiment, verbose: bool, tally: VisitTally):
-    """The paths of :func:`_run_paths`, folded into ``tally`` block by block
-    and never held whole: their pooled post-burn-in measure (no sample at
-    all is a violation) and each path's divergence step, None if none."""
-    _log(verbose, f"simulating {exp.paths} paths of {exp.horizon} steps (seed {exp.seed})")
-    seeds = [path_seed(exp.seed, k) for k in range(exp.paths)]
-    for block in closed_loop_blocks(exp.model, exp.policy, exp.noise, exp.init, exp.horizon, seeds):
+    """The paths of ``simulate``, folded into ``tally`` block by block and
+    never held whole: their pooled post-burn-in measure (no sample at all is
+    a violation) and each path's divergence step, None if none."""
+    for block in _simulate(exp, verbose, closed_loop_blocks, PathSeeds(exp.seed, exp.paths)):
         tally.add(block)
     try:
         measure = empirical_measure(tally, exp.partition, exp.burn_in)
@@ -467,7 +464,7 @@ def _fold_and_measure(exp: Experiment, verbose: bool, tally: VisitTally):
 # Subcommands
 
 def cmd_simulate(exp: Experiment, out: Path, verbose: bool) -> int:
-    trajs = _run_paths(exp, verbose)
+    trajs = _simulate(exp, verbose, batch_rollout, exp.paths, exp.seed)
     for k, traj in enumerate(trajs):
         trajectory_to_csv(traj, out / f"trajectory_{k:04d}.csv")
     summary = summarize_divergence([traj.diverged_at for traj in trajs])
@@ -640,7 +637,7 @@ def cmd_diagnose(exp: Experiment, out: Path, verbose: bool) -> int:
     checkpoints = section.get("checkpoints", _list(_integer), None)
     section.close()
     lead_checkpoints = DEFAULT_CHECKPOINTS if checkpoints is None else checkpoints
-    tally = VisitTally(exp.partition, exp.burn_in, exp.paths, lead_checkpoints)
+    tally = _construct("paths", VisitTally, exp.partition, exp.burn_in, exp.paths, lead_checkpoints)
     measure, diverged_at = _fold_and_measure(exp, verbose, tally)
     measure_to_csv(measure, out / "measure.csv")
 

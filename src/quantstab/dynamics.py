@@ -126,15 +126,35 @@ class SystemModel:
     def from_text(cls, text: str, name: str = "dsl") -> "SystemModel":
         return cls.from_source(parse_model(text), name=name)
 
-    # -- evaluation ---------------------------------------------------------
+    # -- evaluation: each compiled function at one point or on columns -----
 
-    def f(self, x: Sequence[float], w: Sequence[float] = ()) -> np.ndarray:
+    def _point(self, fn: Callable, x: Sequence[float], w: Sequence[float]) -> tuple:
+        """``fn`` at one point, on floats: a zero denominator raises
+        ``ZeroDivisionError``, wrong dimensions ``ValueError``."""
         if len(x) != self.n or len(w) != self.noise_dim:
             raise ValueError(
                 f"expected state dim {self.n} and noise dim {self.noise_dim}, "
                 f"got {len(x)} and {len(w)}"
             )
-        return np.array(self._f_fn(*(float(v) for v in x), *(float(v) for v in w)))
+        return fn(*(float(v) for v in x), *(float(v) for v in w))
+
+    def _columns(self, fn: Callable, xs: np.ndarray, ws: np.ndarray, width: int) -> np.ndarray:
+        """``fn`` on the columns of ``xs`` and ``ws`` in one call, as an (m,
+        ``width``) array; constant entries broadcast. A row that divides by
+        zero or overflows comes back non-finite; a constant subexpression
+        that raises fails in every row, so then every entry is inf."""
+        try:
+            cols = fn(*xs.T, *ws.T)
+        except (ZeroDivisionError, OverflowError):
+            return np.full((xs.shape[0], width), np.inf)
+        out = np.empty((xs.shape[0], width))
+        for i, col in enumerate(cols):
+            out[:, i] = col
+        return out
+
+    def f(self, x: Sequence[float], w: Sequence[float] = ()) -> np.ndarray:
+        """``f(x, w)`` at one point, shape (n,)."""
+        return np.array(self._point(self._f_fn, x, w))
 
     def f_raw(self, *scalars: float) -> tuple:
         """Hot-loop entry: positional x then w floats, returns a tuple."""
@@ -143,20 +163,8 @@ class SystemModel:
     def f_many(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
         """Vectorized map over rows of ``xs`` (m, n) and ``ws`` (m, noise_dim);
         ``ws`` may also be one row (1, noise_dim) shared by every state row.
-
-        The compiled expressions evaluate column arrays in one call, to the
-        same bits as the scalar evaluation. A row that divides by zero or
-        overflows comes back non-finite; a constant subexpression that raises
-        fails in every row, so then every entry is inf.
-        """
-        try:
-            cols = self._f_fn(*xs.T, *ws.T)
-        except (ZeroDivisionError, OverflowError):
-            return np.full((xs.shape[0], self.n), np.inf)
-        out = np.empty((xs.shape[0], self.n))
-        for i, col in enumerate(cols):
-            out[:, i] = col  # constant coordinates broadcast
-        return out
+        Same bits as :meth:`f` row by row, where :meth:`f` does not raise."""
+        return self._columns(self._f_fn, xs, ws, self.n)
 
     def control_effect(self, us: np.ndarray) -> np.ndarray:
         """``B u`` for each row of ``us`` (m, control_dim), as stacked
@@ -169,19 +177,12 @@ class SystemModel:
         return self.f_many(xs, ws) + self.control_effect(us)
 
     def jacobian(self, x: Sequence[float], w: Sequence[float] = ()) -> np.ndarray:
-        """Full Jacobian of ``x -> f(x, w)`` at the point, shape (n, n)."""
-        vals = self._jac_fn(*(float(v) for v in x), *(float(v) for v in w))
-        return np.array(vals).reshape(self.n, self.n)
+        """Jacobian of ``x -> f(x, w)`` at one point, shape (n, n); fails as :meth:`f` does."""
+        return np.array(self._point(self._jac_fn, x, w)).reshape(self.n, self.n)
 
     def jacobian_many(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        """Stacked Jacobians over sample rows, shape (m, n, n)."""
-        vals = self._jac_fn(
-            *(xs[:, i] for i in range(self.n)), *(ws[:, j] for j in range(self.noise_dim))
-        )
-        out = np.empty((xs.shape[0], self.n, self.n))
-        for k, entry in enumerate(vals):
-            out[:, k // self.n, k % self.n] = entry  # constant entries broadcast
-        return out
+        """Stacked Jacobians over sample rows, shape (m, n, n); fail as :meth:`f_many` does."""
+        return self._columns(self._jac_fn, xs, ws, self.n * self.n).reshape(-1, self.n, self.n)
 
     def __repr__(self) -> str:
         return (

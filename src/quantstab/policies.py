@@ -134,6 +134,14 @@ def cell_coords(numbers, cells) -> np.ndarray:
     return np.array(np.unravel_index(numbers, cells)).T
 
 
+def per_axis(value, n: int, default=None) -> np.ndarray:
+    """A fresh array of ``n`` floats from one number for every axis or one
+    per axis. None reads as ``default``; without one it is nan, as numpy
+    reads it, and fails where nan fails."""
+    value = default if value is None else value
+    return np.broadcast_to(np.asarray(value, float), (n,)).copy()
+
+
 def _cancelling(policy, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the nominal image ``f(point, noise_mean)`` and the control
     ``u = B^+ (target - image)`` that cancels it. The products are stacked
@@ -165,9 +173,30 @@ null_policy = NullPolicy
 
 
 # --------------------------------------------------------------------------
-# Memoryless uniform quantizer
+# Grid quantizers
 
-class UniformQuantizerPolicy(CodingPolicy):
+class _GridQuantizer(CodingPolicy):
+    """Grid cells, symbols ``1..n_cells`` and overflow ``m`` (by default
+    ``n_cells + 1``); controls steer ``f(., noise_mean)`` to ``target``."""
+
+    def __init__(self, model: SystemModel, cells_per_axis, m, target, noise_mean):
+        self.model = model
+        self.cells_per_axis = tuple(cells_per_axis)
+        self.n_cells = cell_count(self.cells_per_axis)
+        self.m = self.n_cells + 1 if m is None else int(m)
+        if self.n_cells > self.m - 1:
+            raise ValueError(
+                f"{self.n_cells} cells do not fit an alphabet of {self.m} with overflow reserved"
+            )
+        self.target = per_axis(target, model.n, 0.0)
+        self.noise_mean = per_axis(noise_mean, model.noise_dim, 0.0)
+
+    @property
+    def overflow_symbol(self) -> int:
+        return self.m
+
+
+class UniformQuantizerPolicy(_GridQuantizer):
     """Fixed uniform grid over a box; symbols name cells, controls cancel the
     nominal one-step image of the cell centroid.
 
@@ -187,41 +216,19 @@ class UniformQuantizerPolicy(CodingPolicy):
         noise_mean=None,
         m: Optional[int] = None,
     ):
-        self.model = model
-        self.low = np.broadcast_to(np.asarray(box_low, float), (model.n,)).copy()
-        self.high = np.broadcast_to(np.asarray(box_high, float), (model.n,)).copy()
+        self.low, self.high = per_axis(box_low, model.n), per_axis(box_high, model.n)
         if np.any(self.high <= self.low):
             raise ValueError("quantizer box is degenerate")
         bits = np.broadcast_to(np.asarray(bits_per_axis, int), (model.n,))
         if np.any(bits < 0):
             raise ValueError("bits per axis must be nonnegative integers")
-        self.cells_per_axis = tuple(2 ** int(b) for b in bits)
-        self.n_cells = cell_count(self.cells_per_axis)
-        if m is None:
-            m = self.n_cells + 1
-        if m < self.n_cells + 1:
-            raise ValueError(
-                f"alphabet of size {m} cannot address {self.n_cells} cells plus overflow"
-            )
-        self.m = int(m)
+        super().__init__(model, (2 ** int(b) for b in bits), m, target, noise_mean)
         self.width = cell_widths(self.low, self.high, self.cells_per_axis)
-        self.target = (
-            np.zeros(model.n) if target is None else np.broadcast_to(np.asarray(target, float), (model.n,)).copy()
-        )
-        self.noise_mean = (
-            np.zeros(model.noise_dim)
-            if noise_mean is None
-            else np.broadcast_to(np.asarray(noise_mean, float), (model.noise_dim,)).copy()
-        )
         # controls per symbol, the last row for overflow; cell rows are
         # computed when their symbol first occurs
         self._controls = np.zeros((self.n_cells + 1, model.control_dim))
         self._filled = np.zeros(self.n_cells + 1, dtype=bool)
         self._filled[self.n_cells] = True
-
-    @property
-    def overflow_symbol(self) -> int:
-        return self.m
 
     def symbols(self, state, xs):
         inside = np.logical_and.reduce((xs >= self.low) & (xs < self.high), axis=1)
@@ -257,7 +264,7 @@ uniform_quantizer_policy = UniformQuantizerPolicy
 # --------------------------------------------------------------------------
 # Adaptive zoom quantizer
 
-class ZoomPolicy(CodingPolicy):
+class ZoomPolicy(_GridQuantizer):
     """Adaptive quantizer over the moving box [center - L, center + L]^N.
 
     In-range measurements shrink the range (L <- alpha L) and recenter on the
@@ -288,8 +295,6 @@ class ZoomPolicy(CodingPolicy):
             raise ValueError("zoom-out factor must exceed 1")
         if initial_halfwidth <= 0.0:
             raise ValueError("initial halfwidth must be positive")
-        self.model = model
-        self.m = int(m)
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.initial_halfwidth = float(initial_halfwidth)
@@ -299,30 +304,12 @@ class ZoomPolicy(CodingPolicy):
             else:
                 k = int(math.floor((m - 1) ** (1.0 / model.n) + 1e-9))
                 cells_per_axis = (max(k, 1),) * model.n
-        self.cells_per_axis = tuple(int(c) for c in np.broadcast_to(cells_per_axis, (model.n,)))
-        if any(c < 1 for c in self.cells_per_axis):
+        cells = tuple(int(c) for c in np.broadcast_to(cells_per_axis, (model.n,)))
+        if any(c < 1 for c in cells):
             raise ValueError("need at least one cell per axis")
-        self._cells = np.asarray(self.cells_per_axis, float)  # per-step scaling
-        self.n_cells = cell_count(self.cells_per_axis)
-        if self.n_cells > self.m - 1:
-            raise ValueError(
-                f"{self.n_cells} cells do not fit an alphabet of {self.m} with overflow reserved"
-            )
-        self.center0 = (
-            np.zeros(model.n) if center is None else np.broadcast_to(np.asarray(center, float), (model.n,)).copy()
-        )
-        self.target = (
-            np.zeros(model.n) if target is None else np.broadcast_to(np.asarray(target, float), (model.n,)).copy()
-        )
-        self.noise_mean = (
-            np.zeros(model.noise_dim)
-            if noise_mean is None
-            else np.broadcast_to(np.asarray(noise_mean, float), (model.noise_dim,)).copy()
-        )
-
-    @property
-    def overflow_symbol(self) -> int:
-        return self.m
+        super().__init__(model, cells, m, target, noise_mean)
+        self._cells = np.asarray(cells, float)  # per-step scaling
+        self.center0 = per_axis(center, model.n, 0.0)
 
     def initial_state(self, count: int) -> "ZoomState":
         return ZoomState(np.tile(self.center0, (count, 1)), np.full(count, self.initial_halfwidth))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import SystemModel
-from .policies import CodingPolicy, cell_widths
+from .policies import CodingPolicy, cell_widths, per_axis
 
 __all__ = [
     "DIVERGENCE_THRESHOLD",
@@ -35,6 +35,7 @@ __all__ = [
     "run_closed_loop",
     "run_closed_loops",
     "path_seed",
+    "PathSeeds",
     "replay_consistent",
     "audit_causality",
     "summarize_divergence",
@@ -66,16 +67,14 @@ class NoiseSpec:
 
     @classmethod
     def gaussian(cls, dim: int, mean=0.0, std=1.0) -> "NoiseSpec":
-        mean = np.broadcast_to(np.asarray(mean, float), (dim,)).copy()
-        std = np.broadcast_to(np.asarray(std, float), (dim,)).copy()
+        mean, std = per_axis(mean, dim), per_axis(std, dim)
         if np.any(std <= 0):
             raise ValueError("gaussian std must be positive")
         return cls(family="gaussian", dim=dim, mean_=mean, std_=std)
 
     @classmethod
     def uniform(cls, dim: int, low, high) -> "NoiseSpec":
-        low = np.broadcast_to(np.asarray(low, float), (dim,)).copy()
-        high = np.broadcast_to(np.asarray(high, float), (dim,)).copy()
+        low, high = per_axis(low, dim), per_axis(high, dim)
         if np.any(high <= low):
             raise ValueError("uniform bounds must satisfy low < high")
         cell_widths(low, high, 1)  # rng.uniform fails on a width that overflows
@@ -142,13 +141,12 @@ class InitSpec:
     @classmethod
     def uniform_box(cls, low, high) -> "InitSpec":
         low = np.atleast_1d(np.asarray(low, float))
-        high = np.broadcast_to(np.asarray(high, float), low.shape)
+        high = per_axis(high, len(low))
         return cls(tuple(CoordInit("uniform", float(a), float(b)) for a, b in zip(low, high)))
 
     @classmethod
     def gaussian(cls, dim: int, mean=0.0, std=1.0) -> "InitSpec":
-        mean = np.broadcast_to(np.asarray(mean, float), (dim,))
-        std = np.broadcast_to(np.asarray(std, float), (dim,))
+        mean, std = per_axis(mean, dim), per_axis(std, dim)
         return cls(tuple(CoordInit("gaussian", float(m), float(s)) for m, s in zip(mean, std)))
 
     @classmethod
@@ -231,6 +229,19 @@ def path_seed(base_seed: int, path: int) -> tuple[int, int]:
     return (int(base_seed), int(path))
 
 
+class PathSeeds(Sequence):
+    """``path_seed(base_seed, k)`` for k < ``count``, each made when it is read."""
+
+    def __init__(self, base_seed: int, count: int):
+        self.base_seed, self.count = base_seed, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, k: int) -> tuple[int, int]:
+        return path_seed(self.base_seed, range(self.count)[k])
+
+
 class LoopBlock(NamedTuple):
     """Steps t0 .. t0+n-1 of P lockstep paths, views valid until the loop
     resumes; ``x`` holds x_t0 .. x_{t0+n}."""
@@ -256,13 +267,17 @@ def _block_steps(paths: int, horizon: int) -> int:
     return max(1, min(dynamics.JACOBIAN_BLOCK // paths, horizon))
 
 
-def _storage(model: SystemModel, paths: int, steps: int):
-    """Empty states, symbols and controls for ``steps`` steps."""
-    return (
-        np.empty((paths, steps + 1, model.n)),
-        np.empty((paths, steps), dtype=np.int64),
-        np.empty((paths, steps, model.control_dim)),
-    )
+def _storage(model: SystemModel, paths: int, steps: int, noise_dim: int = 0):
+    """Empty states, noise, symbols and controls; MemoryError if numpy refuses them."""
+    try:
+        return (
+            np.empty((paths, steps + 1, model.n)),
+            np.empty((paths, steps, noise_dim)),
+            np.empty((paths, steps), dtype=np.int64),
+            np.empty((paths, steps, model.control_dim)),
+        )
+    except (ValueError, MemoryError) as exc:  # ValueError: beyond any address space
+        raise MemoryError(f"{paths} paths of {steps} steps cannot be allocated ({exc})") from None
 
 
 def _lockstep(model, policy, x0s, horizon, draw, xs, ws, qs, us) -> Iterator[LoopBlock]:
@@ -312,6 +327,8 @@ def _seeded_blocks(model, policy, noise, init, horizon, seeds, steps):
         raise ValueError(f"noise dim {noise.dim} does not match model noise dim {model.noise_dim}")
     if init.dim != model.n:
         raise ValueError(f"init dim {init.dim} does not match state dim {model.n}")
+    # the arrays first: a path count they cannot hold fails before any per-path work
+    xs, ws, qs, us = _storage(model, len(seeds), steps, noise.dim)
     rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
     x0s = np.array([init.sample(rng, 1)[0] for rng in rngs])
 
@@ -319,8 +336,6 @@ def _seeded_blocks(model, policy, noise, init, horizon, seeds, steps):
         for row, rng in zip(w, rngs):
             row[:] = noise.sample(rng, len(row))
 
-    xs, qs, us = _storage(model, len(seeds), steps)
-    ws = np.empty((len(seeds), steps, noise.dim))
     return _lockstep(model, policy, x0s, horizon, draw, xs, ws, qs, us), (xs, ws, qs, us)
 
 
@@ -379,7 +394,7 @@ def run_closed_loops(
     """
     w_paths = np.asarray(w_paths, dtype=float)
     horizon = w_paths.shape[1]
-    xs, qs, us = _storage(model, len(x0s), horizon)
+    xs, _, qs, us = _storage(model, len(x0s), horizon)
     blocks = _lockstep(model, policy, x0s, horizon, lambda w: None, xs, w_paths, qs, us)
     return _trajectories(blocks, xs, w_paths, qs, us, seeds, horizon)
 
@@ -435,9 +450,7 @@ def batch_rollout(
     """Independent paths stepped together; path k uses the derived seed (base_seed, k)."""
     if n_paths < 1:
         raise ValueError("need at least one path")
-    return _rollouts(
-        model, policy, noise, init, horizon, [path_seed(base_seed, k) for k in range(n_paths)]
-    )
+    return _rollouts(model, policy, noise, init, horizon, PathSeeds(base_seed, n_paths))
 
 
 # --------------------------------------------------------------------------

@@ -7,13 +7,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from quantstab import cli, dynamics, stabilization_entropy
+from quantstab import InitSpec, NoiseSpec, cli, dynamics, null_policy, simulation, stabilization_entropy
 from quantstab.capacity_bounds import refined_bound
 from quantstab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, load_experiment, main
 from quantstab.dynamics import JACOBIAN_BLOCK
@@ -170,6 +171,7 @@ def test_falsify_with_no_finite_determinant_reports_a_sample(tmp_path):
     [
         "x1' = x1/(x2 - x2)",  # numpy: invalid value encountered in divide
         "x1' = 1/(x2 - x2) * x1",  # numpy: divide by zero encountered in divide
+        "x1' = x1/(2-2) + w1",  # a constant that raises: every Jacobian entry is inf
     ],
 )
 def test_falsify_with_a_zero_denominator_jacobian_prints_no_warning(tmp_path, x1):
@@ -343,14 +345,25 @@ def test_bound_surviving_floor_exits_0(tmp_path):
 
 
 def test_bound_frees_the_trajectories_before_the_monte_carlo_pass(tmp_path, monkeypatch):
-    alive = []
+    # only the trajectories made during the run count, not those other tests hold
+    made, alive = [], []  # weak references to the trajectories made
+
+    class Tracked(Trajectory):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
 
     def counting_bound(*args, **kwargs):
         gc.collect()
-        alive.append(sum(isinstance(o, Trajectory) for o in gc.get_objects()))
+        alive.append(sum(ref() is not None for ref in made))
         return refined_bound(*args, **kwargs)
 
+    monkeypatch.setattr(simulation, "Trajectory", Tracked)
     monkeypatch.setattr(cli, "refined_bound", counting_bound)
+    model = dynamics.catalog_model("stable_ar1")
+    seen = simulation.rollout(model, null_policy(2), NoiseSpec.zero(1), InitSpec.fixed([0.0]), 3, 0)
+    assert [ref() for ref in made] == [seen]  # the patch sees the trajectories simulation makes
+    del seen
     cfg = _ar1_config(gamma=[{"p": [1], "c_p": 0.4}], bound={"n_mc": 1000})
     assert main(["bound", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
     assert alive == [0]
@@ -609,6 +622,26 @@ def test_grid_above_the_cell_limit_exits_2(tmp_path, capsys, command, path, valu
     code = _main_without_rollouts([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert f"config error: bad {spec} spec: grid of {2**64} cells exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "bound", "diagnose"])
+def test_paths_beyond_any_address_space_exit_2_before_any_per_path_work(tmp_path, capsys, command):
+    # numpy refuses an array of 2^62 rows whatever the memory: the run's arrays,
+    # allocated before a seed or a generator is made, fail first
+    cfg = _ar1_bound_config()
+    cfg.update(paths=2**62, horizon=2)
+    code = main([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "config error: bad paths: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [_tiny_example2_bound_config, _example1_config])
+def test_quantizer_target_of_the_wrong_length_exits_2(tmp_path, capsys, config):
+    cfg = config()
+    cfg["policy"]["target"] = [0.0, 0.0, 0.0]  # the models have two states
+    code = _main_without_rollouts(["simulate", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "config error: bad policy spec: " in capsys.readouterr().err
 
 
 def _shipped_config(name):

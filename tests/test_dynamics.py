@@ -291,6 +291,32 @@ def test_f_many_constant_that_raises_gives_inf_in_every_row():
     assert out.shape == (3, 1) and np.all(out == np.inf)
 
 
+@pytest.mark.filterwarnings("error")
+def test_jacobian_many_constant_that_raises_gives_inf_in_every_entry():
+    # d x1'/d x1 is the constant 1/(2-2): the Jacobian fails in every row, as f does
+    model = SystemModel.from_text("states 2\nnoise 1\nx1' = x1/(2-2) + w1\nx2' = 0.5*x2 + w1")
+    with pytest.raises(ZeroDivisionError):
+        model.jacobian([1.0, 0.0], [0.0])
+    out = model.jacobian_many(np.array([[1.0, 0.0], [0.0, 2.0], [-2.5, 1.0]]), np.zeros((3, 1)))
+    assert out.shape == (3, 2, 2) and np.all(out == np.inf)
+
+
+@pytest.mark.parametrize("x, w", [([1.0], [0.0]), ([1.0, 0.0], []), ([1.0, 0.0, 2.0], [0.0])])
+def test_jacobian_checks_dimensions_as_f_does(example2, x, w):
+    with pytest.raises(ValueError) as from_f:
+        example2.f(x, w)
+    with pytest.raises(ValueError) as from_jacobian:
+        example2.jacobian(x, w)
+    assert str(from_jacobian.value) == str(from_f.value)
+
+
+def test_jacobian_many_matches_rowwise_jacobian(example2):
+    rng = np.random.default_rng(4)
+    xs, ws = rng.normal(size=(9, 2)), rng.normal(size=(9, 1))
+    rowwise = np.array([example2.jacobian(x, w) for x, w in zip(xs, ws)])
+    assert np.array_equal(example2.jacobian_many(xs, ws), rowwise)
+
+
 # --------------------------------------------------------------------------
 # Log-determinants
 

@@ -16,7 +16,15 @@ from quantstab import (
     uniform_quantizer_policy,
     zoom_policy,
 )
-from quantstab.policies import MAX_CELLS, ZoomState, _cancelling, cell_coords, cell_count, cell_numbers
+from quantstab.policies import (
+    MAX_CELLS,
+    ZoomState,
+    _cancelling,
+    cell_coords,
+    cell_count,
+    cell_numbers,
+    per_axis,
+)
 
 
 # --------------------------------------------------------------------------
@@ -170,6 +178,55 @@ def test_zoom_range_shrinks_in_range_and_grows_on_overflow(doubling):
     q = encoder.encode(1, np.array([100.0]))
     assert q == policy.overflow_symbol
     assert encoder.state.halfwidth == 1.0
+
+
+# --------------------------------------------------------------------------
+# The two grid quantizers share one core: alphabet, target and noise mean
+
+# 2 x 2 cells on example1 (two states, two noise coordinates) either way
+_GRID_QUANTIZERS = {
+    "uniform": lambda model, m=None, **kw: uniform_quantizer_policy(model, -1.0, 1.0, 1, m=m, **kw),
+    "zoom": lambda model, m=5, **kw: zoom_policy(model, m, 0.5, 2.0, 1.0, cells_per_axis=2, **kw),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GRID_QUANTIZERS))
+def test_grid_quantizer_alphabet_too_small_gives_one_message(example1, kind):
+    with pytest.raises(ValueError, match="^4 cells do not fit an alphabet of 4 with overflow reserved$"):
+        _GRID_QUANTIZERS[kind](example1, m=4)
+
+
+@pytest.mark.parametrize("kind", sorted(_GRID_QUANTIZERS))
+@pytest.mark.parametrize("option", ["target", "noise_mean"])
+def test_grid_quantizer_per_axis_option_of_the_wrong_length_is_rejected(example1, kind, option):
+    with pytest.raises(ValueError):
+        _GRID_QUANTIZERS[kind](example1, **{option: [0.0, 0.0, 0.0]})
+
+
+@pytest.mark.parametrize("kind", sorted(_GRID_QUANTIZERS))
+def test_grid_quantizer_scalar_options_broadcast_and_omitted_ones_are_zeros(example1, kind):
+    build = _GRID_QUANTIZERS[kind]
+    policy = build(example1, target=1.5, noise_mean=-0.25)
+    assert policy.target.tolist() == [1.5, 1.5] and policy.noise_mean.tolist() == [-0.25, -0.25]
+    policy = build(example1)
+    assert policy.target.tolist() == [0.0, 0.0] and policy.noise_mean.tolist() == [0.0, 0.0]
+    assert (policy.n_cells, policy.m, policy.overflow_symbol) == (4, 5, 5)
+
+
+def test_per_axis_reads_one_number_or_one_per_axis_into_a_fresh_float_array():
+    values = np.array([1, 2])
+    out = per_axis(values, 2)
+    assert out.dtype == float and out.tolist() == [1.0, 2.0] and not np.shares_memory(out, values)
+    assert per_axis(3, 2).tolist() == [3.0, 3.0]
+    assert per_axis(None, 2, 0.0).tolist() == [0.0, 0.0]
+    assert np.isnan(per_axis(None, 2)).all()  # a required value is never read as 0
+    with pytest.raises(ValueError):
+        per_axis([1.0, 2.0, 3.0], 2)
+
+
+def test_a_missing_required_box_bound_still_fails(doubling):
+    with pytest.raises(ValueError, match="not all finite and positive"):
+        uniform_quantizer_policy(doubling, None, [1.0], [1])
 
 
 # --------------------------------------------------------------------------

@@ -169,3 +169,107 @@ def test_every_output_file_is_written_by_its_format_writer():
         f"{path.name}:{write}" for path in sorted(SRC.glob("*.py")) for write in _file_writes(path.read_text())
     ]
     assert found == ["cli.py:_write_json: open", "simulation.py:write_csv: open"]
+
+
+# --------------------------------------------------------------------------
+# One definition per rule: the compiled model functions reach numbers only
+# through SystemModel's point and column evaluators (and ``f_raw``, the
+# hot-loop entry), and a per-axis value is read only by ``policies.per_axis``.
+
+_COMPILED = {"_f_fn", "_jac_fn"}
+_EVALUATORS = {"_point", "_columns"}
+
+
+def _called_name(node: ast.AST):
+    """The name a call calls, None for anything else."""
+    if not isinstance(node, ast.Call):
+        return None
+    return node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+
+
+def _float_array(call: ast.Call) -> bool:
+    """Whether the first argument of ``call`` is ``asarray(value, float)`` or
+    ``asarray(value, dtype=float)``."""
+    inner = call.args[0] if call.args else None
+    if _called_name(inner) != "asarray":
+        return False
+    dtypes = inner.args[1:] + [k.value for k in inner.keywords]
+    return any(isinstance(d, ast.Name) and d.id == "float" for d in dtypes)
+
+
+def _rule_breaks(source: str) -> list[str]:
+    """``function: what`` for each read of a compiled function that is not an
+    argument of an evaluator nor in ``f_raw``, and each
+    ``broadcast_to(asarray(..., float))`` outside ``per_axis``."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        evaluator = isinstance(node, ast.Call) and _called_name(node) in _EVALUATORS
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr in _COMPILED:
+                passed = evaluator and child in node.args
+                if isinstance(child.ctx, ast.Load) and not passed and where != "f_raw":
+                    found.append(f"{where}: {child.attr}")
+            elif _called_name(child) == "broadcast_to" and where != "per_axis" and _float_array(child):
+                found.append(f"{where}: broadcast_to(asarray(..., float))")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_finds_every_rule_break():
+    source = (
+        "import numpy as np\n"
+        "class M:\n"
+        "    def __init__(self, f):\n        self._f_fn = f\n"
+        "    def f(self, x):\n        return self._point(self._f_fn, x)\n"
+        "    def f_raw(self, *v):\n        return self._f_fn(*v)\n"
+        "    def jacobian(self, x):\n        return self._jac_fn(*x)\n"
+        "    def spare(self):\n        return self._columns(self._f_fn, self._jac_fn(1))\n"
+        "def per_axis(v, n):\n    return np.broadcast_to(np.asarray(v, float), (n,)).copy()\n"
+        "def box(v, n):\n    return np.broadcast_to(np.asarray(v, dtype=float), (n,)), np.broadcast_to(v, (n,))\n"
+        "def bits(v, n):\n    return np.broadcast_to(np.asarray(v, int), (n,))\n"
+    )
+    assert _rule_breaks(source) == [
+        "jacobian: _jac_fn",
+        "spare: _jac_fn",
+        "box: broadcast_to(asarray(..., float))",
+    ]
+
+
+_GRID_FIELDS = {"model", "cells_per_axis", "n_cells", "target", "noise_mean", "overflow_symbol"}
+
+
+def _grid_fields_outside_the_core(source: str) -> list[str]:
+    """``Class: field`` for each grid-quantizer field that a class other than
+    ``_GridQuantizer`` assigns or defines."""
+    found = []
+    for cls in ast.parse(source).body:
+        if not isinstance(cls, ast.ClassDef) or cls.name == "_GridQuantizer":
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                name = node.attr
+            else:
+                name = node.name if isinstance(node, ast.FunctionDef) else None
+            if name in _GRID_FIELDS:
+                found.append(f"{cls.name}: {name}")
+    return found
+
+
+def test_checker_finds_a_grid_field_outside_the_core():
+    source = (
+        "class _GridQuantizer:\n    def __init__(self, m):\n        self.model = m\n"
+        "    def overflow_symbol(self):\n        return 1\n"
+        "class Zoom(_GridQuantizer):\n    def __init__(self, m):\n        self.target = m\n        self.alpha = m\n"
+        "    def overflow_symbol(self):\n        return 2\n"
+    )
+    assert _grid_fields_outside_the_core(source) == ["Zoom: overflow_symbol", "Zoom: target"]
+
+
+def test_every_rule_is_defined_once():
+    found = [f"{path.name}:{what}" for path in sorted(SRC.glob("*.py")) for what in _rule_breaks(path.read_text())]
+    assert found == []
+    assert _grid_fields_outside_the_core((SRC / "policies.py").read_text()) == []
