@@ -75,7 +75,6 @@ from .stabilization_entropy import (
     EntropyPoint,
     NoCandidatesError,
     ScenarioSet,
-    SpanningInstance,
     SpanningTemplate,
     ThresholdConstraintError,
     build_R_epsilon,

@@ -52,6 +52,7 @@ from .simulation import (
     NoiseSpec,
     PathSeeds,
     batch_rollout,
+    check_storage,
     closed_loop_blocks,
     summarize_divergence,
     trajectory_to_csv,
@@ -495,6 +496,12 @@ def cmd_bound(exp: Experiment, out: Path, verbose: bool) -> int:
         sampler = _construct(
             "falsify spec", default_falsification_sampler, exp.model, halfwidth, cauchy_fraction
         )
+        # paths the rollout cannot hold fail before falsification writes its file; the arrays
+        # are freed at once, since arrays held across falsification raise its peak
+        try:
+            check_storage(exp.model, exp.noise, exp.horizon, exp.paths)
+        except MemoryError as exc:
+            raise ConfigError(f"bad paths: {exc}") from None
         falsification = []
         subsets = exp.gamma.subsets
         results = falsify_floors(exp.model, subsets, sampler, n=samples, seed=mc_seed)
@@ -564,6 +571,8 @@ def cmd_entropy(exp: Experiment, out: Path, verbose: bool) -> int:
     if section is None:
         raise ConfigError("the entropy subcommand needs an 'entropy' section")
     horizons = section.get("horizons", _list(_count))
+    if not horizons:
+        raise ConfigError("entropy.horizons must list at least one horizon")
     n_scenarios = section.get("scenarios", _count)
     thresholds = section.get("thresholds", _string, "lemma")
     if thresholds not in ("lemma", "vacuous"):

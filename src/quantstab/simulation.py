@@ -32,6 +32,7 @@ __all__ = [
     "rollout",
     "batch_rollout",
     "closed_loop_blocks",
+    "check_storage",
     "run_closed_loop",
     "run_closed_loops",
     "path_seed",
@@ -354,6 +355,12 @@ def closed_loop_blocks(
     return _seeded_blocks(
         model, policy, noise, init, horizon, seeds, _block_steps(len(seeds), horizon)
     )[0]
+
+
+def check_storage(model: SystemModel, noise: NoiseSpec, horizon: int, paths: int) -> None:
+    """Allocate and free the arrays :func:`closed_loop_blocks` steps ``paths``
+    paths in: its MemoryError for a count they cannot hold, without its work."""
+    _storage(model, paths, _block_steps(paths, horizon), noise.dim)
 
 
 def _trajectories(blocks, xs, ws, qs, us, seeds, horizon) -> list[Trajectory]:

@@ -18,8 +18,10 @@ few candidates span.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -43,7 +45,6 @@ __all__ = [
     "ThresholdConstraintError",
     "NoCandidatesError",
     "SpanningTemplate",
-    "SpanningInstance",
     "ScenarioSet",
     "CandidateControls",
     "EntropyPoint",
@@ -68,15 +69,11 @@ class NoCandidatesError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# Instances, scenarios, candidates
-
-def _noise_cell_count(partition: Optional[Partition]) -> int:
-    return 1 if partition is None else partition.n_boxes
-
+# The spanning problem, scenarios, candidates
 
 def _noise_cells(partition: Optional[Partition], ws: np.ndarray) -> np.ndarray:
-    """Noise cell of each row of ``ws``; ``_noise_cell_count(partition)`` where
-    the row is in no cell.
+    """Noise cell of each row of ``ws``; the partition's cell count (1 without
+    one) where the row is in no cell.
 
     Without a partition there is one cell, holding every row below +inf on
     every axis (``nan`` and ``+inf`` rows lie in no cell).
@@ -88,7 +85,9 @@ def _noise_cells(partition: Optional[Partition], ws: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpanningTemplate:
-    """Everything an instance needs except the horizon and the thresholds.
+    """A spanning problem without its thresholds: with thresholds over its
+    joint cells (``check_thresholds``) it is one problem, at the horizon of
+    the scenarios it is judged on.
 
     The joint cells are the in-box cells of ``state_partition`` times those of
     ``noise_partition`` (``None``: the whole noise space as one cell).
@@ -105,22 +104,18 @@ class SpanningTemplate:
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
 
+    @property
+    def cells(self) -> tuple[int, int]:
+        """Shape of the joint cells: (state cells, noise cells)."""
+        noise = 1 if self.noise_partition is None else self.noise_partition.n_boxes
+        return self.state_partition.n_boxes, noise
 
-@dataclass(frozen=True)
-class SpanningInstance:
-    """A concrete spanning problem: horizon, partitions, rho and thresholds."""
-
-    horizon: int
-    state_partition: Partition
-    noise_partition: Optional[Partition]  # None: the whole noise space as one cell
-    rho: float
-    thresholds: np.ndarray  # (state cells, noise cells) values r_{j,l} in [0, 1]
-
-    def __post_init__(self):
-        r = np.asarray(self.thresholds, float)
-        shape = (self.state_partition.n_boxes, _noise_cell_count(self.noise_partition))
-        if r.shape != shape:
-            raise ValueError(f"thresholds must have shape {shape}, got {r.shape}")
+    def check_thresholds(self, thresholds) -> np.ndarray:
+        """``thresholds`` as floats r_{j,l}, one per joint cell; raises unless
+        each lies in [0, 1] and so does the sum of (1 - r)."""
+        r = np.asarray(thresholds, float)
+        if r.shape != self.cells:
+            raise ValueError(f"thresholds must have shape {self.cells}, got {r.shape}")
         if np.any(r < -1e-12) or np.any(r > 1.0 + 1e-12):
             raise ThresholdConstraintError("every threshold must lie in [0, 1]")
         slack = float(np.sum(1.0 - r))
@@ -128,11 +123,7 @@ class SpanningInstance:
             raise ThresholdConstraintError(
                 f"sum of (1 - r) over all cells is {slack}, outside [0, 1]"
             )
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        if not (0.0 < self.rho < 1.0):
-            raise ValueError("rho must lie in (0, 1)")
-        object.__setattr__(self, "thresholds", r)
+        return r
 
 
 @dataclass(frozen=True)
@@ -141,6 +132,10 @@ class ScenarioSet:
 
     x0s: np.ndarray  # (n, N)
     ws: np.ndarray  # (n, T, K)
+
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise ValueError("horizon must be at least 1")
 
     @classmethod
     def sample(
@@ -275,7 +270,7 @@ def _lockstep_states(
 
 
 def _satisfied(
-    states: np.ndarray, f_idx: np.ndarray, instance: SpanningInstance
+    states: np.ndarray, f_idx: np.ndarray, template: SpanningTemplate, thresholds: np.ndarray
 ) -> np.ndarray:
     """Per-row frequency satisfaction for states (P, T, N) and noise cells (P, T).
 
@@ -284,46 +279,41 @@ def _satisfied(
     "in no cell" index, whose counts are then dropped.
     """
     pairs, horizon, n = states.shape
-    n_s, n_f = instance.thresholds.shape
-    s_idx = instance.state_partition.cell_indices(states.reshape(pairs * horizon, n))
+    n_s, n_f = thresholds.shape
+    s_idx = template.state_partition.cell_indices(states.reshape(pairs * horizon, n))
     n_cells = (n_s + 1) * (n_f + 1)
     key = np.repeat(np.arange(pairs) * n_cells, horizon) + s_idx * (n_f + 1) + f_idx.reshape(-1)
     counts = np.bincount(key, minlength=pairs * n_cells).reshape(pairs, n_s + 1, n_f + 1)
-    limit = 1.0 - instance.thresholds - 1e-12
+    limit = 1.0 - thresholds - 1e-12
     return np.all(counts[:, :n_s, :n_f] / horizon >= limit, axis=(1, 2))
 
 
 def satisfaction_matrix(
     model: SystemModel,
     candidates: CandidateControls,
-    instance: SpanningInstance,
+    template: SpanningTemplate,
+    thresholds: np.ndarray,
     scenarios: ScenarioSet,
 ) -> np.ndarray:
-    """Boolean (candidate, scenario) matrix of frequency satisfaction.
+    """Boolean (candidate, scenario) matrix of frequency satisfaction at the
+    scenarios' horizon, for ``thresholds`` over the template's joint cells.
 
-    Blocks of candidates are paired with every scenario and stepped in
-    lockstep, candidate-major: at most ``PAIR_BLOCK`` pairs at a time, or one
-    candidate's pairs when there are more scenarios than that.
+    The pairs are taken candidate-major and stepped in lockstep, exactly
+    ``PAIR_BLOCK`` at a time (the last block fewer), so memory does not grow
+    with the number of scenarios.
     """
-    n_cand, n_scen = candidates.count, scenarios.count
-    out = np.zeros((n_cand, n_scen), dtype=bool)
-    T = instance.horizon
-    f_idx = _noise_cells(
-        instance.noise_partition, scenarios.ws[:, :T].reshape(n_scen * T, scenarios.ws.shape[2])
-    ).reshape(n_scen, T)
-    block = max(1, PAIR_BLOCK // max(1, n_scen))
-    for lo in range(0, n_cand, block):
-        seqs = candidates.sequences[lo: lo + block]
-        k = len(seqs)
+    r = template.check_thresholds(thresholds)
+    n_scen, T = scenarios.count, scenarios.horizon
+    flat_ws = scenarios.ws.reshape(n_scen * T, scenarios.ws.shape[2])
+    f_idx = _noise_cells(template.noise_partition, flat_ws).reshape(n_scen, T)
+    out = np.empty(candidates.count * n_scen, dtype=bool)
+    for lo in range(0, len(out), PAIR_BLOCK):
+        cand, scen = np.divmod(np.arange(lo, min(lo + PAIR_BLOCK, len(out))), n_scen)
         states = _lockstep_states(
-            model,
-            np.tile(scenarios.x0s, (k, 1)),
-            np.tile(scenarios.ws, (k, 1, 1)),
-            np.repeat(seqs, n_scen, axis=0),
-            T,
+            model, scenarios.x0s[scen], scenarios.ws[scen], candidates.sequences[cand], T
         )
-        out[lo: lo + k] = _satisfied(states, np.tile(f_idx, (k, 1)), instance).reshape(k, n_scen)
-    return out
+        out[lo: lo + len(scen)] = _satisfied(states, f_idx[scen], template, r)
+    return out.reshape(candidates.count, n_scen)
 
 
 # --------------------------------------------------------------------------
@@ -354,17 +344,16 @@ def min_cover_cardinality(
         union |= m
     if union.bit_count() < needed:
         return math.inf
+    # all rows cover: exact finds some k <= n_rows, and every greedy pick gains
     if mode == "exact":
         if n_rows > EXACT_MODE_LIMIT:
             raise ValueError(f"exact mode is limited to {EXACT_MODE_LIMIT} candidates")
-        for k in range(1, n_rows + 1):
-            for combo in itertools.combinations(range(n_rows), k):
-                acc = 0
-                for i in combo:
-                    acc |= masks[i]
-                if acc.bit_count() >= needed:
-                    return k
-        return math.inf  # unreachable given the union check
+        return next(
+            k
+            for k in range(1, n_rows + 1)
+            for combo in itertools.combinations(masks, k)
+            if functools.reduce(operator.or_, combo).bit_count() >= needed
+        )
     if mode != "greedy":
         raise ValueError(f"unknown mode {mode!r}")
     covered = 0
@@ -372,8 +361,6 @@ def min_cover_cardinality(
     while covered.bit_count() < needed:
         gains = [(masks[i] | covered).bit_count() for i in range(n_rows)]
         best = int(np.argmax(gains))  # ties resolve to the lowest index
-        if gains[best] == covered.bit_count():
-            return math.inf  # unreachable given the union check
         covered |= masks[best]
         chosen += 1
     return chosen
@@ -398,7 +385,7 @@ class EntropyPoint:
 
 def _noise_weights(scenarios: ScenarioSet, template: SpanningTemplate) -> np.ndarray:
     flat = scenarios.ws.reshape(scenarios.count * scenarios.horizon, scenarios.ws.shape[2])
-    n_f = _noise_cell_count(template.noise_partition)
+    n_f = template.cells[1]
     counts = np.bincount(_noise_cells(template.noise_partition, flat), minlength=n_f + 1)
     return counts[:n_f] / len(flat)
 
@@ -433,26 +420,17 @@ def entropy_rate(
         scen = ScenarioSet.sample(init, noise, horizon, n_scenarios, seed=(seed, horizon))
         candidates, trajs = closed_loop_candidates(model, policy, scen)
         if thresholds == "vacuous":
-            r = np.ones(
-                (template.state_partition.n_boxes, _noise_cell_count(template.noise_partition))
-            )
+            r = np.ones(template.cells)
         else:
             burn = int(burn_in_fraction * horizon)
             # the in-box masses of the closed loop's empirical measure
             q_weights = empirical_measure(trajs, template.state_partition, burn).weights[:-1]
             nu_weights = _noise_weights(scen, template)
             r = build_R_epsilon(q_weights, nu_weights, template.epsilon)
-        instance = SpanningInstance(
-            horizon=horizon,
-            state_partition=template.state_partition,
-            noise_partition=template.noise_partition,
-            rho=template.rho,
-            thresholds=r,
-        )
-        matrix = satisfaction_matrix(model, candidates, instance, scen)
+        matrix = satisfaction_matrix(model, candidates, template, r, scen)
         if matrix_sink is not None:
             matrix_sink[horizon] = matrix
-        needed = _needed_count(scen.count, instance.rho)
+        needed = _needed_count(scen.count, template.rho)
         s = min_cover_cardinality(matrix, needed, mode="greedy")
         covered = float(np.mean(np.any(matrix, axis=0)))
         rate = math.log2(s) / horizon if s != math.inf else math.inf

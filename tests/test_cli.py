@@ -633,6 +633,7 @@ def test_paths_beyond_any_address_space_exit_2_before_any_per_path_work(tmp_path
     code = main([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "config error: bad paths: " in capsys.readouterr().err
+    assert list((tmp_path / "o").iterdir()) == []  # bound's falsification did not run first
 
 
 @pytest.mark.parametrize("config", [_tiny_example2_bound_config, _example1_config])
@@ -880,7 +881,7 @@ def test_entropy_epsilon_too_large_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "setting",
-    [{"thresholds": "lemmas"}, {"scenarios": 0}, {"horizons": [4, 0]}, {"split": 2}],
+    [{"thresholds": "lemmas"}, {"scenarios": 0}, {"horizons": [4, 0]}, {"horizons": []}, {"split": 2}],
 )
 def test_entropy_bad_setting_is_config_error_before_any_simulation(tmp_path, capsys, setting):
     config = _write(tmp_path, _zoom_entropy_config(**setting))

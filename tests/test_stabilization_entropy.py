@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,6 @@ from quantstab import (
     NoiseSpec,
     Partition,
     ScenarioSet,
-    SpanningInstance,
     SpanningTemplate,
     SystemModel,
     ThresholdConstraintError,
@@ -146,21 +146,30 @@ def test_thresholds_validate_masses():
 
 
 def test_instance_threshold_constraints_checked():
-    part = Partition(low=[0.0], high=[1.0], cells_per_axis=(2,))
+    template = SpanningTemplate(Partition(low=[0.0], high=[1.0], cells_per_axis=(2,)), None, 0.5, 0.1)
     with pytest.raises(ThresholdConstraintError):
-        SpanningInstance(4, part, None, 0.5, np.full((2, 1), 0.2))  # sum(1-r) = 1.6
+        template.check_thresholds(np.full((2, 1), 0.2))  # sum(1-r) = 1.6
     with pytest.raises(ValueError, match="shape"):
-        SpanningInstance(4, part, None, 0.5, np.full((2, 1, 1), 0.6))
-    ok = SpanningInstance(4, part, None, 0.5, np.full((2, 1), 0.6))
-    assert ok.thresholds.shape == (2, 1)
+        template.check_thresholds(np.full((2, 1, 1), 0.6))
+    ok = template.check_thresholds(np.full((2, 1), 0.6))
+    assert ok.shape == (2, 1)
+    with pytest.raises(ThresholdConstraintError, match="lie in"):
+        template.check_thresholds([[1.0], [1.0 + 1e-9]])
+    assert template.check_thresholds([[1.0], [1.0 + 1e-13]]).dtype == float
+    with pytest.raises(ValueError, match="rho"):
+        SpanningTemplate(template.state_partition, None, 1.0, 0.1)
+    with pytest.raises(ValueError, match="horizon"):
+        ScenarioSet(np.zeros((1, 1)), np.zeros((1, 0, 1)))
 
 
 # --------------------------------------------------------------------------
 # Frequency satisfaction
 
-def _trivial_instance(thresholds, horizon=10):
+def _trivial_instance(thresholds):
+    """Two state cells on [-1, 1), the whole noise space as one cell, and
+    ``thresholds``: a template and its thresholds."""
     part = Partition(low=[-1.0], high=[1.0], cells_per_axis=(2,))
-    return SpanningInstance(horizon, part, None, 0.5, np.asarray(thresholds, float))
+    return SpanningTemplate(part, None, 0.5, 0.1), np.asarray(thresholds, float)
 
 
 def _satisfies(model, u_seq, scenario, inst):
@@ -168,7 +177,7 @@ def _satisfies(model, u_seq, scenario, inst):
     x0, w_path = scenario
     one = ScenarioSet(np.asarray(x0, float)[None], np.asarray(w_path, float)[None])
     candidate = CandidateControls(np.asarray(u_seq, float)[None])
-    return bool(satisfaction_matrix(model, candidate, inst, one)[0, 0])
+    return bool(satisfaction_matrix(model, candidate, *inst, one)[0, 0])
 
 
 def _states(model, x0, w_path, u_seq, horizon):
@@ -196,11 +205,11 @@ def test_vacuous_thresholds_accept_anything():
 def test_insufficient_frequency_fails():
     # next state equals the noise, so the visited cells follow the noise path
     model = SystemModel.from_text("states 1\nnoise 1\nx1' = 0*x1 + w1")
-    inst = _trivial_instance([[1.0], [0.5]], horizon=10)  # need freq >= 0.5 in cell 1
+    inst = _trivial_instance([[1.0], [0.5]])  # need freq >= 0.5 in cell 1
     w = np.array([0.5, 0.5, 0.5, -1, -1, -1, -1, -1, -1, -1])[:, None]
     scenario = (np.array([0.5]), w)  # states: 0.5, 0.5, 0.5, 0.5, -1 ... -> 4/10 in cell 1
     assert not _satisfies(model, np.zeros((10, 1)), scenario, inst)
-    relaxed = _trivial_instance([[1.0], [0.6]], horizon=10)  # need only 0.4
+    relaxed = _trivial_instance([[1.0], [0.6]])  # need only 0.4
     assert _satisfies(model, np.zeros((10, 1)), scenario, relaxed)
 
 
@@ -211,8 +220,8 @@ def test_relaxing_thresholds_preserves_satisfaction():
         w = rng.uniform(-1, 1, (8, 1))
         scenario = (rng.uniform(-1, 1, 1), w)
         r = rng.uniform(0.5, 1.0, (2, 1))
-        tight = _trivial_instance(r, horizon=8)
-        loose = _trivial_instance(np.minimum(r + 0.2, 1.0), horizon=8)
+        tight = _trivial_instance(r)
+        loose = _trivial_instance(np.minimum(r + 0.2, 1.0))
         u = np.zeros((8, 1))
         if _satisfies(model, u, scenario, tight):
             assert _satisfies(model, u, scenario, loose)
@@ -244,25 +253,25 @@ def test_open_loop_blowup_lands_outside_all_cells(example2):
 
 def test_empty_candidate_set_never_spans():
     model = SystemModel.from_text("states 1\nnoise 1\nx1' = x1 + 0*w1")
-    inst = _trivial_instance([[1.0], [1.0]], horizon=5)
+    template, r = _trivial_instance([[1.0], [1.0]])
     scen = ScenarioSet.sample(InitSpec.fixed([0.5]), NoiseSpec.zero(1), 5, 4, seed=0)
     empty = CandidateControls(sequences=np.zeros((0, 5, 1)))
-    matrix = satisfaction_matrix(model, empty, inst, scen)
+    matrix = satisfaction_matrix(model, empty, template, r, scen)
     assert matrix.shape == (0, 4)
     assert not matrix.any(axis=0).any()
-    needed = _needed_count(scen.count, inst.rho)
+    needed = _needed_count(scen.count, template.rho)
     assert min_cover_cardinality(matrix, needed, mode="greedy") == math.inf
     assert min_cover_cardinality(matrix, needed, mode="exact") == math.inf
 
 
 def test_single_covering_candidate_spans_fully():
     model = SystemModel.from_text("states 1\nnoise 1\nx1' = x1 + 0*w1")
-    inst = _trivial_instance([[1.0], [1.0]], horizon=5)
+    template, r = _trivial_instance([[1.0], [1.0]])
     scen = ScenarioSet.sample(InitSpec.fixed([0.5]), NoiseSpec.zero(1), 5, 4, seed=0)
     one = CandidateControls(sequences=np.zeros((1, 5, 1)))
-    matrix = satisfaction_matrix(model, one, inst, scen)
+    matrix = satisfaction_matrix(model, one, template, r, scen)
     assert matrix.any(axis=0).mean() == 1.0
-    needed = _needed_count(scen.count, inst.rho)
+    needed = _needed_count(scen.count, template.rho)
     assert min_cover_cardinality(matrix, needed, mode="greedy") == 1
     assert min_cover_cardinality(matrix, needed, mode="exact") == 1
 
@@ -294,9 +303,8 @@ def test_lemma_construction_spans_for_stable_null_loop(ar1):
 
     q_weights = empirical_measure(trajs, template.state_partition, 0).weights[:-1]
     r = build_R_epsilon(q_weights, _noise_weights(scen, template), 0.1)
-    inst = SpanningInstance(horizon, template.state_partition, None, 0.5, r)
-    matrix = satisfaction_matrix(ar1, candidates, inst, scen)
-    assert min_cover_cardinality(matrix, _needed_count(scen.count, inst.rho)) == 1
+    matrix = satisfaction_matrix(ar1, candidates, template, r, scen)
+    assert min_cover_cardinality(matrix, _needed_count(scen.count, template.rho)) == 1
     assert matrix.any(axis=0).mean() > 0.5
 
 
@@ -350,13 +358,13 @@ def test_infeasible_returns_infinity():
 def test_enlarging_candidate_set_never_reduces_coverage():
     rng = np.random.default_rng(7)
     model = SystemModel.from_text("states 1\nnoise 1\nx1' = 0*x1 + w1")
-    inst = _trivial_instance([[1.0], [0.7]], horizon=6)
+    inst = _trivial_instance([[1.0], [0.7]])
     scen = ScenarioSet.sample(InitSpec.uniform_box([-1], [1]), NoiseSpec.uniform(1, -1, 1), 6, 10, seed=1)
     seqs = rng.uniform(-1, 1, (6, 6, 1))
     small = CandidateControls(seqs[:3])
     large = CandidateControls(seqs)
-    frac_small = satisfaction_matrix(model, small, inst, scen).any(axis=0).mean()
-    frac_large = satisfaction_matrix(model, large, inst, scen).any(axis=0).mean()
+    frac_small = satisfaction_matrix(model, small, *inst, scen).any(axis=0).mean()
+    frac_large = satisfaction_matrix(model, large, *inst, scen).any(axis=0).mean()
     assert frac_large >= frac_small
 
 
@@ -423,8 +431,7 @@ def test_closed_loop_candidates_step_scenarios_as_single_loops(doubling):
 def test_satisfaction_matrix_shape(ar1):
     scen = ScenarioSet.sample(InitSpec.fixed([0.0]), NoiseSpec.gaussian(1), 4, 5, seed=0)
     candidates, _ = closed_loop_candidates(ar1, null_policy(2, 1), scen)
-    inst = _trivial_instance([[1.0], [1.0]], horizon=4)
-    matrix = satisfaction_matrix(ar1, candidates, inst, scen)
+    matrix = satisfaction_matrix(ar1, candidates, *_trivial_instance([[1.0], [1.0]]), scen)
     assert matrix.shape == (1, 5)
     assert matrix.all()
 
@@ -455,22 +462,22 @@ def _oracle_cell(part, point):
     return _oracle_grid_cell(part.low, part.high, part.cells_per_axis, point)
 
 
-def _oracle_matrix(model, candidates, inst, scen):
-    T = inst.horizon
+def _oracle_matrix(model, candidates, template, thresholds, scen):
+    T = scen.horizon
     out = np.zeros((candidates.count, scen.count), dtype=bool)
     for i in range(candidates.count):
         for j in range(scen.count):
             x0, w_path = scen.x0s[j], scen.ws[j]
             states = _oracle_states(model, x0, w_path, candidates.sequences[i], T)
-            counts = np.zeros(inst.thresholds.shape)
+            counts = np.zeros(thresholds.shape)
             for t in range(T):
                 cell = (
-                    _oracle_cell(inst.state_partition, states[t]),
-                    _oracle_cell(inst.noise_partition, w_path[t]),
+                    _oracle_cell(template.state_partition, states[t]),
+                    _oracle_cell(template.noise_partition, w_path[t]),
                 )
                 if min(cell) >= 0:
                     counts[cell] += 1
-            out[i, j] = np.all(counts / T >= 1.0 - inst.thresholds - 1e-12)
+            out[i, j] = np.all(counts / T >= 1.0 - thresholds - 1e-12)
     return out
 
 
@@ -487,7 +494,7 @@ def _grid(dim, cells):
     return Partition(low=[-2.0] * dim, high=[2.0] * dim, cells_per_axis=cells)
 
 
-def _lockstep_instance(model, horizon, targets, noise_grid=True):
+def _lockstep_instance(model, targets, noise_grid=True):
     """Two cells on every state axis; two noise cells on the first noise axis,
     or without ``noise_grid`` the whole noise space as one cell.
 
@@ -499,7 +506,7 @@ def _lockstep_instance(model, horizon, targets, noise_grid=True):
     r = np.ones(shape[0] * shape[1])
     for cell, level in targets:
         r[cell % len(r)] = level
-    return SpanningInstance(horizon, state, noise, 0.5, r.reshape(shape))
+    return SpanningTemplate(state, noise, 0.5, 0.1), r.reshape(shape)
 
 
 def _full_arrays(shape, elements):
@@ -527,11 +534,11 @@ def _lockstep_cases(draw):
     return model, CandidateControls(seqs), targets, ScenarioSet(x0s, ws), block
 
 
-def _pinned_case(name, horizon, n_cand, block):
+def _pinned_case(name, horizon, n_cand, block, n_scen=2):
     model = _lockstep_model(name)
     rng = np.random.default_rng(horizon * 10 + n_cand)
-    x0s = rng.choice([-1.0, 0.0, 0.5, 1.2], size=(2, model.n))
-    scen = ScenarioSet(x0s, rng.uniform(-2.5, 2.5, (2, horizon, model.noise_dim)))
+    x0s = rng.choice([-1.0, 0.0, 0.5, 1.2], size=(n_scen, model.n))
+    scen = ScenarioSet(x0s, rng.uniform(-2.5, 2.5, (n_scen, horizon, model.noise_dim)))
     seqs = rng.choice([-1e308, -0.7, 0.0, 0.3, 1e308], size=(n_cand, horizon, model.control_dim))
     targets = [[(cell, 0.8)] for cell in range(8)] + [[(2, 0.7), (5, 0.9)]]
     return model, CandidateControls(seqs), targets, scen, block
@@ -542,17 +549,18 @@ def _pinned_case(name, horizon, n_cand, block):
 @example(_pinned_case("scalar_doubling", 1, 4, 512))  # T = 1: only x_0 and w_0 count
 @example(_pinned_case("example1", 5, 0, 512))  # no candidates
 @example(_pinned_case("example1", 5, 7, 6))  # 3 candidates per block; 7 is no multiple
+@example(_pinned_case("example1", 4, 3, 5, n_scen=7))  # blocks of 5 split each candidate's 7 scenarios
 @example(_pinned_case("dsl", 4, 5, 4))  # zero x2 starts and +-1e308 controls blow up
 def test_lockstep_matrix_matches_scalar_oracle(case):
     model, candidates, targets, scen, block = case
     horizon = scen.horizon
     # the whole noise space as one cell, then a noise grid for every target set
     for cells, noise_grid in [(targets[-1], False)] + [(cells, True) for cells in targets]:
-        inst = _lockstep_instance(model, horizon, cells, noise_grid)
+        inst = _lockstep_instance(model, cells, noise_grid)
         with mock.patch.object(stabilization_entropy, "PAIR_BLOCK", block):
-            matrix = satisfaction_matrix(model, candidates, inst, scen)
+            matrix = satisfaction_matrix(model, candidates, *inst, scen)
         assert matrix.shape == (candidates.count, scen.count)
-        assert np.array_equal(matrix, _oracle_matrix(model, candidates, inst, scen))
+        assert np.array_equal(matrix, _oracle_matrix(model, candidates, *inst, scen))
     for i, j in itertools.product(range(candidates.count), range(scen.count)):
         x0, w_path = scen.x0s[j], scen.ws[j]
         u = candidates.sequences[i]
@@ -573,6 +581,35 @@ def test_lockstep_states_bitwise_at_full_block(name):
     states = stabilization_entropy._lockstep_states(model, x0s, ws, us, horizon)
     for p in range(pairs):
         assert np.array_equal(states[p], _oracle_states(model, x0s[p], ws[p], us[p], horizon))
+
+
+def _matrix_peak(model, template, r, candidates, scen):
+    """tracemalloc's peak over one ``satisfaction_matrix`` call, in bytes."""
+    tracemalloc.start()
+    try:
+        satisfaction_matrix(model, candidates, template, r, scen)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_matrix_memory_does_not_grow_with_the_scenario_count():
+    # above PAIR_BLOCK scenarios a block of whole candidates would hold every
+    # scenario of one, and its per-pair cell counts with it
+    model = catalog_model("example1")
+    state = Partition(low=[-2.0] * 2, high=[2.0] * 2, cells_per_axis=(16, 16))
+    noise = Partition(low=[-1.0] * model.noise_dim, high=[1.0] * model.noise_dim, cells_per_axis=(2,) * model.noise_dim)
+    template = SpanningTemplate(state, noise, 0.5, 0.1)
+    r = np.ones(template.cells)
+    rng = np.random.default_rng(5)
+    candidates = CandidateControls(rng.uniform(-0.5, 0.5, (3, 6, model.control_dim)))
+    count = 600
+    assert count > stabilization_entropy.PAIR_BLOCK
+    peaks = []
+    for n in (count, 4 * count):
+        scen = ScenarioSet(rng.uniform(-1.0, 1.0, (n, model.n)), rng.uniform(-0.5, 0.5, (n, 6, model.noise_dim)))
+        peaks.append(_matrix_peak(model, template, r, candidates, scen))
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 # --------------------------------------------------------------------------

@@ -273,3 +273,42 @@ def test_every_rule_is_defined_once():
     found = [f"{path.name}:{what}" for path in sorted(SRC.glob("*.py")) for what in _rule_breaks(path.read_text())]
     assert found == []
     assert _grid_fields_outside_the_core((SRC / "policies.py").read_text()) == []
+
+
+# --------------------------------------------------------------------------
+# Two stepping loops: only simulation._lockstep and the entropy's open-loop
+# stepping (stabilization_entropy._lockstep_states) step many rows through
+# SystemModel.step_many; simulation.step is its one-row case.
+
+def _step_many_callers(source: str) -> list[str]:
+    """The innermost enclosing function of each ``step_many`` call, ``<module>``
+    outside any."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if _called_name(child) == "step_many":
+                found.append(where)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_finds_every_step_many_call():
+    source = (
+        "class M:\n    def step_many(self, x, w, u):\n        return x\n"
+        "def loop(m, x):\n    for _ in range(3):\n        x = m.step_many(x, x, x)\n"
+        "    def inner():\n        return step_many(x, x, x)\n    return inner\n"
+        "def spare(m):\n    return m.step_many\n"
+        "M().step_many(1, 2, 3)\n"
+    )
+    assert _step_many_callers(source) == ["loop", "inner", "<module>"]
+
+
+def test_only_the_stepping_loops_call_step_many():
+    found = [
+        f"{path.name}:{where}" for path in sorted(SRC.glob("*.py")) for where in _step_many_callers(path.read_text())
+    ]
+    assert found == ["simulation.py:step", "simulation.py:_lockstep", "stabilization_entropy.py:_lockstep_states"]
