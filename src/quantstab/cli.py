@@ -31,7 +31,6 @@ from .dynamics import (  # noqa: F401
     SingularMatrixError,
     SystemModel,
     catalog_model,
-    catalog_names,
     default_falsification_sampler,
     falsify_floors,
     gamma_falsify,
@@ -237,10 +236,11 @@ def _objects(value, key: str) -> list[_Section]:
 
 
 def _construct(what: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, its ValueError a config error about ``what``."""
+    """``build(*args, **kwargs)``, its ValueError or MemoryError (a size the
+    config asks for that cannot be allocated) a config error about ``what``."""
     try:
         return build(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
@@ -252,11 +252,7 @@ def _build_model(section: _Section) -> SystemModel:
         raise ConfigError("model needs exactly one of 'catalog' or 'dsl'")
     if text is not None:
         return _construct("model text", SystemModel.from_text, text, name="dsl")
-    if name not in catalog_names():
-        raise ConfigError(
-            f"unknown catalog model {name!r}; available: {', '.join(catalog_names())}"
-        )
-    return catalog_model(name)
+    return _construct("model.catalog", catalog_model, name)
 
 
 def _build_noise(section: _Section) -> NoiseSpec:
@@ -498,10 +494,7 @@ def cmd_bound(exp: Experiment, out: Path, verbose: bool) -> int:
         )
         # paths the rollout cannot hold fail before falsification writes its file; the arrays
         # are freed at once, since arrays held across falsification raise its peak
-        try:
-            check_storage(exp.model, exp.noise, exp.horizon, exp.paths)
-        except MemoryError as exc:
-            raise ConfigError(f"bad paths: {exc}") from None
+        _construct("paths", check_storage, exp.model, exp.noise, exp.horizon, exp.paths)
         falsification = []
         subsets = exp.gamma.subsets
         results = falsify_floors(exp.model, subsets, sampler, n=samples, seed=mc_seed)
@@ -606,6 +599,8 @@ def cmd_entropy(exp: Experiment, out: Path, verbose: bool) -> int:
         )
     except ThresholdConstraintError as exc:
         raise ConfigError(f"entropy thresholds: {exc}") from exc
+    except MemoryError as exc:
+        raise ConfigError(f"bad entropy.scenarios: {exc}") from None
     except NoCandidatesError as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .model_dsl import ExprAst, ModelSource, compile_exprs, differentiate, parse_model
+from .model_dsl import ModelSource, compile_exprs, differentiate, parse_model
 
 __all__ = [
     "SystemModel",
@@ -74,53 +74,32 @@ class NonFiniteMatrixError(SingularMatrixError, ValueError):
 # System model
 
 class SystemModel:
-    """One-step dynamics ``f(x, w)`` plus control matrix B, compiled from DSL
-    expressions with their symbolic Jacobian.
+    """One-step dynamics ``f(x, w)`` plus control matrix B, compiled from a
+    parsed DSL declaration together with its symbolic Jacobian, so the
+    Jacobian is always that of the ``f`` simulated.
 
-    Instances are immutable after construction and safe to share across
-    parallel workers.
+    Instances are immutable after construction.
     """
 
-    def __init__(
-        self,
-        *,
-        name: str,
-        n: int,
-        control_dim: int,
-        noise_dim: int,
-        b: np.ndarray,
-        f_fn: Callable,
-        jac_fn: Callable,
-        exprs: tuple[ExprAst, ...],
-    ):
+    def __init__(self, source: ModelSource, name: str = "dsl"):
         self.name = name
-        self.n = n
-        self.control_dim = control_dim
-        self.noise_dim = noise_dim
-        self.b = np.asarray(b, dtype=float).reshape(n, control_dim)
+        self.n = source.n
+        self.control_dim = source.control_dim
+        self.noise_dim = source.noise_dim
+        self.b = source.b
         self.b_pinv = np.linalg.pinv(self.b)
-        self._f_fn = f_fn
-        self._jac_fn = jac_fn
-        self.exprs = exprs
-
-    @classmethod
-    def from_source(cls, source: ModelSource, name: str = "dsl") -> "SystemModel":
-        """Build from a parsed declaration; Jacobian by symbolic differentiation."""
-        f_fn = compile_exprs(source.exprs, source.n, source.noise_dim, name="_f")
+        self.exprs = source.exprs
+        self._f_fn = compile_exprs(source.exprs, source.n, source.noise_dim, name="_f")
         jac_entries = tuple(
             differentiate(expr, j + 1) for expr in source.exprs for j in range(source.n)
         )
-        jac_fn = compile_exprs(jac_entries, source.n, source.noise_dim, name="_jac")
-        return cls(
-            name=name,
-            n=source.n,
-            control_dim=source.control_dim,
-            noise_dim=source.noise_dim,
-            b=source.b,
-            f_fn=f_fn,
-            jac_fn=jac_fn,
-            exprs=source.exprs,
-        )
+        self._jac_fn = compile_exprs(jac_entries, source.n, source.noise_dim, name="_jac")
+
+    @classmethod
+    def from_source(cls, source: ModelSource, name: str = "dsl") -> "SystemModel":
+        """The named build step :meth:`from_text` goes through;
+        ``perfbench/tracing.py`` wraps it to time compilation."""
+        return cls(source, name)
 
     @classmethod
     def from_text(cls, text: str, name: str = "dsl") -> "SystemModel":
@@ -155,10 +134,6 @@ class SystemModel:
     def f(self, x: Sequence[float], w: Sequence[float] = ()) -> np.ndarray:
         """``f(x, w)`` at one point, shape (n,)."""
         return np.array(self._point(self._f_fn, x, w))
-
-    def f_raw(self, *scalars: float) -> tuple:
-        """Hot-loop entry: positional x then w floats, returns a tuple."""
-        return self._f_fn(*scalars)
 
     def f_many(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
         """Vectorized map over rows of ``xs`` (m, n) and ``ws`` (m, noise_dim);
@@ -245,7 +220,7 @@ def catalog_names() -> tuple[str, ...]:
 def catalog_model(name: str) -> SystemModel:
     """Instantiate a built-in model; shares the DSL-model interface."""
     if name not in _CATALOG:
-        raise KeyError(f"unknown catalog model {name!r}; available: {', '.join(_CATALOG)}")
+        raise ValueError(f"unknown catalog model {name!r}; available: {', '.join(_CATALOG)}")
     return SystemModel.from_text(_CATALOG[name], name=name)
 
 

@@ -357,10 +357,14 @@ def closed_loop_blocks(
     )[0]
 
 
-def check_storage(model: SystemModel, noise: NoiseSpec, horizon: int, paths: int) -> None:
+def check_storage(
+    model: SystemModel, noise: NoiseSpec, horizon: int, paths: int, whole: bool = False
+) -> None:
     """Allocate and free the arrays :func:`closed_loop_blocks` steps ``paths``
-    paths in: its MemoryError for a count they cannot hold, without its work."""
-    _storage(model, paths, _block_steps(paths, horizon), noise.dim)
+    paths in, or with ``whole`` the whole-horizon noise and loop arrays of
+    ``paths`` scenarios run by :func:`run_closed_loops`: their MemoryError
+    for a count they cannot hold, without the work."""
+    _storage(model, paths, horizon if whole else _block_steps(paths, horizon), noise.dim)
 
 
 def _trajectories(blocks, xs, ws, qs, us, seeds, horizon) -> list[Trajectory]:
@@ -467,8 +471,7 @@ def replay_consistent(model: SystemModel, traj: Trajectory) -> bool:
     """Recompute every stored transition; must reproduce states bit-exactly."""
     bmat = model.b
     for t in range(traj.steps):
-        nxt = np.asarray(model.f_raw(*traj.x[t].tolist(), *traj.w[t].tolist()), dtype=float)
-        nxt = nxt + bmat @ traj.u[t]
+        nxt = model.f(traj.x[t], traj.w[t]) + bmat @ traj.u[t]
         if not np.array_equal(nxt, traj.x[t + 1]):
             return False
     return True

@@ -36,6 +36,7 @@ from .simulation import (  # noqa: F401
     NoiseSpec,
     Seed,
     Trajectory,
+    check_storage,
     run_closed_loop,
     run_closed_loops,
     write_csv,
@@ -411,10 +412,13 @@ def entropy_rate(
     spanning set. The candidate count and hence the rate are structurally
     capped by the channel: at most M^T distinct sequences exist. When
     ``matrix_sink`` is a dict it receives the satisfaction matrix per horizon
-    for audit dumps.
+    for audit dumps. Scenario arrays that cannot be allocated at the largest
+    horizon raise MemoryError before any horizon runs.
     """
     if thresholds not in ("lemma", "vacuous"):
         raise ValueError(f"unknown thresholds mode {thresholds!r}")
+    # the largest horizon's arrays first: a count they cannot hold fails before any horizon runs
+    check_storage(model, noise, max(horizons), n_scenarios, whole=True)
     points = []
     for horizon in horizons:
         scen = ScenarioSet.sample(init, noise, horizon, n_scenarios, seed=(seed, horizon))

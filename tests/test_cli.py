@@ -598,6 +598,8 @@ def test_malformed_value_exits_2_naming_its_key_before_any_rollout(
         (("bound", "n_mcc"), 5, "unknown key(s) 'n_mcc' in bound"),
         (("gamma", 0, "cp"), 0.4, "unknown key(s) 'cp' in gamma[0]"),
         (("falsify", "box_halfwidth"), 1e308, "bad falsify spec: box halfwidth must be positive"),
+        (("model", "catalog"), "nope", "bad model.catalog: unknown catalog model 'nope'; "
+         "available: example1, example2, scalar_doubling, stable_ar1\n"),
     ],
 )
 def test_out_of_range_or_unknown_setting_exits_2(tmp_path, capsys, path, value, message):
@@ -634,6 +636,31 @@ def test_paths_beyond_any_address_space_exit_2_before_any_per_path_work(tmp_path
     assert code == EXIT_CONFIG
     assert "config error: bad paths: " in capsys.readouterr().err
     assert list((tmp_path / "o").iterdir()) == []  # bound's falsification did not run first
+
+
+@pytest.mark.parametrize(
+    "scenarios, horizons", [(2**62, [8, 12]), (1, [2**62]), (1, [8, 2**62])]
+)
+def test_entropy_scenarios_beyond_any_address_space_exit_2_before_any_horizon(
+    tmp_path, capsys, scenarios, horizons
+):
+    # numpy refuses the largest horizon's arrays whatever the memory; they are
+    # allocated before the first horizon's scenarios are drawn
+    cfg = _zoom_entropy_config(scenarios=scenarios, horizons=horizons)
+    code = _main_without_rollouts(["entropy", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad entropy.scenarios: {scenarios} paths of {max(horizons)} steps ")
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+def test_diagnose_visit_counts_the_os_refuses_exit_2(tmp_path, capsys):
+    refused = MemoryError("Unable to allocate 1.22 TiB for an array")
+    with mock.patch.object(cli, "VisitTally", side_effect=refused):
+        code = _main_without_rollouts(["diagnose", "--config", _write(tmp_path, _ar1_config()), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: bad paths: Unable to allocate 1.22 TiB for an array\n"
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 @pytest.mark.parametrize("config", [_tiny_example2_bound_config, _example1_config])

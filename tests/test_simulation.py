@@ -412,7 +412,7 @@ def _oracle_closed_loop(model, policy, x0, w_path):
         q = encoder.encode(t, x)
         u = controller.control(t, q)
         try:
-            nxt = np.asarray(model.f_raw(*x.tolist(), *w_path[t].tolist()), dtype=float)
+            nxt = model.f(x, w_path[t])
         except (ZeroDivisionError, OverflowError):
             status, diverged_at, steps = "diverged", t, t
             break

@@ -445,7 +445,7 @@ def _oracle_states(model, x0, w_path, u_seq, horizon):
     x = np.asarray(x0, float)
     for t in range(horizon - 1):
         try:
-            nxt = np.asarray(model.f_raw(*x.tolist(), *w_path[t].tolist()), dtype=float)
+            nxt = model.f(x, w_path[t])
         except (ZeroDivisionError, OverflowError):
             break
         with np.errstate(over="ignore", invalid="ignore"):

@@ -173,8 +173,8 @@ def test_every_output_file_is_written_by_its_format_writer():
 
 # --------------------------------------------------------------------------
 # One definition per rule: the compiled model functions reach numbers only
-# through SystemModel's point and column evaluators (and ``f_raw``, the
-# hot-loop entry), and a per-axis value is read only by ``policies.per_axis``.
+# through SystemModel's point and column evaluators, and a per-axis value is
+# read only by ``policies.per_axis``.
 
 _COMPILED = {"_f_fn", "_jac_fn"}
 _EVALUATORS = {"_point", "_columns"}
@@ -199,8 +199,8 @@ def _float_array(call: ast.Call) -> bool:
 
 def _rule_breaks(source: str) -> list[str]:
     """``function: what`` for each read of a compiled function that is not an
-    argument of an evaluator nor in ``f_raw``, and each
-    ``broadcast_to(asarray(..., float))`` outside ``per_axis``."""
+    argument of an evaluator, and each ``broadcast_to(asarray(..., float))``
+    outside ``per_axis``."""
     found = []
 
     def visit(node: ast.AST, where: str) -> None:
@@ -208,7 +208,7 @@ def _rule_breaks(source: str) -> list[str]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Attribute) and child.attr in _COMPILED:
                 passed = evaluator and child in node.args
-                if isinstance(child.ctx, ast.Load) and not passed and where != "f_raw":
+                if isinstance(child.ctx, ast.Load) and not passed:
                     found.append(f"{where}: {child.attr}")
             elif _called_name(child) == "broadcast_to" and where != "per_axis" and _float_array(child):
                 found.append(f"{where}: broadcast_to(asarray(..., float))")
@@ -233,6 +233,7 @@ def test_checker_finds_every_rule_break():
         "def bits(v, n):\n    return np.broadcast_to(np.asarray(v, int), (n,))\n"
     )
     assert _rule_breaks(source) == [
+        "f_raw: _f_fn",
         "jacobian: _jac_fn",
         "spare: _jac_fn",
         "box: broadcast_to(asarray(..., float))",
@@ -312,3 +313,46 @@ def test_only_the_stepping_loops_call_step_many():
         f"{path.name}:{where}" for path in sorted(SRC.glob("*.py")) for where in _step_many_callers(path.read_text())
     ]
     assert found == ["simulation.py:step", "simulation.py:_lockstep", "stabilization_entropy.py:_lockstep_states"]
+
+
+# --------------------------------------------------------------------------
+# One constructor per model: ``compile_exprs`` is called only by
+# ``SystemModel.__init__``, so a model's ``f`` and its Jacobian always come
+# from the same parsed declaration.
+
+def _compile_callers(source: str) -> list[str]:
+    """``Class.function`` (or ``function``, ``<module>`` outside any) for
+    each ``compile_exprs`` call, by its innermost enclosing class and function."""
+    found = []
+
+    def visit(node: ast.AST, where: str, cls: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if _called_name(child) == "compile_exprs":
+                found.append(where)
+            if isinstance(child, ast.ClassDef):
+                visit(child, where, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{cls}.{child.name}" if cls else child.name, "")
+            else:
+                visit(child, where, cls)
+
+    visit(ast.parse(source), "<module>", "")
+    return found
+
+
+def test_checker_finds_every_compile_call():
+    source = (
+        "from .model_dsl import compile_exprs\n"
+        "class M:\n    def __init__(self, s):\n        self._f_fn = compile_exprs(s.exprs, 1, 0)\n"
+        "    @classmethod\n    def build(cls, s):\n        return model_dsl.compile_exprs(s, 1, 0)\n"
+        "def helper(s):\n    def inner():\n        return compile_exprs(s, 1, 0)\n    return inner\n"
+        "compile_exprs((), 1, 0)\n"
+    )
+    assert _compile_callers(source) == ["M.__init__", "M.build", "inner", "<module>"]
+
+
+def test_only_the_model_constructor_compiles():
+    found = [
+        f"{path.name}:{where}" for path in sorted(SRC.glob("*.py")) for where in _compile_callers(path.read_text())
+    ]
+    assert found == ["dynamics.py:SystemModel.__init__"] * 2  # f, then its Jacobian
