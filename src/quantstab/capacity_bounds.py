@@ -39,6 +39,7 @@ from .ergodics import MAX_OVERFLOW_MASS, EmpiricalMeasure
 from .simulation import NoiseSpec, Seed
 
 __all__ = [
+    "OverflowMassError",
     "SubsetEstimate",
     "BoundReport",
     "subset_bound",
@@ -48,6 +49,11 @@ __all__ = [
 ]
 
 VIOLATION_STDERRS = 2.0
+
+
+class OverflowMassError(ValueError):
+    """The measure's overflow mass is at least ``MAX_OVERFLOW_MASS``: too much
+    of it lies outside the partition box to trust a bound drawn from it."""
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,7 @@ def _sampler(
     if n_mc < 1:
         raise ValueError("need at least one Monte Carlo sample")
     if measure.overflow_mass >= MAX_OVERFLOW_MASS:
-        raise ValueError(
+        raise OverflowMassError(
             f"overflow mass {measure.overflow_mass:.3f} is too large to trust the estimate"
         )
     cdf = measure.cell_cdf()

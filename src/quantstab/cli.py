@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity_bounds import MAX_OVERFLOW_MASS, refined_bound
+from .capacity_bounds import OverflowMassError, refined_bound
 # gamma_falsify stays importable from this module, unused: perfbench/tracing.py
 # wraps it here
 from .dynamics import (  # noqa: F401
@@ -77,7 +77,8 @@ class ConfigError(ValueError):
 
 
 class _Violation(Exception):
-    """A run that cannot go on because an assumption it needs does not hold."""
+    """No post-burn-in sample exists to measure: a run that needs the measure
+    cannot go on, and its message is the run's last finding."""
 
 
 CONFIG_DOC = """\
@@ -115,8 +116,7 @@ configuration file keys (JSON object):
                       "cauchy_fraction":float}; omit to skip falsification
   entropy            {"horizons":[..],"scenarios":int,"rho":r,"epsilon":e,
                       "split":m,"state_partition":{partition spec},
-                      "noise_partition":{partition spec}?,
-                      "thresholds":"lemma"|"vacuous","dump_matrix":bool}
+                      "noise_partition":{partition spec}?,"dump_matrix":bool}
                      cells are the state_partition cells times the
                      noise_partition cells (default: one noise cell); split
                      (1..N) is checked but changes no output
@@ -458,9 +458,9 @@ def _fold_and_measure(exp: Experiment, verbose: bool, tally: VisitTally):
 
 
 # --------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its findings, empty on success, for main to report
 
-def cmd_simulate(exp: Experiment, out: Path, verbose: bool) -> int:
+def cmd_simulate(exp: Experiment, out: Path, verbose: bool) -> list[str]:
     trajs = _simulate(exp, verbose, batch_rollout, exp.paths, exp.seed)
     for k, traj in enumerate(trajs):
         trajectory_to_csv(traj, out / f"trajectory_{k:04d}.csv")
@@ -469,10 +469,10 @@ def cmd_simulate(exp: Experiment, out: Path, verbose: bool) -> int:
     summary["horizon"] = exp.horizon
     _write_json(out / "simulate_summary.json", summary)
     _log(verbose, f"divergence rate {summary['divergence_rate']:.3f}")
-    return EXIT_OK
+    return []
 
 
-def cmd_bound(exp: Experiment, out: Path, verbose: bool) -> int:
+def cmd_bound(exp: Experiment, out: Path, verbose: bool) -> list[str]:
     if exp.partition is None or exp.gamma is None:
         raise ConfigError("the bound subcommand needs 'partition' and 'gamma' sections")
     section = exp.bound or _Section({}, "bound")
@@ -517,16 +517,15 @@ def cmd_bound(exp: Experiment, out: Path, verbose: bool) -> int:
                 )
         _write_json(out / "falsification.json", {"subsets": falsification})
 
-    # refined_bound needs only the measure: the paths fold into one pooled count
-    measure = _fold_and_measure(exp, verbose, VisitTally(exp.partition, exp.burn_in))[0]
+    try:
+        # refined_bound needs only the measure: the paths fold into one pooled count
+        measure = _fold_and_measure(exp, verbose, VisitTally(exp.partition, exp.burn_in))[0]
+    except _Violation as exc:
+        return findings + [str(exc)]
     for text in measure.warnings:
         _log(verbose, f"warning: {text}")
 
     try:
-        if measure.overflow_mass >= MAX_OVERFLOW_MASS:
-            raise _Violation(
-                f"overflow mass {measure.overflow_mass:.3f} is too large to trust the estimate"
-            )
         report = refined_bound(
             exp.model,
             exp.gamma,
@@ -537,10 +536,9 @@ def cmd_bound(exp: Experiment, out: Path, verbose: bool) -> int:
             capacity=exp.policy.capacity(),
             common_random_numbers=crn,
         )
-    except (_Violation, SingularMatrixError) as exc:
+    except (OverflowMassError, SingularMatrixError) as exc:
         _write_json(out / "bound_report.json", {"error": str(exc)})
-        print(f"assumption violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        return findings + [str(exc)]
 
     _write_json(out / "bound_report.json", dataclasses.asdict(report))
     for estimate in report.subsets:
@@ -551,15 +549,12 @@ def cmd_bound(exp: Experiment, out: Path, verbose: bool) -> int:
             f"max bound {report.max_bound:.6g} exceeds capacity {report.capacity:.6g} "
             "by more than two standard errors"
         )
-    if findings:
-        for finding in findings:
-            print(f"assumption violation: {finding}", file=sys.stderr)
-        return EXIT_VIOLATION
-    _log(verbose, f"max_bound {report.max_bound:.6g} at p={list(report.argmax)}")
-    return EXIT_OK
+    if not findings:
+        _log(verbose, f"max_bound {report.max_bound:.6g} at p={list(report.argmax)}")
+    return findings
 
 
-def cmd_entropy(exp: Experiment, out: Path, verbose: bool) -> int:
+def cmd_entropy(exp: Experiment, out: Path, verbose: bool) -> list[str]:
     section = exp.entropy
     if section is None:
         raise ConfigError("the entropy subcommand needs an 'entropy' section")
@@ -567,9 +562,6 @@ def cmd_entropy(exp: Experiment, out: Path, verbose: bool) -> int:
     if not horizons:
         raise ConfigError("entropy.horizons must list at least one horizon")
     n_scenarios = section.get("scenarios", _count)
-    thresholds = section.get("thresholds", _string, "lemma")
-    if thresholds not in ("lemma", "vacuous"):
-        raise ConfigError(f"unknown entropy thresholds mode {thresholds!r}")
     split = section.get("split", _integer, exp.model.n)
     if not (1 <= split <= exp.model.n):
         raise ConfigError(f"entropy split must lie in [1, {exp.model.n}]")
@@ -594,7 +586,6 @@ def cmd_entropy(exp: Experiment, out: Path, verbose: bool) -> int:
             n_scenarios,
             seed=exp.seed,
             burn_in_fraction=exp.burn_in_fraction,
-            thresholds=thresholds,
             matrix_sink=matrices if dump_matrix else None,
         )
     except ThresholdConstraintError as exc:
@@ -602,8 +593,7 @@ def cmd_entropy(exp: Experiment, out: Path, verbose: bool) -> int:
     except MemoryError as exc:
         raise ConfigError(f"bad entropy.scenarios: {exc}") from None
     except NoCandidatesError as exc:
-        print(f"assumption violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        return [str(exc)]
     entropy_curve_to_csv(points, out / "entropy_curve.csv")
     for horizon, matrix in matrices.items():
         rows = map(tuple, matrix.tolist())
@@ -631,10 +621,10 @@ def cmd_entropy(exp: Experiment, out: Path, verbose: bool) -> int:
         },
     )
     _log(verbose, f"entropy rates: {[round(p.rate, 4) if p.feasible else 'inf' for p in points]}")
-    return EXIT_OK
+    return []
 
 
-def cmd_diagnose(exp: Experiment, out: Path, verbose: bool) -> int:
+def cmd_diagnose(exp: Experiment, out: Path, verbose: bool) -> list[str]:
     if exp.partition is None:
         raise ConfigError("the diagnose subcommand needs a 'partition' section")
     section = exp.diagnose or _Section({}, "diagnose")
@@ -665,7 +655,7 @@ def cmd_diagnose(exp: Experiment, out: Path, verbose: bool) -> int:
     }
     _write_json(out / "diagnose_summary.json", summary)
     _log(verbose, f"overflow mass {measure.overflow_mass:.4f}, max dispersion {summary['max_dispersion']:.4f}")
-    return EXIT_OK
+    return []
 
 
 # --------------------------------------------------------------------------
@@ -715,13 +705,15 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ConfigError("no output directory: pass --out or set out_dir in the config")
         out_path = Path(out)
         out_path.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](exp, out_path, args.verbose)
+        findings = _COMMANDS[args.command](exp, out_path, args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _Violation as exc:
-        print(f"assumption violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        findings = [str(exc)]
+    for finding in findings:
+        print(f"assumption violation: {finding}", file=sys.stderr)
+    return EXIT_VIOLATION if findings else EXIT_OK
 
 
 def entry_point() -> None:

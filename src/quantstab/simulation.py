@@ -185,8 +185,7 @@ class Trajectory:
     u: np.ndarray  # (S, N')
     seed: Seed
     horizon: int  # requested number of steps
-    status: str = "ok"  # 'ok' | 'diverged'
-    diverged_at: Optional[int] = None
+    diverged_at: Optional[int] = None  # the step the path diverged at, None if it did not
 
     @property
     def steps(self) -> int:
@@ -194,7 +193,7 @@ class Trajectory:
 
     @property
     def diverged(self) -> bool:
-        return self.status == "diverged"
+        return self.diverged_at is not None
 
     def block(self) -> "LoopBlock":
         """The whole path as a one-path block."""
@@ -382,7 +381,6 @@ def _trajectories(blocks, xs, ws, qs, us, seeds, horizon) -> list[Trajectory]:
                 u=us[k, :steps],
                 seed=seeds[k],
                 horizon=horizon,
-                status="ok" if diverged_at < 0 else "diverged",
                 diverged_at=None if diverged_at < 0 else steps,
             )
         )

@@ -401,36 +401,30 @@ def entropy_rate(
     n_scenarios: int,
     seed: int,
     burn_in_fraction: float = 0.1,
-    thresholds: str = "lemma",
     matrix_sink: Optional[dict] = None,
 ) -> list[EntropyPoint]:
     """Estimate (1/T) log2 s over a list of horizons.
 
     Per horizon: sample scenarios, run the closed loop to harvest candidate
-    sequences and empirical cell masses, build the epsilon thresholds
-    (``thresholds='vacuous'`` forces r = 1 everywhere), and size a greedy
-    spanning set. The candidate count and hence the rate are structurally
-    capped by the channel: at most M^T distinct sequences exist. When
-    ``matrix_sink`` is a dict it receives the satisfaction matrix per horizon
-    for audit dumps. Scenario arrays that cannot be allocated at the largest
-    horizon raise MemoryError before any horizon runs.
+    sequences and empirical cell masses, build the epsilon thresholds from
+    those masses (:func:`build_R_epsilon`), and size a greedy spanning set.
+    The candidate count and hence the rate are structurally capped by the
+    channel: at most M^T distinct sequences exist. When ``matrix_sink`` is a
+    dict it receives the satisfaction matrix per horizon for audit dumps.
+    Scenario arrays that cannot be allocated at the largest horizon raise
+    MemoryError before any horizon runs.
     """
-    if thresholds not in ("lemma", "vacuous"):
-        raise ValueError(f"unknown thresholds mode {thresholds!r}")
     # the largest horizon's arrays first: a count they cannot hold fails before any horizon runs
     check_storage(model, noise, max(horizons), n_scenarios, whole=True)
     points = []
     for horizon in horizons:
         scen = ScenarioSet.sample(init, noise, horizon, n_scenarios, seed=(seed, horizon))
         candidates, trajs = closed_loop_candidates(model, policy, scen)
-        if thresholds == "vacuous":
-            r = np.ones(template.cells)
-        else:
-            burn = int(burn_in_fraction * horizon)
-            # the in-box masses of the closed loop's empirical measure
-            q_weights = empirical_measure(trajs, template.state_partition, burn).weights[:-1]
-            nu_weights = _noise_weights(scen, template)
-            r = build_R_epsilon(q_weights, nu_weights, template.epsilon)
+        burn = int(burn_in_fraction * horizon)
+        # the in-box masses of the closed loop's empirical measure
+        q_weights = empirical_measure(trajs, template.state_partition, burn).weights[:-1]
+        nu_weights = _noise_weights(scen, template)
+        r = build_R_epsilon(q_weights, nu_weights, template.epsilon)
         matrix = satisfaction_matrix(model, candidates, template, r, scen)
         if matrix_sink is not None:
             matrix_sink[horizon] = matrix

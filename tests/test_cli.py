@@ -787,18 +787,6 @@ def test_entropy_curve_and_summary(tmp_path):
     assert summary["limsup_rate_estimate"] <= 2.0
 
 
-def test_entropy_vacuous_thresholds_rate_zero(tmp_path):
-    cfg = json.loads((REPO / "configs" / "doubling_zoom_entropy.json").read_text())
-    cfg["entropy"]["thresholds"] = "vacuous"
-    cfg["entropy"]["horizons"] = [4, 6]
-    out = tmp_path / "out"
-    assert main(["entropy", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
-    lines = (out / "entropy_curve.csv").read_text().strip().splitlines()
-    for line in lines[1:]:
-        _, s, rate, _ = line.split(",")
-        assert s == "1" and float(rate) == 0.0
-
-
 def test_entropy_matrix_dump(tmp_path):
     cfg = json.loads((REPO / "configs" / "doubling_zoom_entropy.json").read_text())
     cfg["entropy"]["dump_matrix"] = True
@@ -914,7 +902,10 @@ def test_entropy_bad_setting_is_config_error_before_any_simulation(tmp_path, cap
     config = _write(tmp_path, _zoom_entropy_config(**setting))
     with mock.patch.object(stabilization_entropy, "run_closed_loops", side_effect=AssertionError):
         assert main(["entropy", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if "thresholds" in setting:  # the thresholds always come from the cell masses: no key sets them
+        assert "unknown key(s) 'thresholds' in entropy" in err
 
 
 def test_entropy_noise_partition_dim_must_match_noise_dim(tmp_path, capsys):
@@ -948,6 +939,45 @@ def test_no_post_burn_in_sample_exits_3(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         "assumption violation: no post-burn-in samples available (all paths truncated early?)\n"
     )
+
+
+def test_bound_falsified_floor_is_reported_with_no_post_burn_in_sample(tmp_path, capsys):
+    # from x1 = 10 every path passes 1e12 within three steps; |det| = |3 x1^2 - 1| < 0.9 near x1 = ±0.58
+    cfg = _ar1_config(
+        model={"dsl": "states 1\nnoise 1\nx1' = x1^3 - x1 + w1"},
+        init={"kind": "fixed", "values": [10.0]},
+        gamma=[{"p": [1], "c_p": 0.9}],
+        falsify={"samples": 20_000},
+    )
+    out = tmp_path / "o"
+    assert main(["bound", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_VIOLATION
+    [floor, no_sample] = capsys.readouterr().err.splitlines()
+    assert floor.startswith("assumption violation: floor c_p=0.9 for p=(1,) falsified: |det|=")
+    assert no_sample == (
+        "assumption violation: no post-burn-in samples available (all paths truncated early?)"
+    )
+    assert sorted(p.name for p in out.iterdir()) == ["falsification.json"]
+    [subset] = json.loads((out / "falsification.json").read_text())["subsets"]
+    assert subset["falsified"] is True
+
+
+def test_bound_falsified_floor_is_reported_before_the_overflow_refusal(tmp_path, capsys):
+    cfg = json.loads((REPO / "configs" / "example2_bound.json").read_text())
+    cfg.update(
+        gamma=[{"p": [1], "c_p": 0.9}, {"p": [2], "c_p": 0.9}],
+        partition={"low": [-0.01, -0.01], "high": [0.01, 0.01], "cells_per_axis": [8, 8]},
+    )
+    cfg["bound"]["n_mc"] = cfg["falsify"]["samples"] = 2000
+    out = tmp_path / "o"
+    args = ["--config", _write(tmp_path, cfg), "--out", str(out), "--horizon", "400", "--paths", "2"]
+    assert main(["bound", *args]) == EXIT_VIOLATION
+    [floor, overflow] = capsys.readouterr().err.splitlines()
+    assert floor.startswith("assumption violation: floor c_p=0.9 for p=(2,) falsified: |det|=0.5 at x=")
+    message = "overflow mass 0.975 is too large to trust the estimate"
+    assert overflow == f"assumption violation: {message}"
+    subsets = json.loads((out / "falsification.json").read_text())["subsets"]
+    assert [s["falsified"] for s in subsets] == [False, True]
+    assert json.loads((out / "bound_report.json").read_text()) == {"error": message}
 
 
 def test_bound_overflow_mass_too_large_exits_3_with_an_error_report(tmp_path, capsys):
@@ -1245,7 +1275,7 @@ def test_bound_and_diagnose_peak_memory_does_not_grow_with_the_horizon(tmp_path,
         gc.collect()
         tracemalloc.start()
         try:
-            assert cli._COMMANDS[command](exp, tmp_path / str(horizon), False) == EXIT_OK
+            assert cli._COMMANDS[command](exp, tmp_path / str(horizon), False) == []
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -138,7 +138,7 @@ def test_zoom_two_bits_stabilizes_doubling(doubling):
     noise = NoiseSpec.uniform(1, -0.05, 0.05)
     policy = zoom_policy(doubling, 4, alpha=0.75, beta=3.0, initial_halfwidth=2.0, noise_mean=noise.mean)
     traj = rollout(doubling, policy, noise, InitSpec.uniform_box([-1], [1]), 10_000, seed=11)
-    assert traj.status == "ok"
+    assert not traj.diverged
     assert float(np.mean(traj.x**2)) < 1.0  # bounded empirical second moment
 
 

@@ -142,13 +142,13 @@ def test_step_division_by_zero_gives_non_finite_state():
 def test_rollout_geometric_decay(ar1):
     traj = rollout(ar1, null_policy(2), NoiseSpec.zero(1), InitSpec.fixed([8.0]), 4, seed=0)
     assert np.array_equal(traj.x[:, 0], [8.0, 4.0, 2.0, 1.0, 0.5])
-    assert traj.status == "ok"
+    assert not traj.diverged
 
 
 def test_rollout_doubling_reaches_1024_then_diverges_later(doubling):
     traj = rollout(doubling, null_policy(2), NoiseSpec.zero(1), InitSpec.fixed([1.0]), 10, seed=0)
     assert traj.x[10, 0] == 1024.0
-    assert traj.status == "ok"
+    assert not traj.diverged
     longer = rollout(doubling, null_policy(2), NoiseSpec.zero(1), InitSpec.fixed([1.0]), 50, seed=0)
     assert longer.diverged
     assert longer.steps < 50
@@ -171,7 +171,7 @@ def test_zoom_rollout_stays_bounded_over_long_horizon(doubling):
     noise = NoiseSpec.uniform(1, -0.05, 0.05)
     policy = zoom_policy(doubling, 4, 0.75, 3.0, 2.0, noise_mean=noise.mean)
     traj = rollout(doubling, policy, noise, InitSpec.uniform_box([-1], [1]), 10_000, seed=2)
-    assert traj.status == "ok"
+    assert not traj.diverged
     assert traj.steps == 10_000
 
 
@@ -326,7 +326,7 @@ def _csv_trajectories(draw):
     )
 
 
-def _edge_trajectory(steps, status="ok"):
+def _edge_trajectory(steps, diverged_at=None):
     """Every float inf, -inf, nan, -0.0 or a subnormal, in turn; q at the int64 top."""
     edges = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, -2.5e-310])
     return Trajectory(
@@ -336,8 +336,7 @@ def _edge_trajectory(steps, status="ok"):
         u=np.resize(edges, (steps, 3)),
         seed=0,
         horizon=max(steps, 5),
-        status=status,
-        diverged_at=0 if status == "diverged" else None,
+        diverged_at=diverged_at,
     )
 
 
@@ -349,9 +348,9 @@ def test_trajectory_csv_matches_csv_writer_oracle(tmp_path_factory, traj):
 
 # built in the test, not pinned as hypothesis examples: a Trajectory held from
 # collection on would be seen by test_cli's count of live trajectories
-@pytest.mark.parametrize("steps, status", [(7, "ok"), (0, "diverged")])  # diverged at step 0: the header alone
-def test_trajectory_csv_edge_values_match_csv_writer_oracle(tmp_path, steps, status):
-    _assert_csv_matches_oracle(_edge_trajectory(steps, status), tmp_path)
+@pytest.mark.parametrize("steps, diverged_at", [(7, None), (0, 0)])  # diverged at step 0: the header alone
+def test_trajectory_csv_edge_values_match_csv_writer_oracle(tmp_path, steps, diverged_at):
+    _assert_csv_matches_oracle(_edge_trajectory(steps, diverged_at), tmp_path)
 
 
 def test_write_csv_formats_each_kind_and_ends_every_line(tmp_path):
@@ -398,7 +397,7 @@ def test_trajectory_csv_blocks_and_truncated_paths(tmp_path, doubling):
 
 def _oracle_closed_loop(model, policy, x0, w_path):
     """One path stepped alone, as the closed loop ran before paths were
-    stepped together: (x, q, u, status, diverged_at)."""
+    stepped together: (x, q, u, diverged_at)."""
     horizon = w_path.shape[0]
     xs = np.empty((horizon + 1, model.n))
     xs[0] = x0
@@ -406,7 +405,7 @@ def _oracle_closed_loop(model, policy, x0, w_path):
     us = np.empty((horizon, model.control_dim))
     encoder = policy.encoder()
     controller = policy.controller()
-    status, diverged_at, steps = "ok", None, horizon
+    diverged_at, steps = None, horizon
     x = xs[0]
     for t in range(horizon):
         q = encoder.encode(t, x)
@@ -414,20 +413,20 @@ def _oracle_closed_loop(model, policy, x0, w_path):
         try:
             nxt = model.f(x, w_path[t])
         except (ZeroDivisionError, OverflowError):
-            status, diverged_at, steps = "diverged", t, t
+            diverged_at = steps = t
             break
         with np.errstate(all="ignore"):
             nxt = nxt + model.b @ u
         if not np.all(np.isfinite(nxt)):
-            status, diverged_at, steps = "diverged", t, t
+            diverged_at = steps = t
             break
         qs[t] = q
         us[t] = u
         xs[t + 1] = x = nxt
         if np.max(np.abs(nxt)) > 1e12:
-            status, diverged_at, steps = "diverged", t + 1, t + 1
+            diverged_at = steps = t + 1
             break
-    return xs[: steps + 1], qs[:steps], us[:steps], status, diverged_at
+    return xs[: steps + 1], qs[:steps], us[:steps], diverged_at
 
 
 _KERNEL_MODELS = {
@@ -473,10 +472,10 @@ def _kernel_cases(draw):
 def _assert_matches_oracle(model, policy, x0s, ws):
     trajs = run_closed_loops(model, policy, x0s, ws, seeds=range(len(x0s)))
     for k, traj in enumerate(trajs):
-        x, q, u, status, diverged_at = _oracle_closed_loop(model, policy, x0s[k], ws[k])
+        x, q, u, diverged_at = _oracle_closed_loop(model, policy, x0s[k], ws[k])
         assert np.array_equal(traj.x, x) and np.array_equal(traj.w, ws[k, : traj.steps])
         assert np.array_equal(traj.q, q) and np.array_equal(traj.u, u)
-        assert (traj.status, traj.diverged_at) == (status, diverged_at)
+        assert traj.diverged_at == diverged_at
         assert replay_consistent(model, traj) and audit_causality(policy, traj)
     return trajs
 
@@ -525,7 +524,7 @@ def test_lockstep_kernel_matches_scalar_oracle(case):
 
 def test_lockstep_kernel_edge_batches():
     trajs = _assert_matches_oracle(*_wide_zoom_batch())
-    assert {t.status for t in trajs} == {"ok", "diverged"}
+    assert {t.diverged for t in trajs} == {False, True}
     reciprocal = _assert_matches_oracle(*_blow_up_batch("reciprocal", [1.0, 0.5]))
     assert reciprocal[0].diverged_at == 1 and not reciprocal[1].diverged
     power = _assert_matches_oracle(*_blow_up_batch("power40", [1e10, 2.0, 0.5]))
@@ -611,7 +610,7 @@ def _assert_matches_parent_loop(trajs, model, policy, x0s, w_paths):
         assert np.array_equal(traj.x, xs[k, : steps + 1], equal_nan=True)
         assert np.array_equal(traj.w, w_paths[k, :steps])
         assert np.array_equal(traj.q, qs[k, :steps]) and np.array_equal(traj.u, us[k, :steps])
-        assert traj.status == ("ok" if diverged_at[k] < 0 else "diverged")
+        assert traj.diverged == (diverged_at[k] >= 0)
         assert traj.diverged_at == (None if diverged_at[k] < 0 else steps)
     return diverged_at
 

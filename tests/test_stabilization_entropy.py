@@ -386,17 +386,6 @@ def test_entropy_rate_doubling_zoom_structural_caps(doubling):
         assert point.capacity == 2.0
 
 
-def test_entropy_rate_vacuous_thresholds_give_rate_zero(ar1):
-    noise = NoiseSpec.gaussian(1, 0.0, 0.5)
-    init = InitSpec.uniform_box([-1], [1])
-    policy = null_policy(2, 1)
-    template = SpanningTemplate(Partition(low=[-3.0], high=[3.0], cells_per_axis=(2,)), None, 0.5, 0.1)
-    points = entropy_rate(ar1, policy, noise, init, template, [4, 8], 16, seed=3, thresholds="vacuous")
-    for point in points:
-        assert point.s_estimate == 1
-        assert point.rate == 0.0
-
-
 def test_entropy_rate_deterministic_in_seed(ar1):
     noise = NoiseSpec.gaussian(1, 0.0, 0.5)
     init = InitSpec.uniform_box([-1], [1])

@@ -356,3 +356,63 @@ def test_only_the_model_constructor_compiles():
         f"{path.name}:{where}" for path in sorted(SRC.glob("*.py")) for where in _compile_callers(path.read_text())
     ]
     assert found == ["dynamics.py:SystemModel.__init__"] * 2  # f, then its Jacobian
+
+
+# --------------------------------------------------------------------------
+# One exit path: only ``cli.main`` prints a finding and picks exit 0 or 3 from
+# the findings a subcommand returns, and only ergodics and capacity_bounds
+# read the 1% overflow rule.
+
+def _reads(source: str, names: set[str], text: str = "") -> list[str]:
+    """``function: what`` (``<module>`` outside any function) for each load or
+    import of a name in ``names`` and, given ``text``, each string constant
+    that holds it, f-string parts included."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and child.id in names:
+                found.append(f"{where}: {child.id}")
+            elif isinstance(child, ast.ImportFrom):
+                found.extend(f"{where}: {alias.name}" for alias in child.names if alias.name in names)
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str) and text and text in child.value:
+                found.append(f"{where}: {text!r}")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_finds_every_read_of_an_exit_rule():
+    source = (
+        "from .a import EXIT_OK, LIMIT\nEXIT_VIOLATION = 3\n"
+        "def main(findings):\n    for f in findings:\n        print(f'assumption violation: {f}')\n"
+        "    return EXIT_VIOLATION if findings else EXIT_OK\n"
+        "def cmd(x):\n    print('assumption violation: ' + x)\n    return EXIT_OK\n"
+        "def refuse(mass):\n    return mass >= LIMIT\n"
+    )
+    assert _reads(source, {"EXIT_OK", "EXIT_VIOLATION", "LIMIT"}, "assumption violation") == [
+        "<module>: EXIT_OK",
+        "<module>: LIMIT",
+        "main: 'assumption violation'",
+        "main: EXIT_VIOLATION",
+        "main: EXIT_OK",
+        "cmd: 'assumption violation'",
+        "cmd: EXIT_OK",
+        "refuse: LIMIT",
+    ]
+
+
+def test_only_main_reports_findings():
+    found = [
+        f"{path.name}:{what}"
+        for path in sorted(SRC.glob("*.py"))
+        for what in _reads(path.read_text(), {"EXIT_OK", "EXIT_VIOLATION"}, "assumption violation")
+    ]
+    assert found == ["cli.py:main: 'assumption violation'", "cli.py:main: EXIT_VIOLATION", "cli.py:main: EXIT_OK"]
+
+
+def test_only_the_measure_and_the_bound_read_the_overflow_rule():
+    readers = {path.name for path in SRC.glob("*.py") if _reads(path.read_text(), {"MAX_OVERFLOW_MASS"})}
+    assert readers == {"capacity_bounds.py", "ergodics.py"}
