@@ -37,6 +37,7 @@ from .dynamics import (  # noqa: F401
 )
 from .ergodics import (
     DEFAULT_CHECKPOINTS,
+    NoSampleError,
     Partition,
     VisitTally,
     empirical_measure,
@@ -74,11 +75,6 @@ EXIT_VIOLATION = 3
 
 class ConfigError(ValueError):
     """Bad experiment configuration (unknown key, missing key, invalid value)."""
-
-
-class _Violation(Exception):
-    """No post-burn-in sample exists to measure: a run that needs the measure
-    cannot go on, and its message is the run's last finding."""
 
 
 CONFIG_DOC = """\
@@ -446,14 +442,11 @@ def _simulate(exp: Experiment, verbose: bool, run, *args):
 
 def _fold_and_measure(exp: Experiment, verbose: bool, tally: VisitTally):
     """The paths of ``simulate``, folded into ``tally`` block by block and
-    never held whole: their pooled post-burn-in measure (no sample at all is
-    a violation) and each path's divergence step, None if none."""
+    never held whole: their pooled post-burn-in measure (``NoSampleError`` if
+    no path has a sample) and each path's divergence step, None if none."""
     for block in _simulate(exp, verbose, closed_loop_blocks, PathSeeds(exp.seed, exp.paths)):
         tally.add(block)
-    try:
-        measure = empirical_measure(tally, exp.partition, exp.burn_in)
-    except ValueError as exc:
-        raise _Violation(str(exc)) from None
+    measure = empirical_measure(tally, exp.partition, exp.burn_in)
     return measure, [None if d < 0 else d for d in block.diverged_at.tolist()]
 
 
@@ -520,12 +513,8 @@ def cmd_bound(exp: Experiment, out: Path, verbose: bool) -> list[str]:
     try:
         # refined_bound needs only the measure: the paths fold into one pooled count
         measure = _fold_and_measure(exp, verbose, VisitTally(exp.partition, exp.burn_in))[0]
-    except _Violation as exc:
-        return findings + [str(exc)]
-    for text in measure.warnings:
-        _log(verbose, f"warning: {text}")
-
-    try:
+        for text in measure.warnings:
+            _log(verbose, f"warning: {text}")
         report = refined_bound(
             exp.model,
             exp.gamma,
@@ -536,7 +525,7 @@ def cmd_bound(exp: Experiment, out: Path, verbose: bool) -> list[str]:
             capacity=exp.policy.capacity(),
             common_random_numbers=crn,
         )
-    except (OverflowMassError, SingularMatrixError) as exc:
+    except (NoSampleError, OverflowMassError, SingularMatrixError) as exc:
         _write_json(out / "bound_report.json", {"error": str(exc)})
         return findings + [str(exc)]
 
@@ -632,7 +621,11 @@ def cmd_diagnose(exp: Experiment, out: Path, verbose: bool) -> list[str]:
     section.close()
     lead_checkpoints = DEFAULT_CHECKPOINTS if checkpoints is None else checkpoints
     tally = _construct("paths", VisitTally, exp.partition, exp.burn_in, exp.paths, lead_checkpoints)
-    measure, diverged_at = _fold_and_measure(exp, verbose, tally)
+    try:
+        measure, diverged_at = _fold_and_measure(exp, verbose, tally)
+    except NoSampleError as exc:
+        _write_json(out / "diagnose_summary.json", {"error": str(exc)})
+        return [str(exc)]
     measure_to_csv(measure, out / "measure.csv")
 
     dispersion = ergodicity_dispersion(tally, exp.partition, exp.burn_in)
@@ -709,8 +702,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _Violation as exc:
-        findings = [str(exc)]
     for finding in findings:
         print(f"assumption violation: {finding}", file=sys.stderr)
     return EXIT_VIOLATION if findings else EXIT_OK

@@ -2,11 +2,11 @@
 
 The limiting state law is approximated by a time-averaged histogram over a box
 partition (plus one overflow cell covering the rest of R^N). Every such
-histogram, pooled or per path, sums the same counts of post-burn-in cell
-visits, folded block by block (``VisitTally.add``). Ergodicity is diagnosed,
-never certified: the dispersion of per-path limit frequencies is an empirical
-proxy, and it cannot distinguish path-frequency limits from the mass of the
-abstract asymptotic mean they are standing in for.
+histogram, pooled or per path, counts the cells of the visited rows
+(``LoopBlock.visited``), block by block (``VisitTally.add``). Ergodicity is
+diagnosed, never certified: the dispersion of per-path limit frequencies is an
+empirical proxy, and it cannot distinguish path-frequency limits from the mass
+of the abstract asymptotic mean they are standing in for.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .simulation import LoopBlock, Trajectory, write_csv
 __all__ = [
     "Partition",
     "EmpiricalMeasure",
+    "NoSampleError",
     "VisitTally",
     "empirical_measure",
     "frequency_convergence",
@@ -173,11 +174,15 @@ class EmpiricalMeasure:
         return self.draw_states(self.cell_cdf(), rng, rng, count)
 
 
+class NoSampleError(ValueError):
+    """No path has a post-burn-in sample: there is no measure to build."""
+
+
 class VisitTally:
-    """Cell visits folded block by block: ``counts``, post-burn-in, one row
-    per path if ``paths`` is given, else pooled; unless ``checkpoints`` is
-    None, the lead path's (the first with a step) counts at each checkpoint
-    and ``lead_steps``, its number of steps.
+    """Cell visits folded block by block: ``counts`` of the visited rows
+    (``LoopBlock.visited``), one row per path if ``paths`` is given, else
+    pooled; unless ``checkpoints`` is None, the lead path's (the first with
+    a step) counts at each checkpoint and ``lead_steps``, its number of steps.
     """
 
     def __init__(
@@ -203,17 +208,15 @@ class VisitTally:
     def add(self, block: LoopBlock, first: int = 0) -> None:
         """Fold a block whose paths are this tally's ``first``, ``first`` + 1, ..."""
         self.horizon = block.horizon if self.horizon is None else min(self.horizon, block.horizon)
-        # the one counting rule: a path's visited states are x_burn .. x_{S-1};
-        # its final state is not a visited step, so one path's frequencies
-        # match frequency_convergence at its last checkpoint
-        steps = block.steps
-        start = max(self.burn_in - block.t0, 0)
-        for path, taken in enumerate(steps.tolist()):  # path by path: small temporaries
-            if start < taken:
-                cells = self.partition.cell_indices(block.x[path, start:taken])
-                np.add.at(self.counts, (first + path if self.per_path else 0, cells), 1)
+        visited = block.visited(self.burn_in)
+        cells = self.partition.cell_indices(block.x[:, :-1][visited])
+        if self.per_path:  # no temporary the size of counts: diagnose sizes counts to fit
+            np.add.at(self.counts, (first + visited.nonzero()[0], cells), 1)
+        else:
+            self.counts[0] += np.bincount(cells, minlength=self.partition.n_cells)
         if self._checkpoints is None:
             return
+        steps = block.steps
         if self.lead is None and block.t0 == 0 and steps.any():
             self.lead = first + int(np.flatnonzero(steps)[0])
         row = -1 if self.lead is None else self.lead - first
@@ -274,7 +277,7 @@ def empirical_measure(
     counts = tally.counts.sum(axis=0)
     total = int(counts.sum())
     if total == 0:
-        raise ValueError("no post-burn-in samples available (all paths truncated early?)")
+        raise NoSampleError("no post-burn-in samples available (all paths truncated early?)")
     return EmpiricalMeasure(partition, counts / total, total, burn_in)
 
 

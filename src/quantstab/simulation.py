@@ -261,6 +261,12 @@ class LoopBlock(NamedTuple):
         ends = np.where(self.diverged_at < 0, end, np.minimum(self.diverged_at, end))
         return np.maximum(ends - self.t0, 0)  # np.clip holds on to memory across calls
 
+    def visited(self, burn_in: int) -> np.ndarray:
+        """The one counting rule, a (P, n) mask over ``x[:, :-1]``: a path's visited
+        states are x_burn .. x_{S-1}, its final state excluded, cut where it diverged."""
+        offsets = np.arange(self.q.shape[1])
+        return (self.t0 + offsets >= burn_in) & (offsets < self.steps[:, None])
+
 
 def _block_steps(paths: int, horizon: int) -> int:
     """``dynamics.JACOBIAN_BLOCK`` rows over the paths, in [1, horizon]."""

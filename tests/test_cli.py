@@ -956,9 +956,32 @@ def test_bound_falsified_floor_is_reported_with_no_post_burn_in_sample(tmp_path,
     assert no_sample == (
         "assumption violation: no post-burn-in samples available (all paths truncated early?)"
     )
-    assert sorted(p.name for p in out.iterdir()) == ["falsification.json"]
+    assert sorted(p.name for p in out.iterdir()) == ["bound_report.json", "falsification.json"]
     [subset] = json.loads((out / "falsification.json").read_text())["subsets"]
     assert subset["falsified"] is True
+    message = "no post-burn-in samples available (all paths truncated early?)"
+    assert json.loads((out / "bound_report.json").read_text()) == {"error": message}
+
+
+@pytest.mark.parametrize(
+    "command, report", [("bound", "bound_report.json"), ("diagnose", "diagnose_summary.json")]
+)
+def test_no_post_burn_in_sample_leaves_an_error_report(tmp_path, capsys, command, report):
+    # from x1 = 10 both paths pass 1e12 within three steps, long before the burn-in of 10
+    cfg = json.loads((REPO / "configs" / "ar1_diagnose.json").read_text())
+    cfg.update(
+        model={"dsl": "states 1\nnoise 1\nx1' = x1^3 - x1 + w1"},
+        init={"kind": "fixed", "values": [10.0]},
+        paths=2,
+        horizon=100,
+        gamma=[{"p": [1], "c_p": 0.5}],
+    )
+    out = tmp_path / "o"
+    assert main([command, "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_VIOLATION
+    message = "no post-burn-in samples available (all paths truncated early?)"
+    assert capsys.readouterr().err == f"assumption violation: {message}\n"
+    assert sorted(p.name for p in out.iterdir()) == [report]
+    assert json.loads((out / report).read_text()) == {"error": message}
 
 
 def test_bound_falsified_floor_is_reported_before_the_overflow_refusal(tmp_path, capsys):

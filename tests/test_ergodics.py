@@ -18,7 +18,7 @@ from quantstab import (
     null_policy,
     rollout,
 )
-from quantstab.ergodics import EmpiricalMeasure, VisitTally, measure_to_csv
+from quantstab.ergodics import EmpiricalMeasure, NoSampleError, VisitTally, measure_to_csv
 from quantstab.policies import cell_coords
 
 
@@ -131,6 +131,16 @@ def test_burn_in_must_be_smaller_than_horizon(ar1):
     part = Partition(low=[-1.0], high=[1.0], cells_per_axis=(2,))
     with pytest.raises(ValueError, match="burn-in"):
         empirical_measure([traj], part, burn_in=10)
+
+
+def test_a_path_that_ends_before_the_burn_in_is_the_no_sample_refusal(ar1):
+    # from 1e13 the path is past 1e12 at once and ends after its first step
+    traj = rollout(ar1, null_policy(2), NoiseSpec.zero(1), InitSpec.fixed([1e13]), 10, seed=0)
+    assert traj.diverged_at == 1
+    part = Partition(low=[-1.0], high=[1.0], cells_per_axis=(2,))
+    assert empirical_measure([traj], part, burn_in=0).n_samples == 1
+    with pytest.raises(NoSampleError, match="no post-burn-in samples available"):
+        empirical_measure([traj], part, burn_in=1)
 
 
 def test_all_overflow_warns(ar1):

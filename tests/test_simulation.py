@@ -661,14 +661,26 @@ def test_run_closed_loops_blocks_match_the_parent_loop(case, block_steps):
 )
 def test_batch_rollout_blocks_match_the_parent_loop_and_folds(text, noise, init, block_steps):
     model, policy, horizon, paths = _block_model(text), null_policy(2), 12, 8
+    part = Partition(low=[-3.0], high=[3.0], cells_per_axis=[6])
+
+    def fold(*groups):
+        """A pooled and a per-path tally of the paths, each group of paths
+        rolled out on its own and folded at its first path's row."""
+        pooled, tally = VisitTally(part, 2), VisitTally(part, 2, paths, checkpoints=[1, 3, 5, 10, 12])
+        for group in groups:
+            seeds = [path_seed(4, k) for k in group]
+            for block in closed_loop_blocks(model, policy, noise, init, horizon, seeds):
+                pooled.add(block)
+                tally.add(block, group[0])
+        return pooled, tally
+
     with mock.patch.object(dynamics, "JACOBIAN_BLOCK", block_steps * paths):
         trajs = batch_rollout(model, policy, noise, init, horizon, paths, base_seed=4)
-        part = Partition(low=[-3.0], high=[3.0], cells_per_axis=[6])
-        tally = VisitTally(part, 2, paths, checkpoints=[1, 3, 5, 10, 12])
-        for block in closed_loop_blocks(
-            model, policy, noise, init, horizon, [path_seed(4, k) for k in range(paths)]
-        ):
-            tally.add(block)
+        pooled, tally = fold(range(paths))
+        variants = {"split": fold(range(3), range(3, paths))}
+    for rows in [1, 7, 8192]:
+        with mock.patch.object(dynamics, "JACOBIAN_BLOCK", rows):
+            variants[rows] = fold(range(paths))
     # the parent drew each path's initial state and then its whole noise path
     x0s, w_paths = np.empty((paths, 1)), np.empty((paths, horizon, 1))
     for k in range(paths):
@@ -680,6 +692,7 @@ def test_batch_rollout_blocks_match_the_parent_loop_and_folds(text, noise, init,
 
     lead = next(t for t in trajs if t.steps > 0)
     assert tally.lead_steps == lead.steps
+    assert np.array_equal(pooled.counts[0], tally.counts.sum(axis=0))
     assert np.array_equal(
         empirical_measure(tally, part, 2).weights, empirical_measure(trajs, part, 2).weights
     )
@@ -689,3 +702,11 @@ def test_batch_rollout_blocks_match_the_parent_loop_and_folds(text, noise, init,
     assert np.array_equal(
         frequency_convergence(tally, part, checkpoints), frequency_convergence(lead, part, checkpoints)
     )
+
+    # every block size and every split of the paths over ``first`` folds the same counts
+    def folded(pooled, tally):
+        at = [tally.lead_counts(c).tolist() for c in checkpoints]
+        return pooled.counts.tolist(), tally.counts.tolist(), tally.lead_steps, at
+
+    for variant, (other_pooled, other_tally) in variants.items():
+        assert folded(other_pooled, other_tally) == folded(pooled, tally), variant

@@ -8,9 +8,15 @@ in ``__all__`` counts as used.
 """
 
 import ast
+import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
+
+from quantstab import InitSpec, NoiseSpec, Partition, catalog_model, dynamics, null_policy
+from quantstab.ergodics import VisitTally
+from quantstab.simulation import closed_loop_blocks, path_seed
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "quantstab"
 
@@ -416,3 +422,146 @@ def test_only_main_reports_findings():
 def test_only_the_measure_and_the_bound_read_the_overflow_rule():
     readers = {path.name for path in SRC.glob("*.py") if _reads(path.read_text(), {"MAX_OVERFLOW_MASS"})}
     assert readers == {"capacity_bounds.py", "ergodics.py"}
+
+
+# --------------------------------------------------------------------------
+# One counting rule: only ``LoopBlock.visited`` sets a burn-in against a
+# block's first step or a step offset, and ``VisitTally.add`` classifies a
+# block's visited rows in one ``cell_indices`` call (and the lead row in one more).
+
+_BURN_IN = {"burn_in", "burn"}
+_STEPS = {"t0", "t", "steps", "taken", "start", "offsets"}
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _burn_in_rules(source: str) -> list[str]:
+    """``Class.function`` (or ``function``, ``<module>`` outside any), once
+    each, for every comparison or arithmetic that sets a burn-in against a
+    first step or a step offset, and every slice bounded by a burn-in."""
+    found = []
+
+    def visit(node: ast.AST, where: str, cls: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            names = None
+            if isinstance(child, (ast.Compare, ast.BinOp)):
+                names = _names(child)
+            elif isinstance(child, ast.Slice):
+                names = _names(child) | _STEPS  # a slice's bounds are step offsets
+            if names and names & _BURN_IN and names & _STEPS and where not in found:
+                found.append(where)
+            if isinstance(child, ast.ClassDef):
+                visit(child, where, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{cls}.{child.name}" if cls else child.name, "")
+            else:
+                visit(child, where, cls)
+
+    visit(ast.parse(source), "<module>", "")
+    return found
+
+
+def test_checker_finds_every_burn_in_rule():
+    source = (
+        "class Tally:\n"
+        "    def __init__(self, burn_in):\n        if burn_in < 0:\n            raise ValueError\n"
+        "    def add(self, block):\n        start = max(self.burn_in - block.t0, 0)\n"
+        "        return block.x[0, start:block.steps[0]]\n"
+        "def counts(x, burn_in, steps):\n    return x[burn_in:steps]\n"
+        "def visited(t0, offsets, burn):\n    return t0 + offsets >= burn\n"
+        "def measure(burn_in, tally):\n    if burn_in >= tally.horizon:\n        raise ValueError\n"
+        "    burn = int(0.1 * tally.horizon)\n    return burn\n"
+    )
+    assert _burn_in_rules(source) == ["Tally.add", "counts", "visited"]
+
+
+def test_only_the_block_states_the_counting_rule():
+    found = [
+        f"{path.name}:{where}" for path in sorted(SRC.glob("*.py")) for where in _burn_in_rules(path.read_text())
+    ]
+    assert found == ["simulation.py:LoopBlock.visited"]
+
+
+@pytest.mark.parametrize("paths, checkpoints, calls_per_block", [(None, None, 1), (5, [10, 100], 2)])
+def test_a_tally_classifies_each_block_in_one_call(paths, checkpoints, calls_per_block):
+    part = Partition([-6.0], [6.0], [8])
+    tally = VisitTally(part, 30, paths, checkpoints)
+    seeds = [path_seed(0, k) for k in range(5)]
+    args = (catalog_model("stable_ar1"), null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 200, seeds)
+    classify = mock.patch.object(Partition, "cell_indices", autospec=True, side_effect=Partition.cell_indices)
+    with mock.patch.object(dynamics, "JACOBIAN_BLOCK", 40), classify as cell_indices:
+        blocks = 0
+        for block in closed_loop_blocks(*args):  # 25 blocks of 8 steps
+            tally.add(block)
+            blocks += 1
+    assert blocks == 25 and cell_indices.call_count == calls_per_block * blocks
+    assert tally.counts.sum() == 5 * (200 - 30)
+
+
+# --------------------------------------------------------------------------
+# Every config key the CLI reads is documented: each key read by
+# ``_Section.get`` (a literal, a key of a literal tuple the call iterates, or
+# a literal passed to a function that forwards its first argument to ``get``)
+# appears in ``cli.CONFIG_DOC``.
+
+def _config_keys(source: str) -> set[str]:
+    tree = ast.parse(source)
+    forwarders = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.args.args
+        for call in ast.walk(fn)
+        if _called_name(call) == "get" and call.args and getattr(call.args[0], "id", None) == fn.args.args[0].arg
+    }
+    readers = {"get", *forwarders}
+
+    def literals(nodes) -> list[str]:
+        return [e.value for e in nodes if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+
+    keys = set()
+    for node in ast.walk(tree):
+        if _called_name(node) in readers and node.args:
+            keys.update(literals(node.args[:1]))
+        loops = [(node, node.body)] if isinstance(node, ast.For) else []
+        if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+            loops = [(gen, [node.elt]) for gen in node.generators]
+        for loop, body in loops:
+            target = getattr(loop.target, "id", None)
+            for call in (c for part in body for c in ast.walk(part)):
+                if _called_name(call) in readers and call.args and getattr(call.args[0], "id", None) == target:
+                    keys.update(literals(getattr(loop.iter, "elts", [])))
+    return keys
+
+
+def _config_doc(source: str) -> str:
+    [doc] = [
+        node.value.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "CONFIG_DOC"
+    ]
+    return doc
+
+
+def test_checker_finds_every_config_key():
+    source = (
+        "def build(top, overrides):\n"
+        "    def pick(key, kind):\n        return top.get(key, kind) or overrides.get(key)\n"
+        "    a = pick('seed', int), top.get('out_dir', str), {}.get(1)\n"
+        "    b = [top.get(k, dict) for k in ('model', 'noise')]\n"
+        "    c = [k for k in ('spare', 'unread')]\n"
+        "    for name in ('bound', 'falsify'):\n        top.get(name, dict)\n"
+    )
+    assert _config_keys(source) == {"seed", "out_dir", "model", "noise", "bound", "falsify"}
+
+
+def test_every_config_key_read_is_documented():
+    source = (SRC / "cli.py").read_text()
+    doc, keys = _config_doc(source), _config_keys(source)
+    assert {"seed", "burn_in_fraction", "model", "diagnose", "catalog", "value", "c_p", "checkpoints"} <= keys
+    assert sorted(k for k in keys if not re.search(rf"(?<!\w){re.escape(k)}(?!\w)", doc)) == []
