@@ -122,10 +122,11 @@ every value has a kind: int, float, bool, str, list or object, as above.
 Floats are finite, and integral floats such as 1e6 count as ints. A per-axis
 list of numbers (low, high, mean, std, target, center, bits_per_axis,
 cells_per_axis) also takes one number for every axis. Counts (horizon, paths,
-n_mc, samples, horizons, scenarios) are at least 1, seeds at least 0, other
-integers at most 2^63 - 1 and bits_per_axis at most 63, and a grid (a
-partition or a quantizer) has at most 2^24 cells. Anything else, and any key
-not listed, is a config error (exit 2) that names the key, e.g. gamma[0].p.
+n_mc, samples, horizons, scenarios) are at least 1 and entropy horizons
+distinct, seeds at least 0, other integers at most 2^63 - 1 and
+bits_per_axis at most 63, and a grid (a partition or a quantizer) has at
+most 2^24 cells. Anything else, and any key not listed, is a config error
+(exit 2) that names the key, e.g. gamma[0].p.
 
 subcommands need: simulate -> model noise init policy horizon paths seed;
 bound -> simulate keys + partition gamma [bound falsify]; entropy -> simulate
@@ -550,6 +551,8 @@ def cmd_entropy(exp: Experiment, out: Path, verbose: bool) -> list[str]:
     horizons = section.get("horizons", _list(_count))
     if not horizons:
         raise ConfigError("entropy.horizons must list at least one horizon")
+    if len(set(horizons)) < len(horizons):
+        raise ConfigError(f"entropy.horizons must be distinct, got {horizons}")
     n_scenarios = section.get("scenarios", _count)
     split = section.get("split", _integer, exp.model.n)
     if not (1 <= split <= exp.model.n):

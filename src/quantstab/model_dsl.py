@@ -518,35 +518,32 @@ def _quotient(a, b):
     return q
 
 
-def _to_python(node: ExprAst) -> tuple[str, int]:
-    """Python text of a node and its precedence: 1 for ``+ -``, 2 for ``*``,
-    3 for a unary minus (a negative constant too), 4 for a name, number or
-    call. An operand is parenthesised only below its operator's precedence,
-    or at it on the right (Python groups ``+ - *`` from the left). So Python
-    parses the DSL tree back, and a chain nests no parentheses."""
+def _call(func: str, *args: ast.expr) -> ast.Call:
+    return ast.Call(ast.Name(func, ast.Load()), list(args), [])
+
+
+def _to_python(node: ExprAst) -> ast.expr:
+    """Python syntax-tree node of a DSL node: ``/`` and integer powers are
+    calls of ``_quotient`` and ``_power_chain``, the rest Python's own."""
     if isinstance(node, Const):
-        text = repr(node.value)
-        return text, 3 if text.startswith("-") else 4
+        return ast.Constant(node.value)
     if isinstance(node, StateVar):
-        return f"x{node.index - 1}", 4
+        return ast.Name(f"x{node.index - 1}", ast.Load())
     if isinstance(node, NoiseVar):
-        return f"w{node.index - 1}", 4
+        return ast.Name(f"w{node.index - 1}", ast.Load())
     if isinstance(node, BinOp):
-        (a, a_prec), (b, b_prec) = _to_python(node.a), _to_python(node.b)
+        a, b = _to_python(node.a), _to_python(node.b)
         if node.op == "/":
-            return f"_quotient({a}, {b})", 4
-        prec = 1 if node.op in "+-" else 2
-        a = a if a_prec >= prec else f"({a})"
-        b = b if b_prec > prec else f"({b})"
-        return f"{a} {node.op} {b}", prec
+            return _call("_quotient", a, b)
+        op = next(cls for cls, text in _BINOPS.items() if text == node.op)
+        return ast.BinOp(a, op(), b)
     if isinstance(node, Pow):
         if node.exponent == 0:
-            return "1.0", 4
-        power = f"_power_chain({_to_python(node.base)[0]}, {node.exponent})"
-        return (power if node.exponent > 0 else f"_quotient(1.0, {power})"), 4
+            return ast.Constant(1.0)
+        power = _call("_power_chain", _to_python(node.base), ast.Constant(node.exponent))
+        return power if node.exponent > 0 else _call("_quotient", ast.Constant(1.0), power)
     if isinstance(node, Neg):
-        a, a_prec = _to_python(node.a)
-        return (f"-{a}" if a_prec >= 3 else f"-({a})"), 3
+        return ast.UnaryOp(ast.USub(), _to_python(node.a))
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -555,6 +552,7 @@ def compile_exprs(
 ) -> Callable:
     """Compile expressions into one positional function ``f(x0.., w0..) -> tuple``.
 
+    The function is built as a Python syntax tree, kept as ``fn.__tree__``.
     The generated arithmetic works on plain floats (replay, audits) and on
     numpy arrays passed column-wise (lockstep simulation, vectorized Monte
     Carlo), and both give the same bits: integer powers are one fixed chain
@@ -563,21 +561,20 @@ def compile_exprs(
     """
     args = [f"x{i}" for i in range(n_states)] + [f"w{j}" for j in range(n_noise)]
     try:
-        body = ", ".join(_to_python(e)[0] for e in exprs)
-        if len(exprs) == 1:
-            body += ","
-        src = f"def {name}({', '.join(args)}):\n    return ({body})\n"
-        code = compile(src, f"<{name}>", "exec")
-    except (SyntaxError, RecursionError):  # Python compiles 200 nested parentheses at most
+        body = ast.Tuple([_to_python(e) for e in exprs], ast.Load())
+        signature = ast.arguments(
+            posonlyargs=[], args=[ast.arg(a) for a in args], kwonlyargs=[], kw_defaults=[], defaults=[]
+        )
+        tree = ast.Module([ast.FunctionDef(name, signature, [ast.Return(body)], [])], [])
+        # one iterative pass: ast.fix_missing_locations would recurse
+        for node in ast.walk(tree):
+            node.lineno = node.end_lineno = 1
+            node.col_offset = node.end_col_offset = 0
+        code = compile(tree, f"<{name}>", "exec")
+    except RecursionError:
         raise DslSyntaxError("model is nested too deeply to compile") from None
-    namespace: dict = {
-        "_power_chain": _power_chain,
-        "_quotient": _quotient,
-        # a constant that is not finite prints as the bare name inf or nan
-        "inf": np.inf,
-        "nan": np.nan,
-    }
+    namespace: dict = {"_power_chain": _power_chain, "_quotient": _quotient}
     exec(code, namespace)
     fn = namespace[name]
-    fn.__source__ = src
+    fn.__tree__ = tree
     return fn

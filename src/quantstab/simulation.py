@@ -106,12 +106,25 @@ class NoiseSpec:
         return self.probs @ self.values
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return self.fill(rng, np.empty((count, self.dim)))
+
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill the C-contiguous ``(count, dim)`` array ``out`` in place, with
+        the bits that ``uniform``, ``standard_normal`` or ``choice`` draw."""
+        if self.family == "atoms":  # the CDF and the search Generator.choice makes
+            cdf = self.probs.cumsum()
+            cdf /= cdf[-1]
+            picks = cdf.searchsorted(rng.random(len(out)), side="right")
+            return np.take(self.values, picks, axis=0, out=out)
         if self.family == "gaussian":
-            return self.mean_ + self.std_ * rng.standard_normal((count, self.dim))
-        if self.family == "uniform":
-            return rng.uniform(self.low, self.high, (count, self.dim))
-        idx = rng.choice(len(self.values), size=count, p=self.probs)
-        return self.values[idx]
+            rng.standard_normal(out=out)
+            scale, shift = self.std_, self.mean_
+        else:  # uniform draws low + (high - low) * U
+            rng.random(out=out)
+            scale, shift = self.high - self.low, self.low
+        out *= scale
+        out += shift
+        return out
 
 
 @dataclass(frozen=True)
@@ -340,7 +353,7 @@ def _seeded_blocks(model, policy, noise, init, horizon, seeds, steps):
 
     def draw(w: np.ndarray) -> None:
         for row, rng in zip(w, rngs):
-            row[:] = noise.sample(rng, len(row))
+            noise.fill(rng, row)
 
     return _lockstep(model, policy, x0s, horizon, draw, xs, ws, qs, us), (xs, ws, qs, us)
 

@@ -716,20 +716,22 @@ def _dsl_diagnose_config(model_text):
 
 
 @pytest.mark.parametrize(
-    "rhs",
+    "rhs, reason",
     [
-        "(" * 300 + "0.5*x1" + ")" * 300 + " + w1",  # Python's parser allows 200 parentheses
-        "*".join(["x1"] * 300) + " + w1",  # its product-rule Jacobian nests 300 parentheses
-        "0.5*x1 + w1" + " + 0*x1" * 3000,
-        "-" * 2000 + "x1",
+        # Python's parser allows 200 parentheses; its message's wording follows the Python version
+        ("(" * 300 + "0.5*x1" + ")" * 300 + " + w1", ""),
+        # parses, but its product-rule Jacobian is deeper than Python compiles
+        ("*".join(["x1"] * 800) + " + w1", "model is nested too deeply to compile"),
+        ("0.5*x1 + w1" + " + 0*x1" * 3000, "expression is nested too deeply"),
+        ("-" * 2000 + "x1", "expression is nested too deeply"),
     ],
-    ids=["parentheses-300", "product-300", "terms-3000", "signs-2000"],
+    ids=["parentheses-300", "product-800", "terms-3000", "signs-2000"],
 )
-def test_model_nested_too_deeply_exits_2(tmp_path, capsys, rhs):
+def test_model_nested_too_deeply_exits_2(tmp_path, capsys, rhs, reason):
     cfg = _dsl_diagnose_config(f"states 1\nnoise 1\nx1' = {rhs}")
     code = _main_without_rollouts(["diagnose", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: bad model text: ")
+    assert capsys.readouterr().err.startswith(f"config error: bad model text: {reason}")
 
 
 def test_model_without_states_exits_2(tmp_path, capsys):
@@ -896,7 +898,14 @@ def test_entropy_epsilon_too_large_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "setting",
-    [{"thresholds": "lemmas"}, {"scenarios": 0}, {"horizons": [4, 0]}, {"horizons": []}, {"split": 2}],
+    [
+        {"thresholds": "lemmas"},
+        {"scenarios": 0},
+        {"horizons": [4, 0]},
+        {"horizons": []},
+        {"horizons": [4, 4]},
+        {"split": 2},
+    ],
 )
 def test_entropy_bad_setting_is_config_error_before_any_simulation(tmp_path, capsys, setting):
     config = _write(tmp_path, _zoom_entropy_config(**setting))
@@ -906,6 +915,8 @@ def test_entropy_bad_setting_is_config_error_before_any_simulation(tmp_path, cap
     assert "config error" in err
     if "thresholds" in setting:  # the thresholds always come from the cell masses: no key sets them
         assert "unknown key(s) 'thresholds' in entropy" in err
+    if setting.get("horizons") == [4, 4]:  # one point twice would be written twice
+        assert "entropy.horizons must be distinct" in err
 
 
 def test_entropy_noise_partition_dim_must_match_noise_dim(tmp_path, capsys):

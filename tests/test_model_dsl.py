@@ -414,7 +414,7 @@ def _same_bits(a: float, b: float) -> bool:
     points=np.zeros((6, 3)),
 )
 @example(
-    # constants that are not finite compile to the names inf and nan
+    # constants that are not finite compile as float constants inf and nan
     exprs=[
         BinOp("+", StateVar(1), Const(math.inf)),
         BinOp("*", Const(-math.inf), StateVar(2)),  # -inf * 0 is nan
@@ -454,13 +454,13 @@ def test_scalar_array_and_tree_walk_agree_bitwise(exprs, points):
 
 @pytest.mark.parametrize(
     "text",
-    ["*".join(["x1"] * 150), " + ".join(["x1"] + ["0*x1"] * 199)],
-    ids=["product-150", "sum-200"],
+    ["*".join(["x1"] * 150), "*".join(["x1"] * 400), " + ".join(["x1"] + ["0*x1"] * 199)],
+    ids=["product-150", "product-400", "sum-200"],
 )
 def test_long_operator_chains_compile_and_agree_bitwise(text):
-    # a chain of one operator compiles without parentheses, so these models
-    # (and the product's nested product-rule Jacobian) stay within Python's
-    # 200-parenthesis limit
+    # the compiled code is built as a syntax tree, not parsed from text, so
+    # Python's 200-parenthesis limit does not apply: a 400-factor product's
+    # product-rule Jacobian nests about 800 levels and still compiles
     src = parse_model(f"states 1\nnoise 1\nx1' = {text} + w1")
     exprs = [src.exprs[0], differentiate(src.exprs[0], 1)]
     fn = compile_exprs(exprs, 1, 1)

@@ -575,6 +575,30 @@ def test_noise_blocks_concatenate_to_one_draw(spec_index, splits, seed, with_ini
     assert whole.random() == blocked.random()
 
 
+def _generator_draw(noise, rng, count):
+    """A noise block as Generator.standard_normal, uniform and choice draw it."""
+    if noise.family == "gaussian":
+        return noise.mean_ + noise.std_ * rng.standard_normal((count, noise.dim))
+    if noise.family == "uniform":
+        return rng.uniform(noise.low, noise.high, (count, noise.dim))
+    return noise.values[rng.choice(len(noise.values), size=count, p=noise.probs)]
+
+
+@pytest.mark.parametrize("family", ["gaussian", "uniform", "atoms"])
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+def test_noise_fill_in_place_draws_the_generator_stream(family, splits, seed):
+    # the rollout fills each path's rows of one block array, reused block by block
+    for noise in [spec for spec in _NOISE_SPECS if spec.family == family]:
+        drawn, filled = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = np.full((max(splits), noise.dim), np.nan)
+        for n in splits:
+            rows = block[:n]
+            assert noise.fill(filled, rows) is rows
+            assert np.array_equal(rows, _generator_draw(noise, drawn, n))
+        assert drawn.random() == filled.random()
+
+
 def _parent_closed_loops(model, policy, x0s, w_paths):
     """The one-pass lockstep loop the blocked loop replaced, kept as an
     oracle: every step of every path in whole (P, T) arrays."""

@@ -8,6 +8,7 @@ in ``__all__`` counts as used.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 from unittest import mock
@@ -565,3 +566,93 @@ def test_every_config_key_read_is_documented():
     doc, keys = _config_doc(source), _config_keys(source)
     assert {"seed", "burn_in_fraction", "model", "diagnose", "catalog", "value", "c_p", "checkpoints"} <= keys
     assert sorted(k for k in keys if not re.search(rf"(?<!\w){re.escape(k)}(?!\w)", doc)) == []
+
+
+# --------------------------------------------------------------------------
+# The tracer's names exist: ``perfbench/tracing.py`` wraps names where
+# ``quantstab.cli`` and ``quantstab.stabilization_entropy`` look them up (its
+# ``patches`` table), wraps attributes of names it imports, and imports names
+# from quantstab modules. A name that moves or goes breaks the traced run, so
+# each must exist where the tracer looks it up (it keeps, for one,
+# ``cli.gamma_falsify`` and ``stabilization_entropy.run_closed_loop`` alive).
+
+TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
+
+
+def _tracer_lookups(source: str) -> list[str]:
+    """``module:name`` for each name imported from a quantstab module, each
+    key of the ``patches`` table under the module it patches, and each
+    attribute assigned on an imported name. A source without exactly one
+    ``patches`` table raises ValueError."""
+    tree = ast.parse(source)
+    modules, objects = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("quantstab"):
+            objects.update((alias.asname or alias.name, f"{node.module}:{alias.name}") for alias in node.names)
+    [table] = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "patches"
+    ]
+    found = list(objects.values())
+    for module, names in zip(table.keys, table.values):
+        found += [f"{modules[module.id]}:{key.value}" for key in names.keys]
+    for node in ast.walk(tree):
+        target = node.targets[0] if isinstance(node, ast.Assign) else None
+        if isinstance(target, ast.Attribute) and getattr(target.value, "id", None) in objects:
+            found.append(f"{objects[target.value.id]}.{target.attr}")
+    return found
+
+
+def _missing(lookup: str) -> bool:
+    module, _, path = lookup.partition(":")
+    obj = importlib.import_module(module)
+    for name in path.split("."):
+        if not hasattr(obj, name):
+            return True
+        obj = getattr(obj, name)
+    return False
+
+
+def test_checker_finds_every_tracer_lookup():
+    source = (
+        "def install(tracer):\n"
+        "    import quantstab.cli as cli\n    import quantstab.simulation as sim\n"
+        "    from quantstab.dynamics import SystemModel\n"
+        "    patches = {cli: {'main': ('cli.main', None)}, sim: {'nothing_here': ('x', None)}}\n"
+        "    SystemModel.from_source = tracer.wrap(SystemModel.from_source)\n    SystemModel.spare = None\n"
+        "def probe():\n    from quantstab.capacity_bounds import MAX_OVERFLOW_MASS, gone\n"
+    )
+    lookups = _tracer_lookups(source)
+    assert sorted(lookups) == [
+        "quantstab.capacity_bounds:MAX_OVERFLOW_MASS",
+        "quantstab.capacity_bounds:gone",
+        "quantstab.cli:main",
+        "quantstab.dynamics:SystemModel",
+        "quantstab.dynamics:SystemModel.from_source",
+        "quantstab.dynamics:SystemModel.spare",
+        "quantstab.simulation:nothing_here",
+    ]
+    assert sorted(lookup for lookup in lookups if _missing(lookup)) == [
+        "quantstab.capacity_bounds:gone",
+        "quantstab.dynamics:SystemModel.spare",
+        "quantstab.simulation:nothing_here",
+    ]
+    with pytest.raises(ValueError):  # no patch table
+        _tracer_lookups("from quantstab.dynamics import SystemModel\n")
+
+
+def test_every_name_the_tracer_looks_up_exists():
+    lookups = _tracer_lookups(TRACING.read_text())
+    assert {
+        "quantstab.cli:gamma_falsify",
+        "quantstab.stabilization_entropy:run_closed_loop",
+        "quantstab.dynamics:SystemModel.from_source",
+        "quantstab.dynamics:log2_abs_det_many",
+        "quantstab.simulation:audit_causality",
+        "quantstab.simulation:replay_consistent",
+        "quantstab.capacity_bounds:MAX_OVERFLOW_MASS",
+    } <= set(lookups)
+    assert [lookup for lookup in lookups if _missing(lookup)] == []
