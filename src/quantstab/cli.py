@@ -122,11 +122,11 @@ every value has a kind: int, float, bool, str, list or object, as above.
 Floats are finite, and integral floats such as 1e6 count as ints. A per-axis
 list of numbers (low, high, mean, std, target, center, bits_per_axis,
 cells_per_axis) also takes one number for every axis. Counts (horizon, paths,
-n_mc, samples, horizons, scenarios) are at least 1 and entropy horizons
-distinct, seeds at least 0, other integers at most 2^63 - 1 and
-bits_per_axis at most 63, and a grid (a partition or a quantizer) has at
-most 2^24 cells. Anything else, and any key not listed, is a config error
-(exit 2) that names the key, e.g. gamma[0].p.
+n_mc, samples, horizons, scenarios, checkpoints) are at least 1, entropy
+horizons and diagnose checkpoints distinct, seeds at least 0, other integers
+at most 2^63 - 1 and bits_per_axis at most 63, and a grid (a partition or a
+quantizer) has at most 2^24 cells. Anything else, and any key not listed, is
+a config error (exit 2) that names the key, e.g. gamma[0].p.
 
 subcommands need: simulate -> model noise init policy horizon paths seed;
 bound -> simulate keys + partition gamma [bound falsify]; entropy -> simulate
@@ -447,7 +447,7 @@ def _fold_and_measure(exp: Experiment, verbose: bool, tally: VisitTally):
     no path has a sample) and each path's divergence step, None if none."""
     for block in _simulate(exp, verbose, closed_loop_blocks, PathSeeds(exp.seed, exp.paths)):
         tally.add(block)
-    measure = empirical_measure(tally, exp.partition, exp.burn_in)
+    measure = empirical_measure(tally)
     return measure, [None if d < 0 else d for d in block.diverged_at.tolist()]
 
 
@@ -620,8 +620,10 @@ def cmd_diagnose(exp: Experiment, out: Path, verbose: bool) -> list[str]:
     if exp.partition is None:
         raise ConfigError("the diagnose subcommand needs a 'partition' section")
     section = exp.diagnose or _Section({}, "diagnose")
-    checkpoints = section.get("checkpoints", _list(_integer), None)
+    checkpoints = section.get("checkpoints", _list(_count), None)
     section.close()
+    if checkpoints is not None and len(set(checkpoints)) < len(checkpoints):
+        raise ConfigError(f"diagnose.checkpoints must be distinct, got {checkpoints}")
     lead_checkpoints = DEFAULT_CHECKPOINTS if checkpoints is None else checkpoints
     tally = _construct("paths", VisitTally, exp.partition, exp.burn_in, exp.paths, lead_checkpoints)
     try:
@@ -631,12 +633,12 @@ def cmd_diagnose(exp: Experiment, out: Path, verbose: bool) -> list[str]:
         return [str(exc)]
     measure_to_csv(measure, out / "measure.csv")
 
-    dispersion = ergodicity_dispersion(tally, exp.partition, exp.burn_in)
+    dispersion = ergodicity_dispersion(tally)
     rows = zip(exp.partition.cell_labels(), dispersion)
     write_csv(out / "dispersion.csv", ["cell", "dispersion"], "sg", [rows], "\n")
 
     checkpoints = tally.checkpoints(checkpoints)  # the measure has a sample, so a lead path exists
-    curves = frequency_convergence(tally, exp.partition, checkpoints)
+    curves = frequency_convergence(tally, checkpoints)
     header = ["T", *exp.partition.cell_labels("cell")]
     rows = ((checkpoint, *curve) for checkpoint, curve in zip(checkpoints, curves))
     write_csv(out / "convergence.csv", header, "d" + "g" * exp.partition.n_cells, [rows], "\n")

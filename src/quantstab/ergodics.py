@@ -3,21 +3,23 @@
 The limiting state law is approximated by a time-averaged histogram over a box
 partition (plus one overflow cell covering the rest of R^N). Every such
 histogram, pooled or per path, counts the cells of the visited rows
-(``LoopBlock.visited``), block by block (``VisitTally.add``). Ergodicity is
-diagnosed, never certified: the dispersion of per-path limit frequencies is an
-empirical proxy, and it cannot distinguish path-frequency limits from the mass
-of the abstract asymptotic mean they are standing in for.
+(``LoopBlock.visited``), block by block (``VisitTally.add``); a held trajectory
+folds as its one-path block (``Trajectory.block``). The readers take the tally
+alone, its partition and burn-in with it. Ergodicity is diagnosed, never
+certified: the dispersion of per-path limit frequencies is an empirical proxy,
+and it cannot distinguish path-frequency limits from the mass of the abstract
+asymptotic mean they are standing in for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .policies import cell_coords, cell_count, cell_numbers, cell_widths
-from .simulation import LoopBlock, Trajectory, write_csv
+from .simulation import LoopBlock, write_csv
 
 __all__ = [
     "Partition",
@@ -238,7 +240,7 @@ class VisitTally:
         steps = self.lead_steps
         if requested is None:
             return sorted({c for c in DEFAULT_CHECKPOINTS if c <= steps} | {steps})
-        return [c for c in requested if 1 <= c <= steps] or [steps]
+        return [c for c in requested if c <= steps] or [steps]
 
     def lead_counts(self, checkpoint: int) -> np.ndarray:
         """The lead path's visit counts over its first ``checkpoint`` steps."""
@@ -249,75 +251,44 @@ class VisitTally:
         return self._at[checkpoint]
 
 
-def _tally(paths, partition: Partition, burn_in: int, per_path: bool = False) -> VisitTally:
-    """``paths`` if it is a tally over ``partition`` and ``burn_in``, else
-    its trajectories folded into one."""
-    if isinstance(paths, VisitTally):
-        if paths.partition is not partition or paths.burn_in != burn_in:
-            raise ValueError("the tally was folded over another partition or burn-in")
-        return paths
-    tally = VisitTally(partition, burn_in, len(paths) if per_path else None)
-    for k, traj in enumerate(paths):
-        tally.add(traj.block(), k)
-    return tally
-
-
-def empirical_measure(
-    paths: Union[Sequence[Trajectory], VisitTally], partition: Partition, burn_in: int = 0
-) -> EmpiricalMeasure:
-    """Pooled histogram of post-burn-in states across paths, given as
-    trajectories or as a tally of their blocks: the summed visit counts over
-    their total. Overflow findings are in the measure's
-    :attr:`~EmpiricalMeasure.warnings`."""
-    tally = _tally(paths, partition, burn_in)
+def empirical_measure(tally: VisitTally) -> EmpiricalMeasure:
+    """Pooled histogram of the tally's post-burn-in states: its summed visit
+    counts over their total, on its partition. Overflow findings are in the
+    measure's :attr:`~EmpiricalMeasure.warnings`."""
     if tally.horizon is None:
-        raise ValueError("need at least one trajectory")
-    if burn_in >= tally.horizon:
-        raise ValueError(f"burn-in {burn_in} must be smaller than the horizon")
+        raise ValueError("the tally has folded no block")
+    if tally.burn_in >= tally.horizon:
+        raise ValueError(f"burn-in {tally.burn_in} must be smaller than the horizon")
     counts = tally.counts.sum(axis=0)
     total = int(counts.sum())
     if total == 0:
         raise NoSampleError("no post-burn-in samples available (all paths truncated early?)")
-    return EmpiricalMeasure(partition, counts / total, total, burn_in)
+    return EmpiricalMeasure(tally.partition, counts / total, total, tally.burn_in)
 
 
-def frequency_convergence(
-    path: Union[Trajectory, VisitTally], partition: Partition, checkpoints: Sequence[int]
-) -> np.ndarray:
+def frequency_convergence(tally: VisitTally, checkpoints: Sequence[int]) -> np.ndarray:
     """Running per-cell occupancy averages (1/T') sum_{t<T'} 1_cell(x_t) of
-    one trajectory, or of a tally's lead path at checkpoints it was folded
-    with (and its last step).
+    the tally's lead path, at checkpoints it was folded with (and its last
+    step).
 
     Returns an array of shape (len(checkpoints), n_cells).
     """
-    checkpoints = [int(c) for c in checkpoints]
-    if isinstance(path, VisitTally):
-        if path.partition is not partition:
-            raise ValueError("the tally was folded over another partition")
-        tally = path
-    else:
-        tally = VisitTally(partition, 0, checkpoints=checkpoints)
-        tally.add(path.block())
     if any(c < 1 or c > tally.lead_steps for c in checkpoints):
         raise ValueError(f"checkpoints must lie in [1, {tally.lead_steps}]")
-    out = np.empty((len(checkpoints), partition.n_cells))
+    out = np.empty((len(checkpoints), tally.partition.n_cells))
     for row, c in enumerate(checkpoints):
         out[row] = tally.lead_counts(c) / c
     return out
 
 
-def ergodicity_dispersion(
-    paths: Union[Sequence[Trajectory], VisitTally], partition: Partition, burn_in: int = 0
-) -> np.ndarray:
+def ergodicity_dispersion(tally: VisitTally) -> np.ndarray:
     """Across-path standard deviation of terminal per-cell frequencies: each
-    path's post-burn-in visit counts over their total, from trajectories or
-    a per-path tally of their blocks.
+    row of a per-path tally, its post-burn-in visit counts over their total.
 
     Small values are consistent with ergodic behaviour (all paths share one
     frequency limit); large values are evidence against it. A single path
     gives zero by convention.
     """
-    tally = _tally(paths, partition, burn_in, per_path=True)
     if not tally.per_path:
         raise ValueError("dispersion needs a tally with one row per path")
     counts = tally.counts[tally.counts.sum(axis=1) > 0]

@@ -122,8 +122,9 @@ class NoiseSpec:
         else:  # uniform draws low + (high - low) * U
             rng.random(out=out)
             scale, shift = self.high - self.low, self.low
-        out *= scale
-        out += shift
+        with np.errstate(over="ignore"):  # an inf draw is a divergence, not a warning
+            out *= scale
+            out += shift
         return out
 
 
@@ -176,7 +177,8 @@ class InitSpec:
         out = np.empty((count, self.dim))
         for i, c in enumerate(self.coords):
             if c.kind == "gaussian":
-                out[:, i] = c.a + c.b * rng.standard_normal(count)
+                with np.errstate(over="ignore"):  # as in NoiseSpec.fill
+                    out[:, i] = c.a + c.b * rng.standard_normal(count)
             elif c.kind == "uniform":
                 out[:, i] = rng.uniform(c.a, c.b, count)
             else:

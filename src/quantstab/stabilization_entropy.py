@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .dynamics import SystemModel
-from .ergodics import Partition, empirical_measure
+from .ergodics import Partition, VisitTally, empirical_measure
 from .policies import CodingPolicy
 # run_closed_loop stays importable from this module: perfbench/tracing.py wraps it here
 from .simulation import (  # noqa: F401
@@ -420,9 +420,11 @@ def entropy_rate(
     for horizon in horizons:
         scen = ScenarioSet.sample(init, noise, horizon, n_scenarios, seed=(seed, horizon))
         candidates, trajs = closed_loop_candidates(model, policy, scen)
-        burn = int(burn_in_fraction * horizon)
         # the in-box masses of the closed loop's empirical measure
-        q_weights = empirical_measure(trajs, template.state_partition, burn).weights[:-1]
+        tally = VisitTally(template.state_partition, int(burn_in_fraction * horizon))
+        for traj in trajs:
+            tally.add(traj.block())
+        q_weights = empirical_measure(tally).weights[:-1]
         nu_weights = _noise_weights(scen, template)
         r = build_R_epsilon(q_weights, nu_weights, template.epsilon)
         matrix = satisfaction_matrix(model, candidates, template, r, scen)

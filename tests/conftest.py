@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quantstab import EmpiricalMeasure, Partition, catalog_model
+from quantstab import EmpiricalMeasure, Partition, VisitTally, catalog_model
 
 
 @pytest.fixture
@@ -36,3 +36,12 @@ def uniform_measure(low, high, cells_per_axis) -> EmpiricalMeasure:
 @pytest.fixture
 def make_uniform_measure():
     return uniform_measure
+
+
+def tally_of(trajs, partition, burn_in=0, per_path=False, checkpoints=None) -> VisitTally:
+    """Held trajectories folded into one tally as their one-path blocks, path
+    k at row k if ``per_path``, the lead path's counts at ``checkpoints``."""
+    tally = VisitTally(partition, burn_in, len(trajs) if per_path else None, checkpoints)
+    for k, traj in enumerate(trajs):
+        tally.add(traj.block(), k)
+    return tally

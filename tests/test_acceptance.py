@@ -15,7 +15,7 @@ import quantstab as qs
 from quantstab.dynamics import finite_difference_jacobian
 from quantstab.stabilization_entropy import closed_loop_candidates
 from quantstab.cli import main as cli_main
-from conftest import uniform_measure
+from conftest import tally_of, uniform_measure
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -58,7 +58,7 @@ def test_criterion_02_example2_refinement_gap():
     )
     trajs = qs.batch_rollout(example2, policy, noise, init, 2000, 8, base_seed=21)
     part = qs.Partition(low=[-1.0, -1.0], high=[1.0, 1.0], cells_per_axis=(8, 8))
-    measure = qs.empirical_measure(trajs, part, burn_in=200)
+    measure = qs.empirical_measure(tally_of(trajs, part, 200))
     gamma = qs.GammaDeclaration((qs.IndexSubset((1,), 2, 0.9), qs.IndexSubset((1, 2), 2, 0.4)))
     report = qs.refined_bound(
         example2, gamma, measure, noise, n_mc=100_000, seed=5, common_random_numbers=True
@@ -81,7 +81,7 @@ def test_criterion_03_theorem_consistency_on_stabilized_runs():
     trajs = qs.batch_rollout(example2, quantizer, noise2, init2, 10_000, 64, base_seed=11)
     diverged = sum(t.diverged for t in trajs)
     part = qs.Partition(low=[-1.0, -1.0], high=[1.0, 1.0], cells_per_axis=(8, 8))
-    measure = qs.empirical_measure(trajs, part, burn_in=1000)
+    measure = qs.empirical_measure(tally_of(trajs, part, 1000))
     gamma = qs.GammaDeclaration(
         (qs.IndexSubset((1,), 2, 0.9), qs.IndexSubset((2,), 2, 0.4), qs.IndexSubset((1, 2), 2, 0.4))
     )
@@ -97,7 +97,7 @@ def test_criterion_03_theorem_consistency_on_stabilized_runs():
     ztrajs = qs.batch_rollout(doubling, zoom, noise1, init1, 10_000, 64, base_seed=17)
     zdiverged = sum(t.diverged for t in ztrajs)
     zpart = qs.Partition(low=[-2.0], high=[2.0], cells_per_axis=(8,))
-    zmeasure = qs.empirical_measure(ztrajs, zpart, burn_in=1000)
+    zmeasure = qs.empirical_measure(tally_of(ztrajs, zpart, 1000))
     zreport = qs.refined_bound(
         doubling,
         qs.GammaDeclaration((qs.IndexSubset((1,), 1, 0.9),)),
@@ -213,7 +213,7 @@ def test_criterion_07_stationary_law():
     var_ok = abs(variance - 4.0 / 3.0) / (4.0 / 3.0) < 0.05
 
     part = qs.Partition(low=[-4.0], high=[4.0], cells_per_axis=(4,))
-    measure = qs.empirical_measure(trajs, part, burn_in=1000)
+    measure = qs.empirical_measure(tally_of(trajs, part, 1000))
     sigma = math.sqrt(4.0 / 3.0)
     hist_ok = True
     for i in range(part.n_boxes):

@@ -26,7 +26,7 @@ from quantstab import (
 )
 from quantstab import EmpiricalMeasure, Partition, capacity_bounds, dynamics
 from quantstab.dynamics import JACOBIAN_BLOCK, NonFiniteMatrixError, log2_abs_det_many, sample_pass
-from conftest import uniform_measure
+from conftest import tally_of, uniform_measure
 
 
 NOISE2 = NoiseSpec.gaussian(2)
@@ -521,7 +521,7 @@ def test_linear_closed_form_requires_square():
 def test_refined_bound_on_simulated_stable_measure(ar1):
     trajs = batch_rollout(ar1, null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 3000, 8, 17)
     part = Partition(low=[-6.0], high=[6.0], cells_per_axis=(12,))
-    measure = empirical_measure(trajs, part, burn_in=300)
+    measure = empirical_measure(tally_of(trajs, part, 300))
     gamma = GammaDeclaration((IndexSubset((1,), 1, 0.4),))
     report = refined_bound(ar1, gamma, measure, NoiseSpec.gaussian(1), 2000, seed=5, capacity=1.0)
     assert report.max_bound == -1.0  # constant integrand log2(1/2)

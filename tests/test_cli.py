@@ -282,6 +282,75 @@ def test_simulate_paths_and_horizon_overrides(tmp_path):
     assert len(lines) == 51
 
 
+def _example1_simulate_config(**sections):
+    cfg = {**_example1_config(), "horizon": 200, "paths": 2}
+    cfg.update(sections)
+    return cfg
+
+
+_COORDS = [{"kind": "fixed", "value": 0.5}, {"kind": "gaussian", "mean": 0.0, "std": 0.5}]
+_ATOMS = {"family": "atoms", "values": [[0.05, 0.0], [-0.05, 0.02]], "probs": [0.25, 0.75]}
+
+
+@pytest.mark.parametrize(
+    "section, value",
+    [("init", {"kind": "coords", "coords": _COORDS}), ("noise", _ATOMS)],
+    ids=["coords", "atoms"],
+)
+def test_simulate_coords_init_and_atom_noise_run_and_rerun_byte_identically(tmp_path, section, value):
+    cfg = _write(tmp_path, _example1_simulate_config(**{section: value}))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "--config", cfg, "--out", str(out1)]) == EXIT_OK
+    assert main(["simulate", "--config", cfg, "--out", str(out2)]) == EXIT_OK
+    assert _read_tree(out1) == _read_tree(out2)
+    rows = np.loadtxt(out1 / "trajectory_0000.csv", delimiter=",", skiprows=1, ndmin=2)
+    if section == "init":  # t, x1, x2, ...: the fixed coordinate starts at its value
+        assert rows[0, 1] == 0.5 and rows[0, 2] != 0.0
+    else:  # t, x1, x2, w1, w2, ...: every noise row is an atom
+        assert {tuple(w) for w in rows[:, 3:5]} == {(0.05, 0.0), (-0.05, 0.02)}
+
+
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        ([{"kind": "beta", "a": 1.0}, _COORDS[1]], "unknown init coord kind 'beta'"),
+        ([{"kind": "uniform", "low": 1.0, "high": 1.0}, _COORDS[1]],
+         "bad init spec: uniform bounds must satisfy low < high"),
+        (_COORDS[:1], "init dim 1 does not match state dim 2"),
+    ],
+)
+def test_bad_coords_init_exits_2(tmp_path, capsys, coords, message):
+    cfg = _example1_simulate_config(init={"kind": "coords", "coords": coords})
+    code = _main_without_rollouts(["simulate", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("command, code", [("simulate", EXIT_OK), ("entropy", EXIT_VIOLATION)])
+@pytest.mark.parametrize(
+    "section, value",
+    [
+        ("noise", {"family": "gaussian", "mean": 0.0, "std": 1e308, "dim": 1}),
+        ("init", {"kind": "gaussian", "mean": [0.0], "std": [1e308]}),
+    ],
+    ids=["noise", "init"],
+)
+def test_gaussian_draws_that_overflow_diverge_without_a_warning(tmp_path, capsys, command, code, section, value):
+    # 1e308 times a normal draw beyond 1.8 in size is inf: each such path
+    # diverges, and numpy's overflow warning (an error under this suite's
+    # warning filter) is not raised
+    cfg = _zoom_entropy_config(horizons=[4])
+    cfg.update(horizon=50, **{section: value})
+    assert main([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    if command == "simulate":
+        summary = json.loads((tmp_path / "o" / "simulate_summary.json").read_text())
+        assert summary["divergence_rate"] == 1.0
+    else:
+        assert err == "assumption violation: every closed-loop run diverged before T=4; no candidate sequences\n"
+
+
 # --------------------------------------------------------------------------
 # bound
 
@@ -514,8 +583,9 @@ def test_integral_float_counts_are_accepted(tmp_path):
 # Values of the wrong kind for their key: a list where a number goes, a string
 # where a bool goes, a fraction where an integer goes, a scalar or a list
 # where an object goes; and integers out of range: a count or an alphabet size
-# above int64, whose symbols and steps are int64, and a bits_per_axis entry
-# whose power of 2 would be computed before the grid limit refuses it.
+# above int64, whose symbols and steps are int64, a bits_per_axis entry
+# whose power of 2 would be computed before the grid limit refuses it, and
+# checkpoints that are not counts or repeat one (a row written twice).
 _MALFORMED = [
     ("simulate", "zoom", ("policy", "alpha"), [0.6], "policy.alpha"),
     ("entropy", "zoom", ("entropy", "rho"), [0.5], "entropy.rho"),
@@ -552,6 +622,8 @@ _MALFORMED = [
     ("bound", "ar1", ("bound", "n_mc"), 2**63, "bound.n_mc"),
     ("bound", "ar1", ("falsify", "samples"), 1e30, "falsify.samples"),
     ("diagnose", "ar1", ("diagnose", "checkpoints"), [10, 2**63], "diagnose.checkpoints"),
+    ("diagnose", "ar1", ("diagnose", "checkpoints"), [0, -3, 50], "diagnose.checkpoints"),
+    ("diagnose", "ar1", ("diagnose", "checkpoints"), [100, 10, 100], "diagnose.checkpoints"),
 ]
 
 
@@ -1152,11 +1224,11 @@ _EDGE_VALUES = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, -2.5e-310, 0.1, 
 def test_diagnose_csvs_match_their_oracles_on_edge_values(tmp_path):
     seen = {}
 
-    def dispersion(tally, partition, burn_in):
-        seen["partition"] = partition
+    def dispersion(tally):
+        seen["partition"] = tally.partition
         return _EDGE_VALUES
 
-    def convergence(tally, partition, checkpoints):
+    def convergence(tally, checkpoints):
         seen["checkpoints"] = checkpoints
         seen["curves"] = np.array([np.roll(_EDGE_VALUES, k) for k in range(len(checkpoints))])
         return seen["curves"]

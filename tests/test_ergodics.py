@@ -20,6 +20,7 @@ from quantstab import (
 )
 from quantstab.ergodics import EmpiricalMeasure, NoSampleError, VisitTally, measure_to_csv
 from quantstab.policies import cell_coords
+from conftest import tally_of
 
 
 def _iid_sampler_model():
@@ -97,7 +98,7 @@ def test_constant_trajectory_is_unit_mass_at_origin_cell():
     model = _frozen_model()
     traj = rollout(model, null_policy(2), NoiseSpec.zero(1), InitSpec.fixed([0.0]), 100, seed=0)
     part = Partition(low=[-1.0], high=[1.0], cells_per_axis=(4,))
-    measure = empirical_measure([traj], part, burn_in=0)
+    measure = empirical_measure(tally_of([traj], part))
     origin_cell = part.cell_indices([[0.0]])[0]
     assert measure.weights[origin_cell] == 1.0
     assert measure.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -108,7 +109,7 @@ def test_iid_uniform_two_cells_law_of_large_numbers():
     noise = NoiseSpec.uniform(1, 0.0, 1.0)
     trajs = batch_rollout(model, null_policy(2), noise, InitSpec.uniform_box([0], [1]), 5000, 4, 3)
     part = Partition(low=[0.0], high=[1.0], cells_per_axis=(2,))
-    measure = empirical_measure(trajs, part, burn_in=1)
+    measure = empirical_measure(tally_of(trajs, part, 1))
     three_sigma = 3 * math.sqrt(0.25 / measure.n_samples)
     assert abs(measure.weights[0] - 0.5) < three_sigma
     assert abs(measure.weights[1] - 0.5) < three_sigma
@@ -118,7 +119,7 @@ def test_iid_uniform_two_cells_law_of_large_numbers():
 def test_ar1_cell_weights_match_stationary_gaussian(ar1):
     trajs = batch_rollout(ar1, null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 4000, 16, 5)
     part = Partition(low=[-4.0], high=[4.0], cells_per_axis=(4,))
-    measure = empirical_measure(trajs, part, burn_in=400)
+    measure = empirical_measure(tally_of(trajs, part, 400))
     sigma = math.sqrt(4.0 / 3.0)
     for i in range(part.n_boxes):
         lo, hi = part.cell_bounds(i)
@@ -130,7 +131,7 @@ def test_burn_in_must_be_smaller_than_horizon(ar1):
     traj = rollout(ar1, null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 10, seed=0)
     part = Partition(low=[-1.0], high=[1.0], cells_per_axis=(2,))
     with pytest.raises(ValueError, match="burn-in"):
-        empirical_measure([traj], part, burn_in=10)
+        empirical_measure(tally_of([traj], part, 10))
 
 
 def test_a_path_that_ends_before_the_burn_in_is_the_no_sample_refusal(ar1):
@@ -138,22 +139,22 @@ def test_a_path_that_ends_before_the_burn_in_is_the_no_sample_refusal(ar1):
     traj = rollout(ar1, null_policy(2), NoiseSpec.zero(1), InitSpec.fixed([1e13]), 10, seed=0)
     assert traj.diverged_at == 1
     part = Partition(low=[-1.0], high=[1.0], cells_per_axis=(2,))
-    assert empirical_measure([traj], part, burn_in=0).n_samples == 1
+    assert empirical_measure(tally_of([traj], part)).n_samples == 1
     with pytest.raises(NoSampleError, match="no post-burn-in samples available"):
-        empirical_measure([traj], part, burn_in=1)
+        empirical_measure(tally_of([traj], part, 1))
 
 
 def test_all_overflow_warns(ar1):
     traj = rollout(ar1, null_policy(2), NoiseSpec.zero(1), InitSpec.fixed([100.0]), 5, seed=0)
     part = Partition(low=[-1.0], high=[1.0], cells_per_axis=(2,))
-    measure = empirical_measure([traj], part, burn_in=0)
+    measure = empirical_measure(tally_of([traj], part))
     assert measure.warnings == ["all samples fell in the overflow cell; partition box is too small"]
 
 
 def test_large_overflow_mass_warns(ar1):
     trajs = batch_rollout(ar1, null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 1000, 4, 9)
     part = Partition(low=[-0.5], high=[0.5], cells_per_axis=(2,))
-    measure = empirical_measure(trajs, part, burn_in=0)
+    measure = empirical_measure(tally_of(trajs, part))
     assert measure.warnings == [
         f"overflow mass {measure.overflow_mass:.3f} exceeds 1%; "
         "bound estimates over this measure are untrustworthy"
@@ -220,7 +221,7 @@ def test_sample_states_in_place_equals_the_expression_bitwise(axes, seed, count)
 def test_measure_csv_round_trip(tmp_path, ar1):
     traj = rollout(ar1, null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 100, seed=1)
     part = Partition(low=[-4.0], high=[4.0], cells_per_axis=(4,))
-    measure = empirical_measure([traj], part, burn_in=0)
+    measure = empirical_measure(tally_of([traj], part))
     out = tmp_path / "measure.csv"
     measure_to_csv(measure, out)
     lines = out.read_text().strip().splitlines()
@@ -271,11 +272,16 @@ def test_measure_csv_matches_csv_writer_oracle(tmp_path, low, high, cells, weigh
 # --------------------------------------------------------------------------
 # Frequency convergence
 
+def _curves(traj, part, checkpoints):
+    """The frequency curves of one held trajectory at ``checkpoints``."""
+    return frequency_convergence(tally_of([traj], part, checkpoints=checkpoints), checkpoints)
+
+
 def test_fixed_point_curve_constant_one():
     model = _frozen_model()
     traj = rollout(model, null_policy(2), NoiseSpec.zero(1), InitSpec.fixed([0.25]), 64, seed=0)
     part = Partition(low=[0.0], high=[1.0], cells_per_axis=(2,))
-    curves = frequency_convergence(traj, part, [1, 8, 64])
+    curves = _curves(traj, part, [1, 8, 64])
     cell = part.cell_indices([[0.25]])[0]
     assert np.all(curves[:, cell] == 1.0)
 
@@ -286,7 +292,7 @@ def test_iid_halves_converge_with_sqrt_envelope():
     traj = rollout(model, null_policy(2), noise, InitSpec.uniform_box([0], [1]), 10_000, seed=8)
     part = Partition(low=[0.0], high=[1.0], cells_per_axis=(2,))
     checkpoints = [100, 400, 1600, 6400, 10_000]
-    curves = frequency_convergence(traj, part, checkpoints)
+    curves = _curves(traj, part, checkpoints)
     for row, horizon in enumerate(checkpoints):
         assert abs(curves[row, 0] - 0.5) < 2.5 / math.sqrt(horizon)
     assert abs(curves[-1, 0] - 0.5) < 0.02
@@ -296,7 +302,7 @@ def test_diverging_path_overflow_frequency_tends_to_one(doubling):
     traj = rollout(doubling, null_policy(2), NoiseSpec.zero(1), InitSpec.fixed([0.5]), 200, seed=0)
     assert traj.diverged
     part = Partition(low=[-1.0], high=[1.0], cells_per_axis=(2,))
-    curves = frequency_convergence(traj, part, [1, traj.steps])
+    curves = _curves(traj, part, [1, traj.steps])
     assert curves[0, part.overflow_index] == 0.0  # starts inside the box
     assert curves[1, part.overflow_index] > 0.95
 
@@ -306,8 +312,8 @@ def test_final_checkpoint_matches_empirical_measure():
     noise = NoiseSpec.uniform(1, 0.0, 1.0)
     traj = rollout(model, null_policy(2), noise, InitSpec.uniform_box([0], [1]), 500, seed=4)
     part = Partition(low=[0.0], high=[1.0], cells_per_axis=(4,))
-    curves = frequency_convergence(traj, part, [traj.steps])
-    measure = empirical_measure([traj], part, burn_in=0)
+    curves = _curves(traj, part, [traj.steps])
+    measure = empirical_measure(tally_of([traj], part))
     assert np.array_equal(curves[-1], measure.weights)
 
 
@@ -324,7 +330,7 @@ def test_frequency_convergence_equals_the_one_hot_cumsum_bitwise():
     cumulative = np.cumsum(onehot, axis=0)
     want = np.array([cumulative[c - 1] / c for c in checkpoints])
 
-    got = frequency_convergence(traj, part, checkpoints)
+    got = _curves(traj, part, checkpoints)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert 0.0 < got[-1, part.overflow_index] < 1.0  # some rows leave the box
 
@@ -333,9 +339,9 @@ def test_checkpoints_validated(ar1):
     traj = rollout(ar1, null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 10, seed=0)
     part = Partition(low=[-1.0], high=[1.0], cells_per_axis=(2,))
     with pytest.raises(ValueError):
-        frequency_convergence(traj, part, [0])
+        _curves(traj, part, [0])
     with pytest.raises(ValueError):
-        frequency_convergence(traj, part, [11])
+        _curves(traj, part, [11])
 
 
 # --------------------------------------------------------------------------
@@ -346,7 +352,7 @@ def test_iid_dispersion_is_small():
     noise = NoiseSpec.uniform(1, 0.0, 1.0)
     trajs = batch_rollout(model, null_policy(2), noise, InitSpec.uniform_box([0], [1]), 2000, 32, 6)
     part = Partition(low=[0.0], high=[1.0], cells_per_axis=(2,))
-    dispersion = ergodicity_dispersion(trajs, part)
+    dispersion = ergodicity_dispersion(tally_of(trajs, part, per_path=True))
     assert np.all(dispersion < 0.05)
     assert np.any(dispersion > 0.0)
 
@@ -357,7 +363,7 @@ def test_initial_condition_mixture_has_large_dispersion():
         model, null_policy(2), NoiseSpec.zero(1), InitSpec.uniform_box([-1], [1]), 100, 64, 11
     )
     part = Partition(low=[-1.0], high=[1.0], cells_per_axis=(2,))
-    dispersion = ergodicity_dispersion(trajs, part)
+    dispersion = ergodicity_dispersion(tally_of(trajs, part, per_path=True))
     # every path parks all its mass in one of the two cells: non-ergodic signature
     assert dispersion[0] > 0.4 and dispersion[1] > 0.4
 
@@ -365,24 +371,22 @@ def test_initial_condition_mixture_has_large_dispersion():
 def test_single_path_dispersion_is_zero(ar1):
     traj = rollout(ar1, null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 100, seed=0)
     part = Partition(low=[-4.0], high=[4.0], cells_per_axis=(4,))
-    assert np.all(ergodicity_dispersion([traj], part) == 0.0)
+    assert np.all(ergodicity_dispersion(tally_of([traj], part, per_path=True)) == 0.0)
 
 
-def test_tally_answers_only_for_its_partition_burn_in_and_checkpoints(ar1):
+def test_tally_readers_read_its_partition_and_burn_in_and_only_its_checkpoints(ar1):
     traj = rollout(ar1, null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 100, seed=0)
     part = Partition(low=[-4.0], high=[4.0], cells_per_axis=(4,))
-    other = Partition(low=[-4.0], high=[4.0], cells_per_axis=(4,))
     tally = VisitTally(part, 10, checkpoints=[50])
     tally.add(traj.block())
-    assert empirical_measure(tally, part, 10).n_samples == 90
+    measure = empirical_measure(tally)
+    assert measure.partition is part and measure.burn_in == 10 and measure.n_samples == 90
     for call in (
-        lambda: empirical_measure(tally, other, 10),  # partitions compare by identity
-        lambda: empirical_measure(tally, part, 0),
-        lambda: frequency_convergence(tally, other, [50]),
-        lambda: frequency_convergence(tally, part, [60]),  # not a tallied checkpoint
-        lambda: ergodicity_dispersion(tally, part, 10),  # pooled, not one row per path
+        lambda: empirical_measure(VisitTally(part, 10)),  # no block folded
+        lambda: frequency_convergence(tally, [60]),  # not a tallied checkpoint
+        lambda: ergodicity_dispersion(tally),  # pooled, not one row per path
     ):
         with pytest.raises(ValueError):
             call()
-    curves = frequency_convergence(tally, part, [50, 100])  # 100: the lead path's last step
-    assert np.array_equal(curves, frequency_convergence(traj, part, [50, 100]))
+    curves = frequency_convergence(tally, [50, 100])  # 100: the lead path's last step
+    assert np.array_equal(curves, _curves(traj, part, [50, 100]))  # the lead path keeps no burn-in

@@ -37,6 +37,7 @@ from quantstab.stabilization_entropy import (
     entropy_curve_to_csv,
     satisfaction_matrix,
 )
+from conftest import tally_of
 
 
 # --------------------------------------------------------------------------
@@ -301,7 +302,7 @@ def test_lemma_construction_spans_for_stable_null_loop(ar1):
     template = SpanningTemplate(Partition(low=[-3.0], high=[3.0], cells_per_axis=(2,)), None, 0.5, 0.1)
     from quantstab.stabilization_entropy import _noise_weights
 
-    q_weights = empirical_measure(trajs, template.state_partition, 0).weights[:-1]
+    q_weights = empirical_measure(tally_of(trajs, template.state_partition)).weights[:-1]
     r = build_R_epsilon(q_weights, _noise_weights(scen, template), 0.1)
     matrix = satisfaction_matrix(ar1, candidates, template, r, scen)
     assert min_cover_cardinality(matrix, _needed_count(scen.count, template.rho)) == 1

@@ -288,14 +288,14 @@ def test_every_rule_is_defined_once():
 # stepping (stabilization_entropy._lockstep_states) step many rows through
 # SystemModel.step_many; simulation.step is its one-row case.
 
-def _step_many_callers(source: str) -> list[str]:
-    """The innermost enclosing function of each ``step_many`` call, ``<module>``
+def _callers(source: str, called: str) -> list[str]:
+    """The innermost enclosing function of each call of ``called``, ``<module>``
     outside any."""
     found = []
 
     def visit(node: ast.AST, where: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if _called_name(child) == "step_many":
+            if _called_name(child) == called:
                 found.append(where)
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else where)
@@ -312,12 +312,12 @@ def test_checker_finds_every_step_many_call():
         "def spare(m):\n    return m.step_many\n"
         "M().step_many(1, 2, 3)\n"
     )
-    assert _step_many_callers(source) == ["loop", "inner", "<module>"]
+    assert _callers(source, "step_many") == ["loop", "inner", "<module>"]
 
 
 def test_only_the_stepping_loops_call_step_many():
     found = [
-        f"{path.name}:{where}" for path in sorted(SRC.glob("*.py")) for where in _step_many_callers(path.read_text())
+        f"{path.name}:{where}" for path in sorted(SRC.glob("*.py")) for where in _callers(path.read_text(), "step_many")
     ]
     assert found == ["simulation.py:step", "simulation.py:_lockstep", "stabilization_entropy.py:_lockstep_states"]
 
@@ -503,6 +503,66 @@ def test_a_tally_classifies_each_block_in_one_call(paths, checkpoints, calls_per
             blocks += 1
     assert blocks == 25 and cell_indices.call_count == calls_per_block * blocks
     assert tally.counts.sum() == 5 * (200 - 30)
+
+
+# --------------------------------------------------------------------------
+# One input per ergodic reader: ``empirical_measure``, ``ergodicity_dispersion``
+# and ``frequency_convergence`` take the tally alone (and the checkpoints it
+# was folded with), its partition and burn-in with it; and only
+# ``stabilization_entropy.entropy_rate`` folds held trajectories, as the
+# one-path blocks ``Trajectory.block`` makes.
+
+_READERS = {"empirical_measure", "ergodicity_dispersion", "frequency_convergence"}
+
+
+def _signatures(source: str, names: set[str]) -> dict[str, str]:
+    """``(parameters)`` of each module-level function in ``names``, without
+    annotations or defaults."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names:
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args]
+            params += [f"*{a.vararg.arg}"] if a.vararg else ["*"] if a.kwonlyargs else []
+            params += [p.arg for p in a.kwonlyargs] + ([f"**{a.kwarg.arg}"] if a.kwarg else [])
+            found[node.name] = f"({', '.join(params)})"
+    return found
+
+
+def test_checker_finds_every_reader_signature():
+    source = (
+        "def measure(tally: 'VisitTally') -> float:\n    return 1.0\n"
+        "def curves(tally, partition=None, *, checkpoints=()):\n    pass\n"
+        "def spread(*tallies, **options):\n    pass\n"
+        "class Tally:\n    def measure(self):\n        pass\n"
+    )
+    assert _signatures(source, {"measure", "curves", "spread", "absent"}) == {
+        "measure": "(tally)",
+        "curves": "(tally, partition, *, checkpoints)",
+        "spread": "(*tallies, **options)",
+    }
+
+
+def test_checker_finds_every_block_call():
+    source = (
+        "def fold(tally, trajs):\n    for traj in trajs:\n        tally.add(traj.block())\n"
+        "def export(rows):\n    def block(start):\n        return rows[start:]\n    return map(block, (0, 8))\n"
+        "Trajectory.block(None)\n"
+    )
+    assert _callers(source, "block") == ["fold", "<module>"]
+
+
+def test_the_ergodic_readers_take_the_tally_alone():
+    assert _signatures((SRC / "ergodics.py").read_text(), _READERS) == {
+        "empirical_measure": "(tally)",
+        "ergodicity_dispersion": "(tally)",
+        "frequency_convergence": "(tally, checkpoints)",
+    }
+
+
+def test_only_the_entropy_rate_folds_held_trajectories():
+    found = [f"{path.name}:{where}" for path in sorted(SRC.glob("*.py")) for where in _callers(path.read_text(), "block")]
+    assert found == ["stabilization_entropy.py:entropy_rate"]
 
 
 # --------------------------------------------------------------------------
