@@ -3,10 +3,11 @@
 Every subcommand is a pure function of (config, seed) to bytes on disk, so
 reruns are byte-identical and runs are archivable as a single file. Unknown
 config keys are hard errors. Exit codes: 0 success, 2 config error (a grid
-above the cell limit and an entropy epsilon too large for the cell masses
-included), 3 assumption-violation findings (bound violation flag, falsified
-floor, singular or non-finite Jacobian, no post-burn-in sample to measure,
-overflow mass too large for a bound, every entropy scenario diverged).
+above the cell limit, an entropy epsilon too large for the cell masses and an
+output directory that cannot be created included), 3 assumption-violation
+findings (bound violation flag, falsified floor, singular or non-finite
+Jacobian, no post-burn-in sample to measure, overflow mass too large for a
+bound, every entropy scenario diverged).
 """
 
 from __future__ import annotations
@@ -702,7 +703,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         if out is None:
             raise ConfigError("no output directory: pass --out or set out_dir in the config")
         out_path = Path(out)
-        out_path.mkdir(parents=True, exist_ok=True)
+        try:
+            out_path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file at the path or above it, or no permission
+            raise ConfigError(f"cannot create output directory {out}: {exc}") from None
         findings = _COMMANDS[args.command](exp, out_path, args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -3,12 +3,12 @@
 The limiting state law is approximated by a time-averaged histogram over a box
 partition (plus one overflow cell covering the rest of R^N). Every such
 histogram, pooled or per path, counts the cells of the visited rows
-(``LoopBlock.visited``), block by block (``VisitTally.add``); a held trajectory
-folds as its one-path block (``Trajectory.block``). The readers take the tally
-alone, its partition and burn-in with it. Ergodicity is diagnosed, never
-certified: the dispersion of per-path limit frequencies is an empirical proxy,
-and it cannot distinguish path-frequency limits from the mass of the abstract
-asymptotic mean they are standing in for.
+(``LoopBlock.visited``), block by block (``VisitTally.add``); a whole-horizon
+run, such as an entropy horizon's scenarios, is one block. The readers take
+the tally alone, its partition and burn-in with it. Ergodicity is diagnosed,
+never certified: the dispersion of per-path limit frequencies is an empirical
+proxy, and it cannot distinguish path-frequency limits from the mass of the
+abstract asymptotic mean they are standing in for.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .policies import cell_coords, cell_count, cell_numbers, cell_widths
+from .policies import cell_coords, cell_count, cell_widths, grid_cells
 from .simulation import LoopBlock, write_csv
 
 __all__ = [
@@ -87,10 +87,7 @@ class Partition:
         states = np.atleast_2d(np.asarray(states, float))
         if states.ndim != 2 or states.shape[1] != self.dim:
             raise ValueError(f"need rows of width {self.dim}, got shape {states.shape}")
-        in_box = np.logical_and.reduce((states >= self.low) & (states < self.high), axis=1)
-        # outside rows are scaled from the low corner itself: 0, never inf or nan
-        scaled = (np.where(in_box[:, None], states, self.low) - self.low) / self.width
-        return np.where(in_box, cell_numbers(scaled, self.cells_per_axis), self.overflow_index)
+        return grid_cells(states, self.low, self.high, self.width, self.cells_per_axis, self.overflow_index)
 
     def cell_labels(self, prefix: str = "") -> list[str]:
         """One label per cell: ``prefix`` and the cell number, ``overflow`` last."""

@@ -128,6 +128,18 @@ def cell_numbers(scaled: np.ndarray, cells) -> np.ndarray:
     return np.ravel_multi_index(tuple(scaled.astype(np.int64).T), cells, mode="clip")
 
 
+def grid_cells(xs: np.ndarray, low, high, width, cells, outside: int) -> np.ndarray:
+    """Row-major cell number of each row of ``xs`` in the static grid of
+    ``cells`` cells of ``width`` over the box ``[low, high)``, ``outside`` for
+    a row outside it (or non-finite). Rows are scaled in one array, an outside
+    row from the low corner itself: 0, never inf or nan."""
+    inside = np.logical_and.reduce((xs >= low) & (xs < high), axis=1)
+    scaled = np.where(inside[:, None], xs, low)
+    scaled -= low
+    scaled /= width
+    return np.where(inside, cell_numbers(scaled, cells), outside)
+
+
 def cell_coords(numbers, cells) -> np.ndarray:
     """Per-axis cell indices of row-major cell numbers: shape (N,) for one
     number, (rows, N) for an array of them."""
@@ -231,10 +243,7 @@ class UniformQuantizerPolicy(_GridQuantizer):
         self._filled[self.n_cells] = True
 
     def symbols(self, state, xs):
-        inside = np.logical_and.reduce((xs >= self.low) & (xs < self.high), axis=1)
-        # outside rows are scaled from the low corner itself, so they never overflow
-        scaled = (np.where(inside[:, None], xs, self.low) - self.low) / self.width
-        return np.where(inside, 1 + cell_numbers(scaled, self.cells_per_axis), self.m)
+        return 1 + grid_cells(xs, self.low, self.high, self.width, self.cells_per_axis, self.m - 1)
 
     def symbol_of(self, x) -> int:
         return int(self.symbols(None, np.asarray(x, float).reshape(1, -1))[0])

@@ -6,7 +6,8 @@ that leave ``|x| <= 1e12`` are truncated and flagged rather than propagating
 NaNs, because under-provisioned policies are run on purpose in the
 necessity-bound experiments.
 
-Paths are stepped in time blocks (:func:`closed_loop_blocks`).
+Paths are stepped in time blocks (:func:`closed_loop_blocks`); a run whose
+arrays span the horizon is one block, and its trajectories are views of it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "rollout",
     "batch_rollout",
     "closed_loop_blocks",
+    "closed_loop_block",
     "check_storage",
     "run_closed_loop",
     "run_closed_loops",
@@ -210,18 +212,6 @@ class Trajectory:
     def diverged(self) -> bool:
         return self.diverged_at is not None
 
-    def block(self) -> "LoopBlock":
-        """The whole path as a one-path block."""
-        return LoopBlock(
-            0,
-            self.horizon,
-            self.x[None],
-            self.w[None],
-            self.q[None],
-            self.u[None],
-            np.array([self.steps if self.diverged else -1]),
-        )
-
 
 def step(model: SystemModel, x, w, u) -> np.ndarray:
     """One exact step of x' = f(x, w) + B u; the one-row case of
@@ -259,7 +249,8 @@ class PathSeeds(Sequence):
 
 class LoopBlock(NamedTuple):
     """Steps t0 .. t0+n-1 of P lockstep paths, views valid until the loop
-    resumes; ``x`` holds x_t0 .. x_{t0+n}."""
+    resumes; ``x`` holds x_t0 .. x_{t0+n}. A run whose arrays span the
+    horizon is one block, whose views outlive the loop."""
 
     t0: int
     horizon: int  # requested number of steps
@@ -306,19 +297,17 @@ def _lockstep(model, policy, x0s, horizon, draw, xs, ws, qs, us) -> Iterator[Loo
     transition for all P paths. A path whose next state is non-finite ends
     diverged at that step; one that leaves ``|x| <= 1e12`` at the next,
     keeping that state. Diverged paths are stepped on until all have
-    diverged. A block is stepped in ``xs, ws, qs, us`` from their start, or
-    at its own steps if they span the horizon; ``draw(w)`` fills its noise.
+    diverged. Each block is stepped in ``xs, ws, qs, us`` from their start,
+    as many steps as they hold; ``draw(w)`` fills its noise.
     """
     count = len(x0s)
-    size = _block_steps(count, horizon)
-    whole = qs.shape[1] == horizon
+    size = max(qs.shape[1], 1)
     diverged_at = np.full(count, -1)
     x = np.array(x0s, dtype=float)
     state = policy.initial_state(count)
     for t0 in range(0, max(horizon, 1), size):  # one block even at horizon 0: x_0
         n = min(size, horizon - t0)
-        at = t0 if whole else 0
-        xb, wb, qb, ub = xs[:, at : at + n + 1], ws[:, at : at + n], qs[:, at : at + n], us[:, at : at + n]
+        xb, wb, qb, ub = xs[:, : n + 1], ws[:, :n], qs[:, :n], us[:, :n]
         draw(wb)
         xb[:, 0] = x
         with np.errstate(all="ignore"):
@@ -342,8 +331,8 @@ def _lockstep(model, policy, x0s, horizon, draw, xs, ws, qs, us) -> Iterator[Loo
             return
 
 
-def _seeded_blocks(model, policy, noise, init, horizon, seeds, steps):
-    """:func:`closed_loop_blocks` stepped in arrays of ``steps`` steps, and the arrays."""
+def _seeded_blocks(model, policy, noise, init, horizon, seeds, steps) -> Iterator[LoopBlock]:
+    """:func:`closed_loop_blocks` stepped in arrays of ``steps`` steps."""
     if noise.dim != model.noise_dim:
         raise ValueError(f"noise dim {noise.dim} does not match model noise dim {model.noise_dim}")
     if init.dim != model.n:
@@ -357,7 +346,7 @@ def _seeded_blocks(model, policy, noise, init, horizon, seeds, steps):
         for row, rng in zip(w, rngs):
             noise.fill(rng, row)
 
-    return _lockstep(model, policy, x0s, horizon, draw, xs, ws, qs, us), (xs, ws, qs, us)
+    return _lockstep(model, policy, x0s, horizon, draw, xs, ws, qs, us)
 
 
 def closed_loop_blocks(
@@ -374,7 +363,7 @@ def closed_loop_blocks(
     """
     return _seeded_blocks(
         model, policy, noise, init, horizon, seeds, _block_steps(len(seeds), horizon)
-    )[0]
+    )
 
 
 def check_storage(
@@ -382,30 +371,41 @@ def check_storage(
 ) -> None:
     """Allocate and free the arrays :func:`closed_loop_blocks` steps ``paths``
     paths in, or with ``whole`` the whole-horizon noise and loop arrays of
-    ``paths`` scenarios run by :func:`run_closed_loops`: their MemoryError
-    for a count they cannot hold, without the work."""
+    ``paths`` scenarios run as one block by :func:`closed_loop_block`: their
+    MemoryError for a count they cannot hold, without the work."""
     _storage(model, paths, horizon if whole else _block_steps(paths, horizon), noise.dim)
 
 
-def _trajectories(blocks, xs, ws, qs, us, seeds, horizon) -> list[Trajectory]:
-    """One trajectory per seed, views of the whole-horizon arrays stepped in."""
-    for block in blocks:
-        pass
-    trajs = []
-    for k, diverged_at in enumerate(block.diverged_at.tolist()):
-        steps = horizon if diverged_at < 0 else diverged_at
-        trajs.append(
-            Trajectory(
-                x=xs[k, : steps + 1],
-                w=ws[k, :steps],
-                q=qs[k, :steps],
-                u=us[k, :steps],
-                seed=seeds[k],
-                horizon=horizon,
-                diverged_at=None if diverged_at < 0 else steps,
-            )
+def _trajectories(block: LoopBlock, seeds: Sequence[Seed]) -> list[Trajectory]:
+    """One trajectory per seed, views of the one block of a whole-horizon run."""
+    return [
+        Trajectory(
+            x=block.x[k, : steps + 1],
+            w=block.w[k, :steps],
+            q=block.q[k, :steps],
+            u=block.u[k, :steps],
+            seed=seeds[k],
+            horizon=block.horizon,
+            diverged_at=None if diverged_at < 0 else steps,
         )
-    return trajs
+        for k, (steps, diverged_at) in enumerate(zip(block.steps.tolist(), block.diverged_at.tolist()))
+    ]
+
+
+def closed_loop_block(
+    model: SystemModel, policy: CodingPolicy, x0s: np.ndarray, w_paths: np.ndarray
+) -> LoopBlock:
+    """Drive P loops along pre-drawn noise, all stepped together, as one block.
+
+    ``x0s`` is (P, N) and ``w_paths`` (P, T, K), stepped through the loop of
+    :func:`closed_loop_blocks` in arrays that span the horizon; the block's
+    ``w`` is a view of ``w_paths`` itself.
+    """
+    w_paths = np.asarray(w_paths, dtype=float)
+    horizon = w_paths.shape[1]
+    xs, _, qs, us = _storage(model, len(x0s), horizon)
+    [block] = _lockstep(model, policy, x0s, horizon, lambda w: None, xs, w_paths, qs, us)
+    return block
 
 
 def run_closed_loops(
@@ -415,18 +415,9 @@ def run_closed_loops(
     w_paths: np.ndarray,
     seeds: Sequence[Seed],
 ) -> list[Trajectory]:
-    """Drive P loops along pre-drawn noise, all stepped together.
-
-    ``x0s`` is (P, N) and ``w_paths`` (P, T, K), sliced block by block
-    through the loop of :func:`closed_loop_blocks`. A diverged path's
-    trajectory ends where it diverged. The trajectories' arrays are views of
-    per-batch arrays (``w`` of ``w_paths`` itself).
-    """
-    w_paths = np.asarray(w_paths, dtype=float)
-    horizon = w_paths.shape[1]
-    xs, _, qs, us = _storage(model, len(x0s), horizon)
-    blocks = _lockstep(model, policy, x0s, horizon, lambda w: None, xs, w_paths, qs, us)
-    return _trajectories(blocks, xs, w_paths, qs, us, seeds, horizon)
+    """The trajectories of :func:`closed_loop_block`; a diverged path's ends
+    where it diverged."""
+    return _trajectories(closed_loop_block(model, policy, x0s, w_paths), seeds)
 
 
 def run_closed_loop(
@@ -442,20 +433,6 @@ def run_closed_loop(
     )[0]
 
 
-def _rollouts(
-    model: SystemModel,
-    policy: CodingPolicy,
-    noise: NoiseSpec,
-    init: InitSpec,
-    horizon: int,
-    seeds: Sequence[Seed],
-) -> list[Trajectory]:
-    """Paths fully determined by (config, seed): :func:`closed_loop_blocks`
-    stepped in whole-horizon arrays."""
-    blocks, arrays = _seeded_blocks(model, policy, noise, init, horizon, seeds, horizon)
-    return _trajectories(blocks, *arrays, seeds, horizon)
-
-
 def rollout(
     model: SystemModel,
     policy: CodingPolicy,
@@ -465,7 +442,8 @@ def rollout(
     seed: Seed,
 ) -> Trajectory:
     """Simulate one closed-loop path; fully determined by (config, seed)."""
-    return _rollouts(model, policy, noise, init, horizon, [seed])[0]
+    [block] = _seeded_blocks(model, policy, noise, init, horizon, [seed], horizon)
+    return _trajectories(block, [seed])[0]
 
 
 def batch_rollout(
@@ -477,10 +455,13 @@ def batch_rollout(
     n_paths: int,
     base_seed: int,
 ) -> list[Trajectory]:
-    """Independent paths stepped together; path k uses the derived seed (base_seed, k)."""
+    """Independent paths stepped together in whole-horizon arrays, one block
+    of :func:`closed_loop_blocks`; path k uses the derived seed (base_seed, k)."""
     if n_paths < 1:
         raise ValueError("need at least one path")
-    return _rollouts(model, policy, noise, init, horizon, PathSeeds(base_seed, n_paths))
+    seeds = PathSeeds(base_seed, n_paths)
+    [block] = _seeded_blocks(model, policy, noise, init, horizon, seeds, horizon)
+    return _trajectories(block, seeds)
 
 
 # --------------------------------------------------------------------------

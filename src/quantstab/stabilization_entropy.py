@@ -33,12 +33,12 @@ from .policies import CodingPolicy
 # run_closed_loop stays importable from this module: perfbench/tracing.py wraps it here
 from .simulation import (  # noqa: F401
     InitSpec,
+    LoopBlock,
     NoiseSpec,
     Seed,
-    Trajectory,
     check_storage,
+    closed_loop_block,
     run_closed_loop,
-    run_closed_loops,
     write_csv,
 )
 
@@ -171,33 +171,30 @@ class CandidateControls:
 
 def closed_loop_candidates(
     model: SystemModel, policy: CodingPolicy, scenarios: ScenarioSet
-) -> tuple[CandidateControls, list[Trajectory]]:
-    """Run the policy on every scenario, all stepped together; deduplicated
-    control sequences.
+) -> tuple[CandidateControls, LoopBlock]:
+    """Run the policy on every scenario, all stepped together as one block;
+    the deduplicated control sequences of the runs that reach the horizon,
+    and the block.
 
     A causal policy is a deterministic function of the symbol stream, so the
     deduplicated count can never exceed M^T.
     """
     horizon = scenarios.horizon
-    trajs = run_closed_loops(
-        model, policy, scenarios.x0s, scenarios.ws, seeds=range(scenarios.count)
-    )
+    block = closed_loop_block(model, policy, scenarios.x0s, scenarios.ws)
     seen: set[bytes] = set()
     kept = []
-    for traj in trajs:
-        if traj.steps < horizon:
-            continue  # diverged before the horizon; no full-length sequence to offer
-        key = traj.u.tobytes()
+    for u in block.u[block.steps == horizon]:  # a run that diverged before T offers none
+        key = u.tobytes()
         if key not in seen:
             seen.add(key)
-            kept.append(traj.u)
+            kept.append(u)
     if not kept:
         raise NoCandidatesError(
             f"every closed-loop run diverged before T={horizon}; no candidate sequences"
         )
     candidates = CandidateControls(sequences=np.array(kept))
     assert candidates.count <= policy.m**horizon
-    return candidates, trajs
+    return candidates, block
 
 
 # --------------------------------------------------------------------------
@@ -419,11 +416,10 @@ def entropy_rate(
     points = []
     for horizon in horizons:
         scen = ScenarioSet.sample(init, noise, horizon, n_scenarios, seed=(seed, horizon))
-        candidates, trajs = closed_loop_candidates(model, policy, scen)
+        candidates, block = closed_loop_candidates(model, policy, scen)
         # the in-box masses of the closed loop's empirical measure
         tally = VisitTally(template.state_partition, int(burn_in_fraction * horizon))
-        for traj in trajs:
-            tally.add(traj.block())
+        tally.add(block)
         q_weights = empirical_measure(tally).weights[:-1]
         nu_weights = _noise_weights(scen, template)
         r = build_R_epsilon(q_weights, nu_weights, template.epsilon)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quantstab import EmpiricalMeasure, Partition, VisitTally, catalog_model
+from quantstab.simulation import LoopBlock
 
 
 @pytest.fixture
@@ -38,10 +39,16 @@ def make_uniform_measure():
     return uniform_measure
 
 
+def one_path_block(traj) -> LoopBlock:
+    """A held trajectory as the one-path block of its whole run."""
+    diverged_at = np.array([-1 if traj.diverged_at is None else traj.diverged_at])
+    return LoopBlock(0, traj.horizon, traj.x[None], traj.w[None], traj.q[None], traj.u[None], diverged_at)
+
+
 def tally_of(trajs, partition, burn_in=0, per_path=False, checkpoints=None) -> VisitTally:
     """Held trajectories folded into one tally as their one-path blocks, path
     k at row k if ``per_path``, the lead path's counts at ``checkpoints``."""
     tally = VisitTally(partition, burn_in, len(trajs) if per_path else None, checkpoints)
     for k, traj in enumerate(trajs):
-        tally.add(traj.block(), k)
+        tally.add(one_path_block(traj), k)
     return tally

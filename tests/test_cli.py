@@ -94,6 +94,22 @@ def test_missing_out_dir_is_config_error(tmp_path):
     assert main(["simulate", "--config", _write(tmp_path, _ar1_config())]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("below", ["", "sub/dir"], ids=["is_a_file", "under_a_file"])
+def test_output_directory_that_cannot_be_created_is_config_error(tmp_path, capsys, where, below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    out = str(blocker / below) if below else str(blocker)
+    cfg, args = _ar1_config(), []
+    if where == "flag":
+        args = ["--out", out]
+    else:
+        cfg["out_dir"] = out
+    assert main(["simulate", "--config", _write(tmp_path, cfg), *args]) == EXIT_CONFIG
+    assert f"config error: cannot create output directory {out}" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory"
+
+
 def test_dsl_model_config(tmp_path):
     cfg = _ar1_config()
     cfg["model"] = {"dsl": "states 1\nnoise 1\nx1' = 0.5*x1 + w1"}
@@ -557,7 +573,7 @@ def _ar1_bound_config():
 def test_non_integer_count_is_config_error(tmp_path, capsys, command, path, value, key):
     cfg = _zoom_entropy_config() if command == "entropy" else _ar1_bound_config()
     _set(cfg, path, value)
-    with mock.patch.object(stabilization_entropy, "run_closed_loops", side_effect=AssertionError):
+    with mock.patch.object(stabilization_entropy, "closed_loop_block", side_effect=AssertionError):
         code = main([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -639,7 +655,7 @@ def _base_config(name):
 def _main_without_rollouts(args):
     with mock.patch.object(cli, "batch_rollout", side_effect=AssertionError("rollout ran")), \
             mock.patch.object(cli, "closed_loop_blocks", side_effect=AssertionError("rollout ran")), \
-            mock.patch.object(stabilization_entropy, "run_closed_loops", side_effect=AssertionError):
+            mock.patch.object(stabilization_entropy, "closed_loop_block", side_effect=AssertionError):
         return main(args)
 
 
@@ -981,7 +997,7 @@ def test_entropy_epsilon_too_large_is_config_error(tmp_path, capsys):
 )
 def test_entropy_bad_setting_is_config_error_before_any_simulation(tmp_path, capsys, setting):
     config = _write(tmp_path, _zoom_entropy_config(**setting))
-    with mock.patch.object(stabilization_entropy, "run_closed_loops", side_effect=AssertionError):
+    with mock.patch.object(stabilization_entropy, "closed_loop_block", side_effect=AssertionError):
         assert main(["entropy", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err

@@ -20,7 +20,7 @@ from quantstab import (
 )
 from quantstab.ergodics import EmpiricalMeasure, NoSampleError, VisitTally, measure_to_csv
 from quantstab.policies import cell_coords
-from conftest import tally_of
+from conftest import one_path_block, tally_of
 
 
 def _iid_sampler_model():
@@ -378,7 +378,7 @@ def test_tally_readers_read_its_partition_and_burn_in_and_only_its_checkpoints(a
     traj = rollout(ar1, null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 100, seed=0)
     part = Partition(low=[-4.0], high=[4.0], cells_per_axis=(4,))
     tally = VisitTally(part, 10, checkpoints=[50])
-    tally.add(traj.block())
+    tally.add(one_path_block(traj))
     measure = empirical_measure(tally)
     assert measure.partition is part and measure.burn_in == 10 and measure.n_samples == 90
     for call in (

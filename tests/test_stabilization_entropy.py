@@ -31,13 +31,16 @@ from quantstab import (
     zoom_policy,
 )
 from quantstab import stabilization_entropy
+from quantstab.ergodics import VisitTally
+from quantstab.simulation import _trajectories, closed_loop_block
 from quantstab.stabilization_entropy import (
+    NoCandidatesError,
     _needed_count,
     closed_loop_candidates,
     entropy_curve_to_csv,
     satisfaction_matrix,
 )
-from conftest import tally_of
+from conftest import one_path_block
 
 
 # --------------------------------------------------------------------------
@@ -297,12 +300,14 @@ def test_lemma_construction_spans_for_stable_null_loop(ar1):
     horizon, count = 512, 32
     scen = ScenarioSet.sample(init, noise, horizon, count, seed=99)
     policy = null_policy(2, 1)
-    candidates, trajs = closed_loop_candidates(ar1, policy, scen)
+    candidates, block = closed_loop_candidates(ar1, policy, scen)
     assert candidates.count == 1  # the null policy emits one sequence
     template = SpanningTemplate(Partition(low=[-3.0], high=[3.0], cells_per_axis=(2,)), None, 0.5, 0.1)
     from quantstab.stabilization_entropy import _noise_weights
 
-    q_weights = empirical_measure(tally_of(trajs, template.state_partition)).weights[:-1]
+    tally = VisitTally(template.state_partition, 0)
+    tally.add(block)
+    q_weights = empirical_measure(tally).weights[:-1]
     r = build_R_epsilon(q_weights, _noise_weights(scen, template), 0.1)
     matrix = satisfaction_matrix(ar1, candidates, template, r, scen)
     assert min_cover_cardinality(matrix, _needed_count(scen.count, template.rho)) == 1
@@ -399,16 +404,17 @@ def test_entropy_rate_deterministic_in_seed(ar1):
 
 def test_closed_loop_candidates_dedupe(ar1):
     scen = ScenarioSet.sample(InitSpec.fixed([0.0]), NoiseSpec.gaussian(1), 5, 8, seed=0)
-    candidates, trajs = closed_loop_candidates(ar1, null_policy(2, 1), scen)
+    candidates, block = closed_loop_candidates(ar1, null_policy(2, 1), scen)
     assert candidates.count == 1  # all-null sequences collapse to one
-    assert len(trajs) == 8
+    assert len(block.x) == 8 and block.steps.tolist() == [5] * 8
 
 
 def test_closed_loop_candidates_step_scenarios_as_single_loops(doubling):
     # zoom with one cell cannot contract the doubling map; wide starts diverge
     policy = zoom_policy(doubling, 2, 0.9, 2.0, 2.0)
     scen = ScenarioSet.sample(InitSpec.uniform_box([-2e4], [2e4]), NoiseSpec.uniform(1, -0.05, 0.05), 30, 12, seed=4)
-    candidates, trajs = closed_loop_candidates(doubling, policy, scen)
+    candidates, block = closed_loop_candidates(doubling, policy, scen)
+    trajs = _trajectories(block, range(scen.count))
     assert any(t.diverged for t in trajs) and not all(t.diverged for t in trajs)
     for i, traj in enumerate(trajs):
         alone = run_closed_loop(doubling, policy, scen.x0s[i], scen.ws[i], seed=i)
@@ -416,6 +422,66 @@ def test_closed_loop_candidates_step_scenarios_as_single_loops(doubling):
         assert (traj.diverged_at, traj.seed) == (alone.diverged_at, i)
     kept = [t.u for t in trajs if not t.diverged]
     assert candidates.count == len({u.tobytes() for u in kept})
+
+
+def _held_trajectory_entropy_step(model, policy, scen, partition, burn_in):
+    """The entropy's closed-loop step as it was built on held trajectories:
+    one single-loop run per scenario, each folded as its one-path block, and
+    the full-length control sequences deduplicated in scenario order."""
+    tally = VisitTally(partition, burn_in)
+    seen, kept = set(), []
+    for i in range(scen.count):
+        traj = run_closed_loop(model, policy, scen.x0s[i], scen.ws[i], seed=i)
+        tally.add(one_path_block(traj))
+        if traj.steps == scen.horizon and traj.u.tobytes() not in seen:
+            seen.add(traj.u.tobytes())
+            kept.append(traj.u)
+    return kept, tally
+
+
+_ONE_BLOCK_CASES = {
+    # zoom with one cell cannot contract the doubling map; wide starts diverge
+    "doubling-diverging": ("scalar_doubling", (2, 0.9, 2.0, 2.0), ([-2e4], [2e4]), 30, 12, 4),
+    "doubling-zoom-m4": ("scalar_doubling", (4, 0.75, 3.0, 2.0), ([-1.0], [1.0]), 9, 40, 9),
+    "doubling-all-diverge": ("scalar_doubling", (2, 0.9, 2.0, 2.0), ([1e5], [2e5]), 60, 6, 0),
+    "ar1-null": ("stable_ar1", None, ([-1.0], [1.0]), 12, 16, 5),
+}
+
+
+@pytest.mark.parametrize("burn_in", [0, 3])
+@pytest.mark.parametrize("case", _ONE_BLOCK_CASES, ids=list(_ONE_BLOCK_CASES))
+def test_one_block_candidates_and_tally_match_the_held_trajectory_oracle(case, burn_in):
+    name, zoom, box, horizon, count, seed = _ONE_BLOCK_CASES[case]
+    model = catalog_model(name)
+    noise = NoiseSpec.uniform(1, -0.05, 0.05)
+    policy = null_policy(2, 1) if zoom is None else zoom_policy(model, *zoom, noise_mean=noise.mean)
+    scen = ScenarioSet.sample(InitSpec.uniform_box(*box), noise, horizon, count, seed=seed)
+    partition = Partition(low=[-4.0], high=[4.0], cells_per_axis=(8,))
+    kept, expected = _held_trajectory_entropy_step(model, policy, scen, partition, burn_in)
+    if kept:
+        candidates, block = closed_loop_candidates(model, policy, scen)
+        assert candidates.sequences.tobytes() == np.array(kept).tobytes()
+        assert candidates.sequences.shape == (len(kept), horizon, 1)
+    else:  # every scenario diverged: the block the entropy would have folded
+        with pytest.raises(NoCandidatesError):
+            closed_loop_candidates(model, policy, scen)
+        block = closed_loop_block(model, policy, scen.x0s, scen.ws)
+    tally = VisitTally(partition, burn_in)
+    tally.add(block)
+    assert np.array_equal(tally.counts, expected.counts) and tally.horizon == expected.horizon
+    # doubling-diverging: 9 paths end early, one leaves the bound at step T and still offers its controls
+    diverged = int((block.diverged_at >= 0).sum())
+    assert diverged == {"doubling-diverging": 10, "doubling-all-diverge": count}.get(case, 0)
+
+
+def test_entropy_rate_folds_each_horizon_in_one_add(doubling):
+    noise = NoiseSpec.uniform(1, -0.05, 0.05)
+    policy = zoom_policy(doubling, 4, 0.75, 3.0, 2.0, noise_mean=noise.mean)
+    template = SpanningTemplate(Partition(low=[-4.0], high=[4.0], cells_per_axis=(2,)), None, 0.75, 0.3)
+    fold = mock.patch.object(VisitTally, "add", autospec=True, side_effect=VisitTally.add)
+    with fold as add:
+        points = entropy_rate(doubling, policy, noise, InitSpec.uniform_box([-1], [1]), template, [4, 6, 8], 32, seed=9)
+    assert add.call_count == len(points) == 3
 
 
 def test_satisfaction_matrix_shape(ar1):

@@ -288,14 +288,14 @@ def test_every_rule_is_defined_once():
 # stepping (stabilization_entropy._lockstep_states) step many rows through
 # SystemModel.step_many; simulation.step is its one-row case.
 
-def _callers(source: str, called: str) -> list[str]:
-    """The innermost enclosing function of each call of ``called``, ``<module>``
-    outside any."""
+def _callers(source: str, called: str, method: bool = False) -> list[str]:
+    """The innermost enclosing function of each call of ``called`` (with
+    ``method``, of ``<expression>.called`` only), ``<module>`` outside any."""
     found = []
 
     def visit(node: ast.AST, where: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if _called_name(child) == called:
+            if _called_name(child) == called and not (method and isinstance(child.func, ast.Name)):
                 found.append(where)
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else where)
@@ -508,9 +508,10 @@ def test_a_tally_classifies_each_block_in_one_call(paths, checkpoints, calls_per
 # --------------------------------------------------------------------------
 # One input per ergodic reader: ``empirical_measure``, ``ergodicity_dispersion``
 # and ``frequency_convergence`` take the tally alone (and the checkpoints it
-# was folded with), its partition and burn-in with it; and only
-# ``stabilization_entropy.entropy_rate`` folds held trajectories, as the
-# one-path blocks ``Trajectory.block`` makes.
+# was folded with), its partition and burn-in with it. A run is its blocks:
+# only ``simulation._trajectories`` makes trajectories, as views of a
+# whole-horizon run's one block, and no ``src/`` function turns a held
+# trajectory back into a block (``.block()``); every fold reads blocks.
 
 _READERS = {"empirical_measure", "ergodicity_dispersion", "frequency_convergence"}
 
@@ -547,9 +548,21 @@ def test_checker_finds_every_block_call():
     source = (
         "def fold(tally, trajs):\n    for traj in trajs:\n        tally.add(traj.block())\n"
         "def export(rows):\n    def block(start):\n        return rows[start:]\n    return map(block, (0, 8))\n"
+        "def first(rows):\n    return block(rows)\n"
         "Trajectory.block(None)\n"
     )
-    assert _callers(source, "block") == ["fold", "<module>"]
+    assert _callers(source, "block") == ["fold", "first", "<module>"]
+    assert _callers(source, "block", method=True) == ["fold", "<module>"]
+
+
+def test_checker_finds_every_trajectory_construction():
+    source = (
+        "def views(block, seeds):\n    return [Trajectory(x=block.x[k]) for k in seeds]\n"
+        "def held(sim):\n    return sim.Trajectory(None)\n"
+        "def typed(trajs: list[Trajectory]) -> Trajectory:\n    return trajs[0]\n"
+        "Trajectory(None)\n"
+    )
+    assert _callers(source, "Trajectory") == ["views", "held", "<module>"]
 
 
 def test_the_ergodic_readers_take_the_tally_alone():
@@ -560,9 +573,20 @@ def test_the_ergodic_readers_take_the_tally_alone():
     }
 
 
-def test_only_the_entropy_rate_folds_held_trajectories():
-    found = [f"{path.name}:{where}" for path in sorted(SRC.glob("*.py")) for where in _callers(path.read_text(), "block")]
-    assert found == ["stabilization_entropy.py:entropy_rate"]
+def _source_callers(called: str, method: bool = False) -> list[str]:
+    return [
+        f"{path.name}:{where}"
+        for path in sorted(SRC.glob("*.py"))
+        for where in _callers(path.read_text(), called, method)
+    ]
+
+
+def test_only_the_block_views_construct_a_trajectory():
+    assert _source_callers("Trajectory") == ["simulation.py:_trajectories"]
+
+
+def test_no_source_function_turns_a_trajectory_into_a_block():
+    assert _source_callers("block", method=True) == []
 
 
 # --------------------------------------------------------------------------
