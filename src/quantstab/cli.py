@@ -37,7 +37,7 @@ from .dynamics import (  # noqa: F401
     gamma_falsify,
 )
 from .ergodics import (
-    DEFAULT_CHECKPOINTS,
+    ConvergenceTally,
     NoSampleError,
     Partition,
     VisitTally,
@@ -442,12 +442,15 @@ def _simulate(exp: Experiment, verbose: bool, run, *args):
         raise ConfigError(f"bad paths: {exc}") from None
 
 
-def _fold_and_measure(exp: Experiment, verbose: bool, tally: VisitTally):
-    """The paths of ``simulate``, folded into ``tally`` block by block and
-    never held whole: their pooled post-burn-in measure (``NoSampleError`` if
-    no path has a sample) and each path's divergence step, None if none."""
+def _fold_and_measure(exp: Experiment, verbose: bool, tally: VisitTally, *folds):
+    """The paths of ``simulate``, each block handed to ``tally`` and then to
+    every other fold, never held whole: the tally's pooled post-burn-in
+    measure (``NoSampleError`` if no path has a sample) and each path's
+    divergence step, None if none."""
+    folds = (tally, *folds)
     for block in _simulate(exp, verbose, closed_loop_blocks, PathSeeds(exp.seed, exp.paths)):
-        tally.add(block)
+        for fold in folds:
+            fold.add(block)
     measure = empirical_measure(tally)
     return measure, [None if d < 0 else d for d in block.diverged_at.tolist()]
 
@@ -625,10 +628,10 @@ def cmd_diagnose(exp: Experiment, out: Path, verbose: bool) -> list[str]:
     section.close()
     if checkpoints is not None and len(set(checkpoints)) < len(checkpoints):
         raise ConfigError(f"diagnose.checkpoints must be distinct, got {checkpoints}")
-    lead_checkpoints = DEFAULT_CHECKPOINTS if checkpoints is None else checkpoints
-    tally = _construct("paths", VisitTally, exp.partition, exp.burn_in, exp.paths, lead_checkpoints)
+    tally = _construct("paths", VisitTally, exp.partition, exp.burn_in, exp.paths)
+    curve = ConvergenceTally(exp.partition, checkpoints)
     try:
-        measure, diverged_at = _fold_and_measure(exp, verbose, tally)
+        measure, diverged_at = _fold_and_measure(exp, verbose, tally, curve)
     except NoSampleError as exc:
         _write_json(out / "diagnose_summary.json", {"error": str(exc)})
         return [str(exc)]
@@ -638,10 +641,9 @@ def cmd_diagnose(exp: Experiment, out: Path, verbose: bool) -> list[str]:
     rows = zip(exp.partition.cell_labels(), dispersion)
     write_csv(out / "dispersion.csv", ["cell", "dispersion"], "sg", [rows], "\n")
 
-    checkpoints = tally.checkpoints(checkpoints)  # the measure has a sample, so a lead path exists
-    curves = frequency_convergence(tally, checkpoints)
+    checkpoints, curves = frequency_convergence(curve)  # the measure has a sample, so a lead path exists
     header = ["T", *exp.partition.cell_labels("cell")]
-    rows = ((checkpoint, *curve) for checkpoint, curve in zip(checkpoints, curves))
+    rows = ((checkpoint, *values) for checkpoint, values in zip(checkpoints, curves))
     write_csv(out / "convergence.csv", header, "d" + "g" * exp.partition.n_cells, [rows], "\n")
 
     summary = {

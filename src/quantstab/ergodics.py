@@ -4,11 +4,13 @@ The limiting state law is approximated by a time-averaged histogram over a box
 partition (plus one overflow cell covering the rest of R^N). Every such
 histogram, pooled or per path, counts the cells of the visited rows
 (``LoopBlock.visited``), block by block (``VisitTally.add``); a whole-horizon
-run, such as an entropy horizon's scenarios, is one block. The readers take
-the tally alone, its partition and burn-in with it. Ergodicity is diagnosed,
-never certified: the dispersion of per-path limit frequencies is an empirical
-proxy, and it cannot distinguish path-frequency limits from the mass of the
-abstract asymptotic mean they are standing in for.
+run, such as an entropy horizon's scenarios, is one block. The lead path's
+running frequencies at checkpoints are a fold of their own
+(``ConvergenceTally.add``). Each reader takes its fold alone, the partition
+and burn-in with it. Ergodicity is diagnosed, never certified: the dispersion
+of per-path limit frequencies is an empirical proxy, and it cannot distinguish
+path-frequency limits from the mass of the abstract asymptotic mean they are
+standing in for.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "EmpiricalMeasure",
     "NoSampleError",
     "VisitTally",
+    "ConvergenceTally",
     "empirical_measure",
     "frequency_convergence",
     "ergodicity_dispersion",
@@ -180,17 +183,9 @@ class NoSampleError(ValueError):
 class VisitTally:
     """Cell visits folded block by block: ``counts`` of the visited rows
     (``LoopBlock.visited``), one row per path if ``paths`` is given, else
-    pooled; unless ``checkpoints`` is None, the lead path's (the first with
-    a step) counts at each checkpoint and ``lead_steps``, its number of steps.
-    """
+    pooled."""
 
-    def __init__(
-        self,
-        partition: Partition,
-        burn_in: int,
-        paths: Optional[int] = None,
-        checkpoints: Optional[Sequence[int]] = None,
-    ):
+    def __init__(self, partition: Partition, burn_in: int, paths: Optional[int] = None):
         if burn_in < 0:
             raise ValueError(f"burn-in {burn_in} must be nonnegative")
         self.partition = partition
@@ -198,11 +193,6 @@ class VisitTally:
         self.counts = np.zeros((paths or 1, partition.n_cells), dtype=np.int64)
         self.per_path = paths is not None
         self.horizon: Optional[int] = None  # smallest horizon folded
-        self.lead: Optional[int] = None
-        self.lead_steps = 0
-        self._checkpoints = None if checkpoints is None else sorted({int(c) for c in checkpoints})
-        self._lead_counts = np.zeros(partition.n_cells, dtype=np.int64)
-        self._at: dict[int, np.ndarray] = {}  # checkpoint -> lead counts there
 
     def add(self, block: LoopBlock, first: int = 0) -> None:
         """Fold a block whose paths are this tally's ``first``, ``first`` + 1, ..."""
@@ -213,8 +203,26 @@ class VisitTally:
             np.add.at(self.counts, (first + visited.nonzero()[0], cells), 1)
         else:
             self.counts[0] += np.bincount(cells, minlength=self.partition.n_cells)
-        if self._checkpoints is None:
-            return
+
+
+class ConvergenceTally:
+    """The lead path's (the first with a step) cell visits folded block by
+    block, with no burn-in: ``counts`` over its ``steps`` steps so far and
+    ``snapshots``, its counts at each checkpoint it reached. The checkpoints
+    are the ``requested`` ones, else ``DEFAULT_CHECKPOINTS``."""
+
+    def __init__(self, partition: Partition, checkpoints: Optional[Sequence[int]] = None):
+        self.requested = None if checkpoints is None else list(checkpoints)
+        if any(c < 1 for c in self.requested or ()):
+            raise ValueError(f"checkpoints must be at least 1, got {self.requested}")
+        self.partition = partition
+        self.lead: Optional[int] = None
+        self.steps = 0
+        self.counts = np.zeros(partition.n_cells, dtype=np.int64)
+        self.snapshots: dict[int, np.ndarray] = {}  # checkpoint -> lead counts there
+
+    def add(self, block: LoopBlock, first: int = 0) -> None:
+        """Fold a block whose paths are this fold's ``first``, ``first`` + 1, ..."""
         steps = block.steps
         if self.lead is None and block.t0 == 0 and steps.any():
             self.lead = first + int(np.flatnonzero(steps)[0])
@@ -223,29 +231,11 @@ class VisitTally:
             return
         t0, taken = block.t0, int(steps[row])
         cells = self.partition.cell_indices(block.x[row, :taken])
-        for c in self._checkpoints:
+        for c in DEFAULT_CHECKPOINTS if self.requested is None else self.requested:
             if t0 < c <= t0 + taken:
-                self._at[c] = self._lead_counts + np.bincount(
-                    cells[: c - t0], minlength=self.partition.n_cells
-                )
-        self._lead_counts += np.bincount(cells, minlength=self.partition.n_cells)
-        self.lead_steps += taken
-
-    def checkpoints(self, requested: Optional[Sequence[int]] = None) -> list[int]:
-        """The requested checkpoints the lead path reached, else the default
-        ones and its last step; its last step if none is left."""
-        steps = self.lead_steps
-        if requested is None:
-            return sorted({c for c in DEFAULT_CHECKPOINTS if c <= steps} | {steps})
-        return [c for c in requested if c <= steps] or [steps]
-
-    def lead_counts(self, checkpoint: int) -> np.ndarray:
-        """The lead path's visit counts over its first ``checkpoint`` steps."""
-        if checkpoint == self.lead_steps:
-            return self._lead_counts
-        if checkpoint not in self._at:
-            raise ValueError(f"checkpoint {checkpoint} was not tallied")
-        return self._at[checkpoint]
+                self.snapshots[c] = self.counts + np.bincount(cells[: c - t0], minlength=self.partition.n_cells)
+        self.counts += np.bincount(cells, minlength=self.partition.n_cells)
+        self.steps += taken
 
 
 def empirical_measure(tally: VisitTally) -> EmpiricalMeasure:
@@ -263,19 +253,25 @@ def empirical_measure(tally: VisitTally) -> EmpiricalMeasure:
     return EmpiricalMeasure(tally.partition, counts / total, total, tally.burn_in)
 
 
-def frequency_convergence(tally: VisitTally, checkpoints: Sequence[int]) -> np.ndarray:
+def frequency_convergence(curve: ConvergenceTally) -> tuple[list[int], np.ndarray]:
     """Running per-cell occupancy averages (1/T') sum_{t<T'} 1_cell(x_t) of
-    the tally's lead path, at checkpoints it was folded with (and its last
-    step).
+    the curve's lead path at its checkpoints: the requested ones it reached,
+    in their listed order, else the ``DEFAULT_CHECKPOINTS`` it reached and its
+    last step; its last step alone if it reached none.
 
-    Returns an array of shape (len(checkpoints), n_cells).
+    Returns the checkpoints and an array of shape (len(checkpoints), n_cells).
     """
-    if any(c < 1 or c > tally.lead_steps for c in checkpoints):
-        raise ValueError(f"checkpoints must lie in [1, {tally.lead_steps}]")
-    out = np.empty((len(checkpoints), tally.partition.n_cells))
+    steps = curve.steps
+    if steps == 0:
+        raise ValueError("the curve has no lead path: no path took a step")
+    if curve.requested is None:
+        checkpoints = [c for c in DEFAULT_CHECKPOINTS if c < steps] + [steps]
+    else:
+        checkpoints = [c for c in curve.requested if c <= steps] or [steps]
+    out = np.empty((len(checkpoints), curve.partition.n_cells))
     for row, c in enumerate(checkpoints):
-        out[row] = tally.lead_counts(c) / c
-    return out
+        out[row] = (curve.counts if c == steps else curve.snapshots[c]) / c
+    return checkpoints, out
 
 
 def ergodicity_dispersion(tally: VisitTally) -> np.ndarray:

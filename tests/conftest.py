@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quantstab import EmpiricalMeasure, Partition, VisitTally, catalog_model
+from quantstab.ergodics import ConvergenceTally
 from quantstab.simulation import LoopBlock
 
 
@@ -45,10 +46,18 @@ def one_path_block(traj) -> LoopBlock:
     return LoopBlock(0, traj.horizon, traj.x[None], traj.w[None], traj.q[None], traj.u[None], diverged_at)
 
 
-def tally_of(trajs, partition, burn_in=0, per_path=False, checkpoints=None) -> VisitTally:
-    """Held trajectories folded into one tally as their one-path blocks, path
-    k at row k if ``per_path``, the lead path's counts at ``checkpoints``."""
-    tally = VisitTally(partition, burn_in, len(trajs) if per_path else None, checkpoints)
+def _folded(fold, trajs):
+    """``fold`` with held trajectories folded in as their one-path blocks, path k at ``first`` k."""
     for k, traj in enumerate(trajs):
-        tally.add(one_path_block(traj), k)
-    return tally
+        fold.add(one_path_block(traj), k)
+    return fold
+
+
+def tally_of(trajs, partition, burn_in=0, per_path=False) -> VisitTally:
+    """Held trajectories folded into one tally, path k at row k if ``per_path``."""
+    return _folded(VisitTally(partition, burn_in, len(trajs) if per_path else None), trajs)
+
+
+def curve_of(trajs, partition, checkpoints=None) -> ConvergenceTally:
+    """Held trajectories folded into one convergence curve: the lead path's counts at ``checkpoints``."""
+    return _folded(ConvergenceTally(partition, checkpoints), trajs)

@@ -13,7 +13,6 @@ import numpy as np
 
 import quantstab as qs
 from quantstab.dynamics import finite_difference_jacobian
-from quantstab.stabilization_entropy import closed_loop_candidates
 from quantstab.cli import main as cli_main
 from conftest import tally_of, uniform_measure
 

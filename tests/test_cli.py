@@ -18,6 +18,7 @@ from quantstab import InitSpec, NoiseSpec, cli, dynamics, null_policy, simulatio
 from quantstab.capacity_bounds import refined_bound
 from quantstab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, load_experiment, main
 from quantstab.dynamics import JACOBIAN_BLOCK
+from quantstab.ergodics import frequency_convergence
 from quantstab.simulation import Trajectory
 from quantstab.stabilization_entropy import EntropyPoint
 
@@ -1244,10 +1245,10 @@ def test_diagnose_csvs_match_their_oracles_on_edge_values(tmp_path):
         seen["partition"] = tally.partition
         return _EDGE_VALUES
 
-    def convergence(tally, checkpoints):
-        seen["checkpoints"] = checkpoints
-        seen["curves"] = np.array([np.roll(_EDGE_VALUES, k) for k in range(len(checkpoints))])
-        return seen["curves"]
+    def convergence(curve):
+        seen["checkpoints"] = frequency_convergence(curve)[0]
+        seen["curves"] = np.array([np.roll(_EDGE_VALUES, k) for k in range(len(seen["checkpoints"]))])
+        return seen["checkpoints"], seen["curves"]
 
     cfg = _ar1_config(diagnose={"checkpoints": [10, 100, 400]})  # 8 cells and overflow
     out, oracle = tmp_path / "out", tmp_path / "oracle.csv"

@@ -18,9 +18,17 @@ from quantstab import (
     null_policy,
     rollout,
 )
-from quantstab.ergodics import EmpiricalMeasure, NoSampleError, VisitTally, measure_to_csv
+from quantstab.ergodics import (
+    DEFAULT_CHECKPOINTS,
+    ConvergenceTally,
+    EmpiricalMeasure,
+    NoSampleError,
+    VisitTally,
+    measure_to_csv,
+)
 from quantstab.policies import cell_coords
-from conftest import one_path_block, tally_of
+from quantstab.simulation import LoopBlock
+from conftest import curve_of, one_path_block, tally_of
 
 
 def _iid_sampler_model():
@@ -273,8 +281,10 @@ def test_measure_csv_matches_csv_writer_oracle(tmp_path, low, high, cells, weigh
 # Frequency convergence
 
 def _curves(traj, part, checkpoints):
-    """The frequency curves of one held trajectory at ``checkpoints``."""
-    return frequency_convergence(tally_of([traj], part, checkpoints=checkpoints), checkpoints)
+    """The frequency curves of one held trajectory at ``checkpoints``, all reached."""
+    chosen, curves = frequency_convergence(curve_of([traj], part, checkpoints))
+    assert chosen == checkpoints
+    return curves
 
 
 def test_fixed_point_curve_constant_one():
@@ -335,13 +345,55 @@ def test_frequency_convergence_equals_the_one_hot_cumsum_bitwise():
     assert 0.0 < got[-1, part.overflow_index] < 1.0  # some rows leave the box
 
 
-def test_checkpoints_validated(ar1):
-    traj = rollout(ar1, null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 10, seed=0)
+def test_checkpoints_validated():
     part = Partition(low=[-1.0], high=[1.0], cells_per_axis=(2,))
+    for checkpoints in ([0], [5, -3]):
+        with pytest.raises(ValueError):
+            ConvergenceTally(part, checkpoints)
     with pytest.raises(ValueError):
-        _curves(traj, part, [0])
-    with pytest.raises(ValueError):
-        _curves(traj, part, [11])
+        frequency_convergence(ConvergenceTally(part))  # no block folded, so no lead path
+
+
+def test_the_curve_chooses_the_checkpoints_its_lead_path_reached(ar1):
+    part = Partition(low=[-4.0], high=[4.0], cells_per_axis=(4,))
+
+    def chosen(horizon, checkpoints=None):
+        traj = rollout(ar1, null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), horizon, seed=0)
+        return frequency_convergence(curve_of([traj], part, checkpoints))[0]
+
+    assert DEFAULT_CHECKPOINTS[:2] == (10, 100)
+    assert chosen(150) == [10, 100, 150]  # the defaults reached, then the last step
+    assert chosen(100) == [10, 100]  # the last step is a default: one row
+    assert chosen(5) == [5]  # no default reached
+    assert chosen(150, [120, 5, 400, 150, 60]) == [120, 5, 150, 60]  # listed order, past the end dropped
+    assert chosen(150, [151, 1000]) == [150]  # none reached: the last step
+    assert chosen(150, []) == [150]
+
+
+def test_the_lead_path_may_come_in_a_later_first_group():
+    # two blocks of 4 steps; paths 0 and 1 take no step, so path 2, the
+    # first of the second group, leads; path 3 stays in overflow
+    part = Partition(low=[0.0], high=[4.0], cells_per_axis=(4,))
+    x = np.zeros((4, 9, 1))
+    x[2, :, 0] = [0.5, 1.5, 2.5, 3.5, 0.5, 1.5, 2.5, 3.5, 0.5]
+    x[3] = 10.0
+
+    def blocks(paths, diverged_at):
+        for t0 in (0, 4):
+            xs = x[paths, t0 : t0 + 5]
+            zeros = np.zeros((len(paths), 4))
+            yield LoopBlock(t0, 8, xs, zeros[..., None], zeros.astype(np.int64), zeros[..., None], diverged_at)
+
+    curve = ConvergenceTally(part, [2, 6, 8])
+    for block in blocks([0, 1], np.array([0, 0])):
+        curve.add(block)
+    assert curve.lead is None
+    for block in blocks([2, 3], np.array([-1, -1])):
+        curve.add(block, 2)
+    assert curve.lead == 2 and curve.steps == 8
+    checkpoints, curves = frequency_convergence(curve)
+    assert checkpoints == [2, 6, 8]
+    assert curves.tolist() == [[0.5, 0.5, 0, 0, 0], [2 / 6, 2 / 6, 1 / 6, 1 / 6, 0], [0.25, 0.25, 0.25, 0.25, 0]]
 
 
 # --------------------------------------------------------------------------
@@ -377,16 +429,16 @@ def test_single_path_dispersion_is_zero(ar1):
 def test_tally_readers_read_its_partition_and_burn_in_and_only_its_checkpoints(ar1):
     traj = rollout(ar1, null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 100, seed=0)
     part = Partition(low=[-4.0], high=[4.0], cells_per_axis=(4,))
-    tally = VisitTally(part, 10, checkpoints=[50])
+    tally = VisitTally(part, 10)
     tally.add(one_path_block(traj))
     measure = empirical_measure(tally)
     assert measure.partition is part and measure.burn_in == 10 and measure.n_samples == 90
     for call in (
         lambda: empirical_measure(VisitTally(part, 10)),  # no block folded
-        lambda: frequency_convergence(tally, [60]),  # not a tallied checkpoint
         lambda: ergodicity_dispersion(tally),  # pooled, not one row per path
     ):
         with pytest.raises(ValueError):
             call()
-    curves = frequency_convergence(tally, [50, 100])  # 100: the lead path's last step
-    assert np.array_equal(curves, _curves(traj, part, [50, 100]))  # the lead path keeps no burn-in
+    checkpoints, curves = frequency_convergence(curve_of([traj], part, [50, 100]))  # 100: the last step
+    assert checkpoints == [50, 100]
+    assert np.array_equal(curves[1], empirical_measure(tally_of([traj], part)).weights)  # no burn-in

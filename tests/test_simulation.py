@@ -23,7 +23,13 @@ from quantstab import (
     zoom_policy,
 )
 from quantstab import dynamics, simulation
-from quantstab.ergodics import VisitTally, empirical_measure, ergodicity_dispersion, frequency_convergence
+from quantstab.ergodics import (
+    ConvergenceTally,
+    VisitTally,
+    empirical_measure,
+    ergodicity_dispersion,
+    frequency_convergence,
+)
 from quantstab.simulation import (
     CSV_BLOCK_ROWS,
     DIVERGENCE_THRESHOLD,
@@ -37,7 +43,7 @@ from quantstab.simulation import (
     trajectory_to_csv,
     write_csv,
 )
-from conftest import tally_of
+from conftest import curve_of, tally_of
 
 
 # --------------------------------------------------------------------------
@@ -689,19 +695,19 @@ def test_batch_rollout_blocks_match_the_parent_loop_and_folds(text, noise, init,
     part = Partition(low=[-3.0], high=[3.0], cells_per_axis=[6])
 
     def fold(*groups):
-        """A pooled and a per-path tally of the paths, each group of paths
-        rolled out on its own and folded at its first path's row."""
-        pooled, tally = VisitTally(part, 2), VisitTally(part, 2, paths, checkpoints=[1, 3, 5, 10, 12])
+        """A pooled and a per-path tally and a convergence curve of the paths,
+        each group of paths rolled out on its own and folded at its first path's row."""
+        folds = VisitTally(part, 2), VisitTally(part, 2, paths), ConvergenceTally(part, [1, 3, 5, 10, 12])
         for group in groups:
             seeds = [path_seed(4, k) for k in group]
             for block in closed_loop_blocks(model, policy, noise, init, horizon, seeds):
-                pooled.add(block)
-                tally.add(block, group[0])
-        return pooled, tally
+                for each in folds:
+                    each.add(block, group[0])
+        return folds
 
     with mock.patch.object(dynamics, "JACOBIAN_BLOCK", block_steps * paths):
         trajs = batch_rollout(model, policy, noise, init, horizon, paths, base_seed=4)
-        pooled, tally = fold(range(paths))
+        pooled, tally, curve = fold(range(paths))
         variants = {"split": fold(range(3), range(3, paths))}
     for rows in [1, 7, 8192]:
         with mock.patch.object(dynamics, "JACOBIAN_BLOCK", rows):
@@ -716,20 +722,22 @@ def test_batch_rollout_blocks_match_the_parent_loop_and_folds(text, noise, init,
     assert (diverged_at >= 0).any()
 
     lead = next(t for t in trajs if t.steps > 0)
-    assert tally.lead_steps == lead.steps
+    assert curve.steps == lead.steps
     assert np.array_equal(pooled.counts[0], tally.counts.sum(axis=0))
     # the held paths, folded whole, read the same
-    held = tally_of(trajs, part, 2, per_path=True, checkpoints=[1, 3, 5, 10, 12])
+    held = tally_of(trajs, part, 2, per_path=True)
     assert np.array_equal(empirical_measure(tally).weights, empirical_measure(held).weights)
     if any(t.steps > 2 for t in trajs):
         assert np.array_equal(ergodicity_dispersion(tally), ergodicity_dispersion(held))
-    checkpoints = [c for c in [1, 3, 5, 10, 12] if c <= lead.steps] or [lead.steps]
-    assert np.array_equal(frequency_convergence(tally, checkpoints), frequency_convergence(held, checkpoints))
+    checkpoints, curves = frequency_convergence(curve)
+    assert checkpoints == ([c for c in [1, 3, 5, 10, 12] if c <= lead.steps] or [lead.steps])
+    held_checkpoints, held_curves = frequency_convergence(curve_of(trajs, part, [1, 3, 5, 10, 12]))
+    assert held_checkpoints == checkpoints and held_curves.tobytes() == curves.tobytes()
 
-    # every block size and every split of the paths over ``first`` folds the same counts
-    def folded(pooled, tally):
-        at = [tally.lead_counts(c).tolist() for c in checkpoints]
-        return pooled.counts.tolist(), tally.counts.tolist(), tally.lead_steps, at
+    # every block size and every split of the paths over ``first`` folds the same counts and curve
+    def folded(pooled, tally, curve):
+        checkpoints, curves = frequency_convergence(curve)
+        return pooled.counts.tolist(), tally.counts.tolist(), curve.steps, checkpoints, curves.tobytes()
 
-    for variant, (other_pooled, other_tally) in variants.items():
-        assert folded(other_pooled, other_tally) == folded(pooled, tally), variant
+    for variant, folds in variants.items():
+        assert folded(*folds) == folded(pooled, tally, curve), variant

@@ -1,6 +1,7 @@
-"""No dead names in ``src/``: every name a module imports is used in it (no
-linter is installed, so this stands in for flake8's F401), and every
-module-level ``_private`` def, class or constant is referenced by some module.
+"""No dead names: every name a module of ``src/`` or ``tests/`` imports is
+used in it (no linter is installed, so this stands in for flake8's F401), and
+every module-level ``_private`` def, class or constant of ``src/`` is
+referenced by some module.
 
 ``__init__.py`` only re-exports and is skipped by the import check, and so is
 an import statement marked ``# noqa: F401`` on its first line. A name listed
@@ -16,10 +17,11 @@ from unittest import mock
 import pytest
 
 from quantstab import InitSpec, NoiseSpec, Partition, catalog_model, dynamics, null_policy
-from quantstab.ergodics import VisitTally
+from quantstab.ergodics import ConvergenceTally, VisitTally
 from quantstab.simulation import closed_loop_blocks, path_seed
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "quantstab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "quantstab"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -50,11 +52,13 @@ def test_checker_finds_an_unused_import():
     assert _unused_imports(source) == ["line 2: os", "line 5: e"]
 
 
-@pytest.mark.parametrize(
-    "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
-)
+_IMPORTERS = {p.name: p for p in SRC.glob("*.py") if p.name != "__init__.py"}
+_IMPORTERS.update((f"tests/{p.name}", p) for p in TESTS.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", sorted(_IMPORTERS))
 def test_module_uses_every_name_it_imports(module):
-    assert _unused_imports((SRC / module).read_text()) == []
+    assert _unused_imports(_IMPORTERS[module].read_text()) == []
 
 
 def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
@@ -368,18 +372,21 @@ def test_only_the_model_constructor_compiles():
 # --------------------------------------------------------------------------
 # One exit path: only ``cli.main`` prints a finding and picks exit 0 or 3 from
 # the findings a subcommand returns, and only ergodics and capacity_bounds
-# read the 1% overflow rule.
+# read the 1% overflow rule. One checkpoint choice: only ergodics reads the
+# default convergence checkpoints.
 
 def _reads(source: str, names: set[str], text: str = "") -> list[str]:
-    """``function: what`` (``<module>`` outside any function) for each load or
-    import of a name in ``names`` and, given ``text``, each string constant
-    that holds it, f-string parts included."""
+    """``function: what`` (``<module>`` outside any function) for each load,
+    attribute load or import of a name in ``names`` and, given ``text``, each
+    string constant that holds it, f-string parts included."""
     found = []
 
     def visit(node: ast.AST, where: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and child.id in names:
                 found.append(f"{where}: {child.id}")
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load) and child.attr in names:
+                found.append(f"{where}: {child.attr}")
             elif isinstance(child, ast.ImportFrom):
                 found.extend(f"{where}: {alias.name}" for alias in child.names if alias.name in names)
             elif isinstance(child, ast.Constant) and isinstance(child.value, str) and text and text in child.value:
@@ -425,10 +432,30 @@ def test_only_the_measure_and_the_bound_read_the_overflow_rule():
     assert readers == {"capacity_bounds.py", "ergodics.py"}
 
 
+def test_checker_finds_every_read_of_the_default_checkpoints():
+    source = (
+        "from .ergodics import DEFAULT_CHECKPOINTS as DEFAULTS\nfrom . import ergodics\n"
+        "def diagnose(section):\n    return section.get('checkpoints') or ergodics.DEFAULT_CHECKPOINTS\n"
+        "def curve(checkpoints=DEFAULTS):\n    DEFAULT_CHECKPOINTS = ()\n    return checkpoints\n"
+        "def chosen(steps):\n    return [c for c in DEFAULT_CHECKPOINTS if c < steps]\n"
+    )
+    assert _reads(source, {"DEFAULT_CHECKPOINTS"}) == [
+        "<module>: DEFAULT_CHECKPOINTS",
+        "diagnose: DEFAULT_CHECKPOINTS",
+        "chosen: DEFAULT_CHECKPOINTS",
+    ]
+
+
+def test_only_the_curve_reads_the_default_checkpoints():
+    readers = {path.name for path in SRC.glob("*.py") if _reads(path.read_text(), {"DEFAULT_CHECKPOINTS"})}
+    assert readers == {"ergodics.py"}
+
+
 # --------------------------------------------------------------------------
 # One counting rule: only ``LoopBlock.visited`` sets a burn-in against a
-# block's first step or a step offset, and ``VisitTally.add`` classifies a
-# block's visited rows in one ``cell_indices`` call (and the lead row in one more).
+# block's first step or a step offset, and each fold classifies a block in one
+# ``cell_indices`` call: ``VisitTally.add`` its visited rows,
+# ``ConvergenceTally.add`` the lead path's row.
 
 _BURN_IN = {"burn_in", "burn"}
 _STEPS = {"t0", "t", "steps", "taken", "start", "offsets"}
@@ -492,25 +519,27 @@ def test_only_the_block_states_the_counting_rule():
 @pytest.mark.parametrize("paths, checkpoints, calls_per_block", [(None, None, 1), (5, [10, 100], 2)])
 def test_a_tally_classifies_each_block_in_one_call(paths, checkpoints, calls_per_block):
     part = Partition([-6.0], [6.0], [8])
-    tally = VisitTally(part, 30, paths, checkpoints)
+    tally = VisitTally(part, 30, paths)
+    folds = (tally,) if checkpoints is None else (tally, ConvergenceTally(part, checkpoints))
     seeds = [path_seed(0, k) for k in range(5)]
     args = (catalog_model("stable_ar1"), null_policy(2), NoiseSpec.gaussian(1), InitSpec.fixed([0.0]), 200, seeds)
     classify = mock.patch.object(Partition, "cell_indices", autospec=True, side_effect=Partition.cell_indices)
     with mock.patch.object(dynamics, "JACOBIAN_BLOCK", 40), classify as cell_indices:
         blocks = 0
         for block in closed_loop_blocks(*args):  # 25 blocks of 8 steps
-            tally.add(block)
+            for fold in folds:
+                fold.add(block)
             blocks += 1
     assert blocks == 25 and cell_indices.call_count == calls_per_block * blocks
     assert tally.counts.sum() == 5 * (200 - 30)
 
 
 # --------------------------------------------------------------------------
-# One input per ergodic reader: ``empirical_measure``, ``ergodicity_dispersion``
-# and ``frequency_convergence`` take the tally alone (and the checkpoints it
-# was folded with), its partition and burn-in with it. A run is its blocks:
-# only ``simulation._trajectories`` makes trajectories, as views of a
-# whole-horizon run's one block, and no ``src/`` function turns a held
+# One input per ergodic reader: ``empirical_measure`` and
+# ``ergodicity_dispersion`` take the tally alone and ``frequency_convergence``
+# the convergence curve alone, the partition and burn-in with them. A run is
+# its blocks: only ``simulation._trajectories`` makes trajectories, as views
+# of a whole-horizon run's one block, and no ``src/`` function turns a held
 # trajectory back into a block (``.block()``); every fold reads blocks.
 
 _READERS = {"empirical_measure", "ergodicity_dispersion", "frequency_convergence"}
@@ -569,7 +598,7 @@ def test_the_ergodic_readers_take_the_tally_alone():
     assert _signatures((SRC / "ergodics.py").read_text(), _READERS) == {
         "empirical_measure": "(tally)",
         "ergodicity_dispersion": "(tally)",
-        "frequency_convergence": "(tally, checkpoints)",
+        "frequency_convergence": "(curve)",
     }
 
 
